@@ -4,7 +4,7 @@
  *
  * Traces every workload, picks the largest trace, and times the
  * sequential one-pass simulate() against parallelSimulate() at
- * 1/2/4/8 jobs (in-memory sharding) plus the streaming front end.
+ * 1/2/4/8 jobs (in-memory sharding) plus the mapped front end.
  * Every parallel result is checked counter-for-counter against the
  * sequential baseline before its time is reported — a wrong answer
  * fails the benchmark rather than producing a meaningless speedup.
@@ -138,23 +138,23 @@ main()
                         stats.peakBufferedEvents});
     }
 
-    // Streaming front end at the default job count, via an in-memory
-    // encode (no filesystem dependency).
+    // Mapped front end at jobs=4, over an in-memory encode (no
+    // filesystem dependency) opened as an owned-bytes MappedTrace.
     std::stringstream encoded;
     trace::writeTrace(trace, encoded);
-    std::string bytes = encoded.str();
-    sim::ParallelStats stream_stats;
-    sim::SimResult stream_result;
-    double stream_ms = bestOf(reps, [&] {
-        std::stringstream in(bytes);
-        trace::TraceReader reader(in);
+    const std::string bytes = encoded.str();
+    sim::ParallelStats mapped_stats;
+    sim::SimResult mapped_result;
+    double mapped_ms = bestOf(reps, [&] {
+        trace::MappedTrace mapped(
+            std::vector<unsigned char>(bytes.begin(), bytes.end()));
         sim::ParallelOptions opts;
         opts.jobs = 4;
-        stream_result = sim::parallelSimulate(reader, set, opts,
-                                              &stream_stats);
+        mapped_result = sim::parallelSimulate(mapped, set, opts,
+                                              &mapped_stats);
     });
-    if (!resultsEqual(stream_result, seq)) {
-        std::fprintf(stderr, "FAIL: streaming parallel result "
+    if (!resultsEqual(mapped_result, seq)) {
+        std::fprintf(stderr, "FAIL: mapped parallel result "
                              "diverges from sequential\n");
         all_identical = false;
     }
@@ -169,10 +169,10 @@ main()
                    std::to_string(r.shards),
                    std::to_string(r.peakBufferedEvents)});
     }
-    table.row({"streaming jobs=4", report::fmt(stream_ms, 2),
-               report::fmt(seq_ms / stream_ms, 2),
-               std::to_string(stream_stats.shards),
-               std::to_string(stream_stats.peakBufferedEvents)});
+    table.row({"mapped jobs=4", report::fmt(mapped_ms, 2),
+               report::fmt(seq_ms / mapped_ms, 2),
+               std::to_string(mapped_stats.shards),
+               std::to_string(mapped_stats.peakBufferedEvents)});
     std::fputs(table.render().c_str(), stdout);
 
     edb::benchhygiene::BenchJsonWriter writer("BENCH_parallel.json",
@@ -205,12 +205,12 @@ main()
     }
     std::fprintf(json,
                  "    ],\n"
-                 "    \"streaming\": {\"jobs\": 4, \"ms\": %.3f, "
+                 "    \"mapped\": {\"jobs\": 4, \"ms\": %.3f, "
                  "\"speedup\": %.3f, \"shards\": %zu, "
                  "\"peak_buffered_events\": %zu}\n"
                  "  }",
-                 stream_ms, seq_ms / stream_ms, stream_stats.shards,
-                 stream_stats.peakBufferedEvents);
+                 mapped_ms, seq_ms / mapped_ms, mapped_stats.shards,
+                 mapped_stats.peakBufferedEvents);
     writer.close();
     std::printf("\nWrote BENCH_parallel.json\n");
 

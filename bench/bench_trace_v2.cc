@@ -11,10 +11,10 @@
  *
  *  - container size: the v1 flat and v2 blocked encodings of the same
  *    trace (v2 must be >= 1.5x smaller on every workload);
- *  - decode bandwidth: full MappedTrace block decode vs the v1
- *    streaming TraceReader, in raw-event MB/s;
+ *  - decode bandwidth: full MappedTrace block decode vs loadTrace of
+ *    the v1 file, in raw-event MB/s;
  *  - a sparse-session study: phase 2 of one monitor session, end to
- *    end from the on-disk artifact — the v1 path streams and replays
+ *    end from the on-disk artifact — the v1 path loads and replays
  *    every event, the v2 path skips every block whose write summary
  *    misses the monitored pages. The v2 result must stay bit-identical
  *    and be >= 1.3x faster on at least 3 of the 5 workloads.
@@ -35,7 +35,6 @@
 #include "bench_json.h"
 #include "report/table.h"
 #include "session/session.h"
-#include "sim/parallel_sim.h"
 #include "sim/simulator.h"
 #include "trace/trace_io.h"
 #include "workload/workload.h"
@@ -100,7 +99,7 @@ struct Row
     double sizeRatio = 0;  ///< v1 / v2, bigger is better
     double decodeV1Mbps = 0;
     double decodeV2Mbps = 0;
-    double replayV1Ms = 0; ///< v1 stream + full replay, one session
+    double replayV1Ms = 0; ///< v1 load + full replay, one session
     double replayV2Ms = 0; ///< v2 map + block-skip replay, same session
     double speedup = 0;    ///< replayV1Ms / replayV2Ms
     std::uint64_t blocks = 0;
@@ -161,11 +160,7 @@ main()
         const double raw_mb = (double)(row.events * sizeof(trace::Event)) /
                               (1024.0 * 1024.0);
         double v1_decode_ms = medianOf(reps, [&] {
-            std::ifstream in(v1_path, std::ios::binary);
-            trace::TraceReader reader(in);
-            std::vector<trace::Event> buf(64 * 1024);
-            while (std::size_t n = reader.read(buf.data(), buf.size()))
-                sink += n;
+            sink += trace::loadTrace(v1_path).events.size();
         });
         trace::MappedTrace mapped(v2_path);
         row.blocks = mapped.blockCount();
@@ -185,11 +180,7 @@ main()
 
         sim::SimResult v1_result, v2_result;
         row.replayV1Ms = medianOf(reps, [&] {
-            std::ifstream in(v1_path, std::ios::binary);
-            trace::TraceReader reader(in);
-            sim::ParallelOptions opts;
-            opts.jobs = 1;
-            v1_result = sim::parallelSimulate(reader, sub, opts);
+            v1_result = sim::simulate(trace::loadTrace(v1_path), sub);
         });
         sim::BlockSkipStats skip;
         row.replayV2Ms = medianOf(reps, [&] {
@@ -246,7 +237,7 @@ main()
     }
     std::printf("EDBT v2 vs v1, sparse-session study, median of %d:\n%s"
                 "(Skipped = blocks whose writes never decoded; v1 path "
-                "streams and replays every event)\n\n",
+                "loads and replays every event)\n\n",
                 reps, table.render().c_str());
 
     // ---- JSON (shared BENCH_*.json envelope, bench_json.h).

@@ -6,8 +6,10 @@
 
 #include "served/server.h"
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
+#include <iterator>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -179,10 +181,14 @@ bindUnixListener(const std::string &path)
  *  workers executing its requests, and stop(). */
 struct Server::Conn
 {
+    /** The socket; -1 once the reader thread closed it. Written only
+     *  under write_mu. */
     int fd = -1;
     std::mutex write_mu;
     std::shared_ptr<Tenant> tenant;
     std::atomic<bool> dead{false};
+    /** Set as the reader thread's last act: joining is then prompt. */
+    std::atomic<bool> finished{false};
     std::thread thread;
 };
 
@@ -259,8 +265,13 @@ Server::stop()
         std::lock_guard<std::mutex> lk(conns_mu_);
         conns.swap(conns_);
     }
-    for (auto &c : conns)
-        ::shutdown(c->fd, SHUT_RD);
+    for (auto &c : conns) {
+        // A connection whose reader already closed its fd is skipped:
+        // the number may since have been reused by another file.
+        std::lock_guard<std::mutex> lk(c->write_mu);
+        if (c->fd >= 0)
+            ::shutdown(c->fd, SHUT_RD);
+    }
     for (auto &c : conns) {
         if (c->thread.joinable())
             c->thread.join();
@@ -324,6 +335,7 @@ Server::acceptLoop()
         EDB_OBS_GAUGE_ADD(obsConnsActive, 1);
         auto conn = std::make_shared<Conn>();
         conn->fd = fd;
+        reapFinished();
         {
             std::lock_guard<std::mutex> lk(conns_mu_);
             conns_.push_back(conn);
@@ -331,6 +343,24 @@ Server::acceptLoop()
         conn->thread =
             std::thread([this, conn] { connectionLoop(conn); });
     }
+}
+
+void
+Server::reapFinished()
+{
+    std::vector<std::shared_ptr<Conn>> done;
+    {
+        std::lock_guard<std::mutex> lk(conns_mu_);
+        auto live = std::partition(
+            conns_.begin(), conns_.end(), [](const auto &c) {
+                return !c->finished.load(std::memory_order_acquire);
+            });
+        done.assign(std::make_move_iterator(live),
+                    std::make_move_iterator(conns_.end()));
+        conns_.erase(live, conns_.end());
+    }
+    for (auto &c : done)
+        c->thread.join();
 }
 
 void
@@ -385,11 +415,18 @@ Server::connectionLoop(std::shared_ptr<Conn> conn)
         registry_->bye(conn->tenant);
         conn->tenant.reset();
     }
-    conn->dead.store(true, std::memory_order_release);
-    ::close(conn->fd);
+    {
+        // Under write_mu, so neither a worker's reply nor stop()'s
+        // shutdown can touch the fd after it is closed.
+        std::lock_guard<std::mutex> lk(conn->write_mu);
+        conn->dead.store(true, std::memory_order_release);
+        ::close(conn->fd);
+        conn->fd = -1;
+    }
     EDB_OBS_INC(obsDisconnects);
     EDB_OBS_GAUGE_SUB(obsConnsActive, 1);
     EDB_OBS_GAUGE_SUB(obsReadersActive, 1);
+    conn->finished.store(true, std::memory_order_release);
 }
 
 bool

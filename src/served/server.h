@@ -119,6 +119,9 @@ class Server
 
     void acceptLoop();
     void connectionLoop(std::shared_ptr<Conn> conn);
+    /** Join and drop every connection whose reader thread finished,
+     *  so a long-lived server holds only live connections. */
+    void reapFinished();
     /** Request-level envelope around dispatchRequest(): assigns the
      *  request id, times the request into the op-labeled latency
      *  instruments, emits B/E trace spans carrying the id, and logs

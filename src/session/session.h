@@ -75,8 +75,8 @@ class SessionSet
 
     /**
      * Enumerate from a registry alone. Sessions are defined entirely
-     * by the static object table, so a streaming reader can enumerate
-     * them from the trace header without materializing the events.
+     * by the static object table, so a mapped trace can enumerate
+     * them from its header without materializing the events.
      */
     static SessionSet enumerate(const trace::ObjectRegistry &registry);
 

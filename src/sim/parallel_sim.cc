@@ -2,7 +2,7 @@
  * @file
  * Implementation of the sharded parallel simulator: boundary snapshot
  * maintenance, the per-shard replayer, and the two dispatch front ends
- * (in-memory and streaming).
+ * (a materialized Trace and a mapped v2 trace).
  *
  * Shard replay runs on the shared ReplayEngine (replay_core.h) — the
  * same code path the sequential simulate() uses — seeded from the
@@ -36,7 +36,7 @@ namespace edb::sim {
 namespace {
 obs::Counter obsDispatchRuns{"sim.parallel.runs"};
 obs::Counter obsShards{"sim.parallel.shards"};
-/** Events resident in shard buffers awaiting replay. */
+/** Events in dispatched shards not yet replayed. */
 obs::Gauge obsBufferedEvents{"sim.parallel.buffered_events"};
 /** Wall time one worker spends replaying one shard. */
 obs::Histogram obsShardWallNs{"sim.parallel.shard_wall_ns"};
@@ -50,7 +50,6 @@ using trace::EventKind;
 using trace::MappedTrace;
 using trace::ObjectId;
 using trace::Trace;
-using trace::TraceReader;
 
 namespace {
 
@@ -213,37 +212,58 @@ class EnginePool
 };
 
 /**
- * Replay one shard against its boundary snapshot, producing partial
- * counters. The live/page state is *seeded* from the snapshot without
- * counting, because the install events that created that state were
- * counted by the shards that contain them.
+ * Events in dispatched shards that no worker has finished replaying,
+ * and the high-water mark of that count (ParallelStats).
  */
-SimResult
-replayShard(ReplayEngine &engine, const Event *events, std::size_t n,
-            const Snapshot &snap)
+class InFlight
 {
-    engine.reset();
-    engine.seed(snap.data(), snap.size());
-    engine.replay(events, n);
-    return engine.result();
+  public:
+    void
+    add(std::size_t n)
+    {
+        const std::size_t now =
+            events_.fetch_add(n, std::memory_order_relaxed) + n;
+        std::size_t seen = peak_.load(std::memory_order_relaxed);
+        while (now > seen &&
+               !peak_.compare_exchange_weak(seen, now,
+                                            std::memory_order_relaxed)) {
+        }
+        EDB_OBS_GAUGE_ADD(obsBufferedEvents, (std::int64_t)n);
+    }
+
+    void
+    sub(std::size_t n)
+    {
+        events_.fetch_sub(n, std::memory_order_relaxed);
+        EDB_OBS_GAUGE_SUB(obsBufferedEvents, (std::int64_t)n);
+    }
+
+    std::size_t peak() const
+    {
+        return peak_.load(std::memory_order_relaxed);
+    }
+
+  private:
+    std::atomic<std::size_t> events_{0};
+    std::atomic<std::size_t> peak_{0};
+};
+
+unsigned
+jobsFor(const ParallelOptions &opts)
+{
+    return std::min(opts.jobs ? opts.jobs : ThreadPool::defaultJobs(),
+                    ThreadPool::maxJobs);
 }
 
-/**
- * Shared dispatch loop. `next` yields the shard buffers one at a time
- * (empty span = end of stream); ownership of each buffer stays with
- * the caller-provided shared_ptr so the worker can hold it until its
- * replay finishes.
- */
-template <typename NextShard>
+} // namespace
+
 SimResult
-dispatchShards(NextShard &&next, const SessionSet &sessions,
-               const ParallelOptions &opts, ParallelStats *stats)
+parallelSimulate(const Trace &trace, const SessionSet &sessions,
+                 const ParallelOptions &opts, ParallelStats *stats)
 {
     EDB_OBS_INC(obsDispatchRuns);
     EDB_OBS_SPAN("sim.parallel.dispatch");
-    const unsigned jobs = std::min(
-        opts.jobs ? opts.jobs : ThreadPool::defaultJobs(),
-        ThreadPool::maxJobs);
+    const unsigned jobs = jobsFor(opts);
     const std::size_t shard_events =
         std::max<std::size_t>(opts.shardEvents, 1);
 
@@ -262,54 +282,42 @@ dispatchShards(NextShard &&next, const SessionSet &sessions,
 
     // Declared before the pool so workers never outlive them.
     std::deque<SimResult> parts;
-    std::atomic<std::size_t> buffered{0};
-    std::atomic<std::size_t> peak_buffered{0};
+    InFlight in_flight;
     LiveMap running;
     {
-        // Queue bound = jobs: with the jobs shards being replayed,
-        // at most 2 x jobs + 1 shards are resident at once.
+        // Queue bound = jobs: the scanner runs at most jobs shards
+        // ahead of the workers.
         ThreadPool pool(jobs, jobs);
 
-        while (true) {
-            auto buf = std::make_shared<std::vector<Event>>();
-            if (!next(*buf, shard_events))
-                break;
-
+        const std::size_t total = trace.events.size();
+        for (std::size_t at = 0; at < total; at += shard_events) {
+            // Workers read their shard straight out of the trace; the
+            // scanner consumes its install/removes now.
+            const Event *events = trace.events.data() + at;
+            const std::size_t n = std::min(shard_events, total - at);
             Snapshot snap = snapshotOf(running);
-            // The scanner consumes the shard's install/removes now;
-            // the worker only ever reads the buffer.
-            advanceLiveState(running, buf->data(), buf->size());
-
-            std::size_t resident =
-                buffered.fetch_add(buf->size(),
-                                   std::memory_order_relaxed) +
-                buf->size();
-            std::size_t seen =
-                peak_buffered.load(std::memory_order_relaxed);
-            while (resident > seen &&
-                   !peak_buffered.compare_exchange_weak(
-                       seen, resident, std::memory_order_relaxed)) {
-            }
+            advanceLiveState(running, events, n);
+            in_flight.add(n);
 
             parts.emplace_back();
             SimResult *out = &parts.back();
             ++local_stats.shards;
             EDB_OBS_INC(obsShards);
-            EDB_OBS_GAUGE_ADD(obsBufferedEvents,
-                              (std::int64_t)buf->size());
 
-            pool.submit([buf, snap = std::move(snap), out, &engines,
-                         &buffered] {
+            // The live/page state is *seeded* from the snapshot
+            // without counting: the install events that created it
+            // were counted by the shards that contain them.
+            pool.submit([events, n, snap = std::move(snap), out,
+                         &engines, &in_flight] {
                 EDB_OBS_TIMED_SPAN("sim.parallel.shard",
                                    obsShardWallNs);
                 ReplayEngine *engine = engines.acquire();
-                *out = replayShard(*engine, buf->data(), buf->size(),
-                                   snap);
+                engine->reset();
+                engine->seed(snap.data(), snap.size());
+                engine->replay(events, n);
+                *out = engine->result();
                 engines.release(engine);
-                buffered.fetch_sub(buf->size(),
-                                   std::memory_order_relaxed);
-                EDB_OBS_GAUGE_SUB(obsBufferedEvents,
-                                  (std::int64_t)buf->size());
+                in_flight.sub(n);
             });
         }
         pool.wait();
@@ -318,63 +326,15 @@ dispatchShards(NextShard &&next, const SessionSet &sessions,
     for (const SimResult &part : parts)
         merged.merge(part);
 
-    local_stats.peakBufferedEvents =
-        peak_buffered.load(std::memory_order_relaxed);
+    local_stats.peakBufferedEvents = in_flight.peak();
     if (stats)
         *stats = local_stats;
-    return merged;
-}
-
-} // namespace
-
-SimResult
-parallelSimulate(const Trace &trace, const SessionSet &sessions,
-                 const ParallelOptions &opts, ParallelStats *stats)
-{
-    std::size_t offset = 0;
-    auto next = [&](std::vector<Event> &buf, std::size_t shard_events) {
-        if (offset >= trace.events.size())
-            return false;
-        std::size_t n = std::min(shard_events,
-                                 trace.events.size() - offset);
-        buf.assign(trace.events.begin() + (std::ptrdiff_t)offset,
-                   trace.events.begin() + (std::ptrdiff_t)(offset + n));
-        offset += n;
-        return true;
-    };
-
-    SimResult result = dispatchShards(next, sessions, opts, stats);
-    EDB_ASSERT(result.totalWrites == trace.totalWrites,
+    EDB_ASSERT(merged.totalWrites == trace.totalWrites,
                "trace totalWrites header (%llu) disagrees with events "
                "(%llu)",
                (unsigned long long)trace.totalWrites,
-               (unsigned long long)result.totalWrites);
-    return result;
-}
-
-SimResult
-parallelSimulate(TraceReader &reader, const SessionSet &sessions,
-                 const ParallelOptions &opts, ParallelStats *stats)
-{
-    EDB_ASSERT(reader.eventsRead() == 0,
-               "streaming simulation needs a fresh TraceReader");
-
-    auto next = [&](std::vector<Event> &buf, std::size_t shard_events) {
-        buf.resize(shard_events);
-        std::size_t n = reader.read(buf.data(), shard_events);
-        buf.resize(n);
-        return n > 0;
-    };
-
-    SimResult result = dispatchShards(next, sessions, opts, stats);
-    // The reader validated its trailer against the stream; cross-check
-    // the replay against both.
-    EDB_ASSERT(result.totalWrites == reader.totalWrites(),
-               "replayed write count (%llu) disagrees with the trace "
-               "trailer (%llu)",
-               (unsigned long long)result.totalWrites,
-               (unsigned long long)reader.totalWrites());
-    return result;
+               (unsigned long long)merged.totalWrites);
+    return merged;
 }
 
 SimResult
@@ -383,9 +343,7 @@ parallelSimulate(const MappedTrace &trace, const SessionSet &sessions,
 {
     EDB_OBS_INC(obsDispatchRuns);
     EDB_OBS_SPAN("sim.parallel.dispatch");
-    const unsigned jobs = std::min(
-        opts.jobs ? opts.jobs : ThreadPool::defaultJobs(),
-        ThreadPool::maxJobs);
+    const unsigned jobs = jobsFor(opts);
     const std::size_t shard_events =
         std::max<std::size_t>(opts.shardEvents, 1);
 
@@ -403,8 +361,7 @@ parallelSimulate(const MappedTrace &trace, const SessionSet &sessions,
     // decision, and a decode scratch for the control groups — the
     // dispatcher decodes only those (writes never change live state).
     std::deque<SimResult> parts;
-    std::atomic<std::size_t> buffered{0};
-    std::atomic<std::size_t> peak_buffered{0};
+    InFlight in_flight;
     LiveMap running;
     SkipPageMap skip(sessions);
     std::vector<Event> scratch(trace.largestBlockEvents());
@@ -495,31 +452,19 @@ parallelSimulate(const MappedTrace &trace, const SessionSet &sessions,
             }
             if (blocks->empty())
                 continue; // the tail of the trace was all skipped
-
-            std::size_t resident =
-                buffered.fetch_add(shard_size,
-                                   std::memory_order_relaxed) +
-                shard_size;
-            std::size_t seen =
-                peak_buffered.load(std::memory_order_relaxed);
-            while (resident > seen &&
-                   !peak_buffered.compare_exchange_weak(
-                       seen, resident, std::memory_order_relaxed)) {
-            }
+            in_flight.add(shard_size);
 
             parts.emplace_back();
             SimResult *out = &parts.back();
             ++local_stats.shards;
             EDB_OBS_INC(obsShards);
-            EDB_OBS_GAUGE_ADD(obsBufferedEvents,
-                              (std::int64_t)shard_size);
 
             // Workers decode their own blocks straight from the
             // mapping (decodeBlock is const and thread-safe), so the
             // only data crossing the dispatch boundary is the block
             // list and the snapshot.
             pool.submit([blocks, snap = std::move(snap), shard_size,
-                         out, &engines, &trace, &buffered] {
+                         out, &engines, &trace, &in_flight] {
                 EDB_OBS_TIMED_SPAN("sim.parallel.shard",
                                    obsShardWallNs);
                 ReplayEngine *engine = engines.acquire();
@@ -542,10 +487,7 @@ parallelSimulate(const MappedTrace &trace, const SessionSet &sessions,
                 }
                 *out = engine->result();
                 engines.release(engine);
-                buffered.fetch_sub(shard_size,
-                                   std::memory_order_relaxed);
-                EDB_OBS_GAUGE_SUB(obsBufferedEvents,
-                                  (std::int64_t)shard_size);
+                in_flight.sub(shard_size);
             });
         }
         pool.wait();
@@ -562,8 +504,7 @@ parallelSimulate(const MappedTrace &trace, const SessionSet &sessions,
                                 idx_elided);
     }
 
-    local_stats.peakBufferedEvents =
-        peak_buffered.load(std::memory_order_relaxed);
+    local_stats.peakBufferedEvents = in_flight.peak();
     if (stats)
         *stats = local_stats;
 

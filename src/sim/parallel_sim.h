@@ -24,10 +24,10 @@
  *    never spans a shard boundary;
  *  - addition of the partial counters is commutative and associative.
  *
- * Two front ends share the shard replayer: an in-memory one over a
- * materialized Trace, and a streaming one over a trace_io TraceReader
- * that keeps only the shards currently in flight resident, so phase 2
- * runs in O(jobs x shard) memory however large the artifact is.
+ * Two front ends share the shard replayer: one over a materialized
+ * Trace, whose workers replay event-index shards in place, and one
+ * over a mapped v2 trace, whose workers decode their own runs of
+ * whole blocks straight out of the mapping.
  */
 
 #ifndef EDB_SIM_PARALLEL_SIM_H
@@ -60,10 +60,10 @@ struct ParallelStats
     /** Worker threads actually used. */
     unsigned jobs = 0;
     /**
-     * Peak number of events resident in shard buffers at any moment
-     * (streaming front end only). The memory high-water mark of the
-     * pipeline is peakBufferedEvents * sizeof(Event) plus the boundary
-     * snapshots — bounded by jobs and shardEvents, not by trace size.
+     * Peak number of events in shards dispatched but not yet replayed
+     * (both front ends). The scanner runs at most a bounded queue of
+     * shards ahead of the workers, so this is bounded by jobs and
+     * shardEvents, not by trace size.
      */
     std::size_t peakBufferedEvents = 0;
     /** v2 pure-write blocks skipped without decoding at all (mapped
@@ -86,21 +86,9 @@ SimResult parallelSimulate(const trace::Trace &trace,
                            ParallelStats *stats = nullptr);
 
 /**
- * Streaming front end: pull events straight from a TraceReader so the
- * whole Trace is never materialized. The reader must be freshly
- * constructed (no events consumed yet). Throws trace::TraceError if
- * the underlying artifact is malformed.
- */
-SimResult parallelSimulate(trace::TraceReader &reader,
-                           const session::SessionSet &sessions,
-                           const ParallelOptions &opts = {},
-                           ParallelStats *stats = nullptr);
-
-/**
  * Block-sharded front end over a mapped v2 trace. Shards are runs of
- * whole blocks located through the trace's block index — no streaming
- * re-buffering — and workers decode their own blocks straight out of
- * the mapping. The dispatcher judges every block's write summary
+ * whole blocks located through the trace's block index, and workers
+ * decode their own blocks straight out of the mapping. The dispatcher judges every block's write summary
  * against the summary pages of the currently-monitored,
  * session-relevant objects (and the block's own installs): pure-write
  * blocks that cannot touch one are never decoded or dispatched at

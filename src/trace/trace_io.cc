@@ -1,10 +1,10 @@
 /**
  * @file
- * Implementation of the binary trace formats: the streaming
- * TraceReader decoder (v1 flat and v2 blocked), the writers for both
- * generations and the whole-trace convenience wrappers built on them.
- * The v2 block codec itself lives in v2_detail.h, shared with the
- * mmap reader in trace_v2.cc.
+ * Implementation of the binary trace formats: the writers for both
+ * generations, the shared file-header parser, and the whole-trace
+ * readers. A v2 trace is materialized by decoding every block of a
+ * MappedTrace (trace_v2.cc) in order; a v1 trace by the flat event
+ * loop. The v2 block codec itself lives in v2_detail.h.
  */
 
 #include "trace/trace_io.h"
@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -27,25 +28,21 @@ namespace edb::trace {
 namespace {
 
 #if EDB_OBS_ENABLED
-obs::Counter obsReadBytes{"trace.read.bytes"};
-obs::Counter obsReadRefills{"trace.read.refills"};
-/** Refills that hit end-of-buffer mid-decode (a chunk stall: the
- *  decoder blocked on stream I/O inside an event). */
-obs::Counter obsReadStalls{"trace.read.stalls"};
-obs::Counter obsReadEvents{"trace.read.events"};
+/** Wall time of loadTrace: file read plus whole-trace decode. */
+obs::Histogram obsLoadNs{"trace.load_ns"};
 #endif
 
 constexpr char magicV1[8] = {'E', 'D', 'B', 'T', 'R', 'C', '0', '2'};
 constexpr char magicV2[8] = {'E', 'D', 'B', 'T', 'R', 'C', '0', '3'};
-constexpr char footerMagic[4] = {'E', 'D', 'B', 'X'};
-/** v2 fixed footer: u64 LE index offset + footerMagic. */
-constexpr std::size_t footerBytes = 12;
 
 /** Sanity caps: a corrupt varint must not drive a giant allocation
- *  before the stream runs dry. */
+ *  before the input runs dry. */
 constexpr std::uint64_t maxTableEntries = 1u << 28;
 constexpr std::uint64_t maxStringBytes = 1u << 20;
 constexpr std::uint64_t maxEvents = 1ull << 33;
+/** Initial reserve cap of a materialized event vector: a corrupt
+ *  event count must fail on decode, not on allocation. */
+constexpr std::uint64_t maxEventReserve = 1u << 20;
 
 [[noreturn]] void
 parseError(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
@@ -276,390 +273,250 @@ writeTraceV2(const Trace &trace, std::ostream &os,
     out.varint(trace.totalWrites);
     out.varint(trace.estimatedInstructions);
 
-    char foot[footerBytes];
+    char foot[detail::footerBytes];
     for (int i = 0; i < 8; ++i)
         foot[i] = (char)((index_off >> (8 * i)) & 0xff);
-    std::memcpy(foot + 8, footerMagic, sizeof(footerMagic));
+    std::memcpy(foot + 8, detail::footerMagic,
+                sizeof(detail::footerMagic));
     out.bytes(foot, sizeof(foot));
     if (!os)
         throw TraceError("I/O error while writing trace");
 }
 
-} // namespace
-
-/** v2 block-header source pulling varints through the refill buffer;
- *  failures report the reader's absolute offset and current block. */
-struct StreamBlockSrc
+/** The container format named by the magic at the start of `data`. */
+TraceFormat
+formatOf(const unsigned char *data, std::size_t n)
 {
-    TraceReader &r;
-
-    std::uint64_t varint() { return r.getVarint(); }
-
-    [[noreturn]] void
-    fail(const char *fmt, ...) __attribute__((format(printf, 2, 3)))
-    {
-        va_list args;
-        va_start(args, fmt);
-        detail::vfailTraceAt(r.bytesConsumed(), r.cur_block_, fmt,
-                             args);
-    }
-};
-
-void
-TraceReader::fail(const char *fmt, ...) const
-{
-    va_list args;
-    va_start(args, fmt);
-    detail::vfailTraceAt(bytesConsumed(), cur_block_, fmt, args);
-}
-
-TraceReader::TraceReader(std::istream &is, std::size_t buffer_bytes)
-    : is_(&is), buf_(std::max<std::size_t>(buffer_bytes, 64))
-{
-    parseHeader();
-}
-
-TraceReader::TraceReader(const std::string &path,
-                         std::size_t buffer_bytes)
-    : file_(path, std::ios::binary), is_(&file_),
-      buf_(std::max<std::size_t>(buffer_bytes, 64))
-{
-    if (!file_)
-        parseError("cannot open '%s' for reading", path.c_str());
-    parseHeader();
-}
-
-void
-TraceReader::refill()
-{
-    base_off_ += buf_len_;
-    is_->read(buf_.data(), (std::streamsize)buf_.size());
-    buf_len_ = (std::size_t)is_->gcount();
-    buf_pos_ = 0;
-#if EDB_OBS_ENABLED
-    if (buf_len_ > 0) {
-        obsReadBytes.add(buf_len_);
-        obsReadRefills.inc();
-    } else {
-        // The decoder asked for bytes the stream no longer has: a
-        // chunk stall (truncation or a reader outpacing its producer).
-        obsReadStalls.inc();
-    }
-#endif
-}
-
-int
-TraceReader::getByte()
-{
-    if (buf_pos_ == buf_len_) {
-        refill();
-        if (buf_len_ == 0)
-            return -1;
-    }
-    return (unsigned char)buf_[buf_pos_++];
-}
-
-void
-TraceReader::getBytes(char *out, std::size_t n)
-{
-    while (n > 0) {
-        if (buf_pos_ == buf_len_) {
-            refill();
-            if (buf_len_ == 0)
-                fail("trace file truncated");
-        }
-        std::size_t take = std::min(n, buf_len_ - buf_pos_);
-        std::copy_n(buf_.data() + buf_pos_, take, out);
-        buf_pos_ += take;
-        out += take;
-        n -= take;
-    }
-}
-
-std::uint64_t
-TraceReader::getVarint()
-{
-    std::uint64_t v = 0;
-    int shift = 0;
-    while (true) {
-        int c = getByte();
-        if (c < 0)
-            fail("trace file truncated inside a varint");
-        v |= (std::uint64_t)(c & 0x7f) << shift;
-        if (!(c & 0x80))
-            return v;
-        shift += 7;
-        if (shift >= 64)
-            fail("trace file varint overflows 64 bits");
-    }
+    if (n < sizeof(magicV1))
+        detail::failTraceAt(n, -1, "trace file truncated");
+    if (std::memcmp(data, magicV1, sizeof(magicV1)) == 0)
+        return TraceFormat::V1Flat;
+    if (std::memcmp(data, magicV2, sizeof(magicV2)) == 0)
+        return TraceFormat::V2Blocked;
+    parseError("not an EDB trace file (bad magic)");
 }
 
 std::string
-TraceReader::getString()
+spanString(detail::SpanIn &in)
 {
-    auto n = getVarint();
-    if (n > maxStringBytes)
-        fail("trace file string length %llu implausible",
-             (unsigned long long)n);
-    std::string s((std::size_t)n, '\0');
-    getBytes(s.data(), (std::size_t)n);
+    const std::uint64_t n = in.varint();
+    if (n > maxStringBytes) {
+        in.fail("trace file string length %llu implausible",
+                (unsigned long long)n);
+    }
+    if (n > (std::uint64_t)(in.end - in.p))
+        in.fail("trace file truncated inside a string");
+    std::string s((const char *)in.p, (std::size_t)n);
+    in.p += n;
     return s;
 }
 
-void
-TraceReader::parseHeader()
+/** The v1 flat event stream and trailer, after the header. */
+Trace
+decodeV1(detail::SpanIn &in, detail::TraceHeader &&h)
 {
-    char got[sizeof(magicV1)];
-    getBytes(got, sizeof(got));
-    if (std::equal(std::begin(got), std::end(got),
-                   std::begin(magicV1))) {
-        format_ = TraceFormat::V1Flat;
-    } else if (std::equal(std::begin(got), std::end(got),
-                          std::begin(magicV2))) {
-        format_ = TraceFormat::V2Blocked;
-    } else {
-        fail("not an EDB trace file (bad magic)");
+    Trace trace;
+    trace.program = std::move(h.program);
+    trace.registry = std::move(h.registry);
+    trace.writeSites = std::move(h.writeSites);
+    trace.events.reserve(
+        (std::size_t)std::min(h.eventCount, maxEventReserve));
+
+    const std::uint64_t objects = trace.registry.objectCount();
+    std::uint64_t writes = 0;
+    Addr prev_begin = 0;
+    for (std::uint64_t i = 0; i < h.eventCount; ++i) {
+        Event e;
+        const std::uint64_t kind = in.varint();
+        if (kind > (std::uint64_t)EventKind::Write)
+            in.fail("trace file event kind invalid");
+        e.kind = (EventKind)kind;
+        e.begin = prev_begin + (Addr)unzigzag(in.varint());
+        const std::uint64_t size = in.varint();
+        if (size > std::numeric_limits<std::uint32_t>::max()) {
+            in.fail("trace file event size %llu implausible",
+                    (unsigned long long)size);
+        }
+        e.size = (std::uint32_t)size;
+        const std::uint64_t aux = in.varint();
+        if (aux > std::numeric_limits<std::uint32_t>::max()) {
+            in.fail("trace file event aux %llu implausible",
+                    (unsigned long long)aux);
+        }
+        e.aux = (std::uint32_t)aux;
+        prev_begin = e.begin;
+        if (e.kind == EventKind::Write)
+            ++writes;
+        else if (e.aux >= objects)
+            in.fail("trace file event object id out of range");
+        trace.events.push_back(e);
     }
 
-    program_ = getString();
+    trace.totalWrites = in.varint();
+    trace.estimatedInstructions = in.varint();
+    if (trace.totalWrites != writes) {
+        in.fail("trace file write-count trailer (%llu) disagrees "
+                "with the event stream (%llu)",
+                (unsigned long long)trace.totalWrites,
+                (unsigned long long)writes);
+    }
+    if (!in.empty())
+        in.fail("trace file has trailing bytes after the trailer");
+    return trace;
+}
 
-    auto nfuncs = getVarint();
-    if (nfuncs > maxTableEntries)
-        fail("trace file function count %llu implausible",
-             (unsigned long long)nfuncs);
+/** Every block of a v2 trace, in order, into one Trace. */
+Trace
+decodeV2(const MappedTrace &m)
+{
+    Trace trace;
+    trace.program = m.program();
+    trace.registry = m.registry();
+    trace.writeSites = m.writeSites();
+    trace.totalWrites = m.totalWrites();
+    trace.estimatedInstructions = m.estimatedInstructions();
+    trace.events.reserve(
+        (std::size_t)std::min(m.eventCount(), maxEventReserve));
+    for (std::size_t b = 0; b < m.blockCount(); ++b) {
+        const std::size_t at = trace.events.size();
+        trace.events.resize(at + (std::size_t)m.block(b).events);
+        m.decodeBlock(b, trace.events.data() + at);
+    }
+    return trace;
+}
+
+/** Every remaining byte of `is`, named `what` in errors. */
+std::vector<unsigned char>
+readAll(std::istream &is, const std::string &what)
+{
+    std::vector<unsigned char> bytes;
+    std::size_t n = 0;
+    std::size_t want = 64 * 1024;
+    while (true) {
+        bytes.resize(n + want);
+        is.read((char *)bytes.data() + n, (std::streamsize)want);
+        n += (std::size_t)is.gcount();
+        if (!is)
+            break;
+        want = n; // grow geometrically
+    }
+    if (is.bad())
+        parseError("cannot read %s", what.c_str());
+    bytes.resize(n);
+    return bytes;
+}
+
+/** Materialize a whole trace of either format from its encoding. */
+Trace
+decodeTrace(std::vector<unsigned char> bytes)
+{
+    if (formatOf(bytes.data(), bytes.size()) == TraceFormat::V2Blocked)
+        return decodeV2(MappedTrace(std::move(bytes)));
+    detail::SpanIn in(bytes.data(), bytes.size(), 0, -1);
+    detail::TraceHeader h = detail::parseTraceHeader(in);
+    return decodeV1(in, std::move(h));
+}
+
+} // namespace
+
+namespace detail {
+
+TraceHeader
+parseTraceHeader(SpanIn &in)
+{
+    TraceHeader h;
+    h.format = formatOf(in.p, (std::size_t)(in.end - in.p));
+    in.p += sizeof(magicV1);
+
+    h.program = spanString(in);
+
+    const std::uint64_t nfuncs = in.varint();
+    if (nfuncs > maxTableEntries) {
+        in.fail("trace file function count %llu implausible",
+                (unsigned long long)nfuncs);
+    }
     for (std::uint64_t i = 0; i < nfuncs; ++i) {
-        FunctionId id = registry_.internFunction(getString());
-        if (id != i)
-            fail("duplicate function name in trace file");
+        if (h.registry.internFunction(spanString(in)) != i)
+            in.fail("duplicate function name in trace file");
     }
 
-    auto nsites = getVarint();
-    if (nsites > maxTableEntries)
-        fail("trace file write-site count %llu implausible",
-             (unsigned long long)nsites);
-    write_sites_.reserve((std::size_t)std::min<std::uint64_t>(
-        nsites, maxStringBytes));
+    const std::uint64_t nsites = in.varint();
+    if (nsites > maxTableEntries) {
+        in.fail("trace file write-site count %llu implausible",
+                (unsigned long long)nsites);
+    }
+    h.writeSites.reserve(
+        (std::size_t)std::min<std::uint64_t>(nsites, maxStringBytes));
     for (std::uint64_t i = 0; i < nsites; ++i)
-        write_sites_.push_back(getString());
+        h.writeSites.push_back(spanString(in));
 
-    auto nobjs = getVarint();
-    if (nobjs > maxTableEntries)
-        fail("trace file object count %llu implausible",
-             (unsigned long long)nobjs);
+    const std::uint64_t nobjs = in.varint();
+    if (nobjs > maxTableEntries) {
+        in.fail("trace file object count %llu implausible",
+                (unsigned long long)nobjs);
+    }
     for (std::uint64_t i = 0; i < nobjs; ++i) {
-        auto kind_raw = getVarint();
+        const std::uint64_t kind_raw = in.varint();
         if (kind_raw > (std::uint64_t)ObjectKind::Heap)
-            fail("trace file object kind invalid");
-        auto kind = (ObjectKind)kind_raw;
-        std::string name = getString();
-        auto owner_raw = getVarint();
-        FunctionId owner = owner_raw == 0
-                               ? invalidFunction
-                               : (FunctionId)(owner_raw - 1);
-        Addr size = getVarint();
-        auto nctx = getVarint();
-        if (nctx > maxTableEntries)
-            fail("trace file context length %llu implausible",
-                 (unsigned long long)nctx);
+            in.fail("trace file object kind invalid");
+        const auto kind = (ObjectKind)kind_raw;
+        std::string name = spanString(in);
+        const std::uint64_t owner_raw = in.varint();
+        const FunctionId owner = owner_raw == 0
+                                     ? invalidFunction
+                                     : (FunctionId)(owner_raw - 1);
+        const Addr size = in.varint();
+        const std::uint64_t nctx = in.varint();
+        if (nctx > maxTableEntries) {
+            in.fail("trace file context length %llu implausible",
+                    (unsigned long long)nctx);
+        }
         std::vector<FunctionId> ctx;
-        ctx.reserve((std::size_t)nctx);
+        ctx.reserve((std::size_t)std::min<std::uint64_t>(
+            nctx, (std::uint64_t)(in.end - in.p)));
         for (std::uint64_t j = 0; j < nctx; ++j)
-            ctx.push_back((FunctionId)getVarint());
+            ctx.push_back((FunctionId)in.varint());
 
         if (owner != invalidFunction && owner >= nfuncs)
-            fail("trace file object owner out of range");
+            in.fail("trace file object owner out of range");
         for (FunctionId fid : ctx) {
             if (fid >= nfuncs)
-                fail("trace file alloc context out of range");
+                in.fail("trace file alloc context out of range");
         }
 
         ObjectId id;
         if (kind == ObjectKind::Heap) {
-            id = registry_.addHeapObject(name, std::move(ctx), size);
+            id = h.registry.addHeapObject(name, std::move(ctx), size);
         } else {
             // A duplicate record would either collide in the interner
             // (wrong id) or trip its same-size invariant; reject both
             // as corruption before interning.
-            if (registry_.findVariable(kind, owner, name) !=
+            if (h.registry.findVariable(kind, owner, name) !=
                 invalidObject) {
-                fail("duplicate object record in trace file");
+                in.fail("duplicate object record in trace file");
             }
-            id = registry_.internVariable(kind, owner, name, size);
+            id = h.registry.internVariable(kind, owner, name, size);
         }
         if (id != i)
-            fail("object table corrupt in trace file");
+            in.fail("object table corrupt in trace file");
     }
 
-    event_count_ = getVarint();
-    if (event_count_ > maxEvents)
-        fail("trace file event count %llu implausible",
-             (unsigned long long)event_count_);
-    if (format_ == TraceFormat::V2Blocked) {
-        block_events_hint_ = getVarint();
-        if (block_events_hint_ == 0 ||
-            block_events_hint_ > maxBlockEvents) {
-            fail("trace file block size hint %llu implausible",
-                 (unsigned long long)block_events_hint_);
-        }
-        if (event_count_ == 0)
-            parseIndexAndFooter();
-    } else if (event_count_ == 0) {
-        parseTrailer();
+    h.eventCount = in.varint();
+    if (h.eventCount > maxEvents) {
+        in.fail("trace file event count %llu implausible",
+                (unsigned long long)h.eventCount);
     }
-}
-
-std::size_t
-TraceReader::read(Event *out, std::size_t max)
-{
-    std::size_t produced = 0;
-    if (format_ == TraceFormat::V2Blocked) {
-        while (produced < max && events_read_ < event_count_) {
-            if (block_pos_ == block_buf_.size())
-                decodeNextBlock();
-            const std::size_t take = std::min(
-                max - produced, block_buf_.size() - block_pos_);
-            std::copy_n(block_buf_.data() + block_pos_, take,
-                        out + produced);
-            block_pos_ += take;
-            produced += take;
-            events_read_ += take;
-        }
-        if (events_read_ == event_count_ && !done_)
-            parseIndexAndFooter();
-        EDB_OBS_ONLY(obsReadEvents.add(produced);)
-        return produced;
-    }
-
-    while (produced < max && events_read_ < event_count_) {
-        Event e;
-        auto kind_raw = getVarint();
-        if (kind_raw > (std::uint64_t)EventKind::Write)
-            fail("trace file event kind invalid");
-        e.kind = (EventKind)kind_raw;
-        e.begin = prev_begin_ + (Addr)unzigzag(getVarint());
-        auto size = getVarint();
-        if (size > std::numeric_limits<std::uint32_t>::max())
-            fail("trace file event size %llu implausible",
-                 (unsigned long long)size);
-        e.size = (std::uint32_t)size;
-        auto aux = getVarint();
-        if (aux > std::numeric_limits<std::uint32_t>::max())
-            fail("trace file event aux %llu implausible",
-                 (unsigned long long)aux);
-        e.aux = (std::uint32_t)aux;
-        prev_begin_ = e.begin;
-        if (e.kind == EventKind::Write) {
-            ++writes_seen_;
-        } else if (e.aux >= registry_.objectCount()) {
-            fail("trace file event object id out of range");
-        }
-        out[produced++] = e;
-        ++events_read_;
-    }
-    if (events_read_ == event_count_ && !done_)
-        parseTrailer();
-    EDB_OBS_ONLY(obsReadEvents.add(produced);)
-    return produced;
-}
-
-void
-TraceReader::decodeNextBlock()
-{
-    const std::uint64_t start = bytesConsumed();
-    cur_block_ = (std::int64_t)blocks_seen_.size();
-
-    StreamBlockSrc src{*this};
-    detail::BlockHeader h =
-        detail::parseBlockHeader(src, event_count_ - events_read_);
-
-    const std::uint64_t payload = h.payloadBytes();
-    block_scratch_.resize((std::size_t)payload);
-    const std::uint64_t payload_off = bytesConsumed();
-    getBytes((char *)block_scratch_.data(), (std::size_t)payload);
-
-    block_buf_.resize((std::size_t)h.events);
-    detail::decodeBlockBatchBody(h, block_scratch_.data(), payload_off,
-                                 cur_block_, registry_.objectCount(),
-                                 batch_);
-    detail::scatterBatch(batch_, block_buf_.data());
-    block_pos_ = 0;
-    writes_seen_ += h.writes;
-    blocks_seen_.push_back(
-        {bytesConsumed() - start, h.events, h.writes});
-#if EDB_OBS_ENABLED
-    detail::obs_v2::blocksDecoded.inc();
-    detail::obs_v2::bytesEncoded.add(bytesConsumed() - start);
-    detail::obs_v2::bytesRaw.add(h.events * sizeof(Event));
-#endif
-    cur_block_ = -1;
-}
-
-void
-TraceReader::parseIndexAndFooter()
-{
-    const std::uint64_t index_off = bytesConsumed();
-    const std::uint64_t nblocks = getVarint();
-    if (nblocks != blocks_seen_.size()) {
-        fail("trace file block index count (%llu) disagrees with the "
-             "stream (%llu)",
-             (unsigned long long)nblocks,
-             (unsigned long long)blocks_seen_.size());
-    }
-    for (std::size_t i = 0; i < blocks_seen_.size(); ++i) {
-        const std::uint64_t bytes = getVarint();
-        const std::uint64_t events = getVarint();
-        const std::uint64_t writes = getVarint();
-        if (bytes != blocks_seen_[i].bytes ||
-            events != blocks_seen_[i].events ||
-            writes != blocks_seen_[i].writes) {
-            fail("trace file block index entry %llu disagrees with "
-                 "its block record",
-                 (unsigned long long)i);
+    if (h.format == TraceFormat::V2Blocked) {
+        h.blockEvents = in.varint();
+        if (h.blockEvents == 0 || h.blockEvents > maxBlockEvents) {
+            in.fail("trace file block size hint %llu implausible",
+                    (unsigned long long)h.blockEvents);
         }
     }
-    parseTrailer();
-
-    char foot[footerBytes];
-    getBytes(foot, sizeof(foot));
-    std::uint64_t off = 0;
-    for (int i = 0; i < 8; ++i)
-        off |= (std::uint64_t)(unsigned char)foot[i] << (8 * i);
-    if (off != index_off) {
-        fail("trace file footer index offset (%llu) disagrees with "
-             "the stream (%llu)",
-             (unsigned long long)off, (unsigned long long)index_off);
-    }
-    if (std::memcmp(foot + 8, footerMagic, sizeof(footerMagic)) != 0)
-        fail("trace file footer magic invalid");
+    return h;
 }
 
-void
-TraceReader::parseTrailer()
-{
-    total_writes_ = getVarint();
-    estimated_instructions_ = getVarint();
-    if (total_writes_ != writes_seen_) {
-        fail("trace file write-count trailer (%llu) disagrees "
-             "with the event stream (%llu)",
-             (unsigned long long)total_writes_,
-             (unsigned long long)writes_seen_);
-    }
-    done_ = true;
-}
-
-std::uint64_t
-TraceReader::totalWrites() const
-{
-    EDB_ASSERT(done_, "trailer read before the event stream ended");
-    return total_writes_;
-}
-
-std::uint64_t
-TraceReader::estimatedInstructions() const
-{
-    EDB_ASSERT(done_, "trailer read before the event stream ended");
-    return estimated_instructions_;
-}
+} // namespace detail
 
 void
 writeTrace(const Trace &trace, std::ostream &os,
@@ -677,24 +534,7 @@ writeTrace(const Trace &trace, std::ostream &os,
 Trace
 readTrace(std::istream &is)
 {
-    TraceReader reader(is);
-
-    Trace trace;
-    trace.program = reader.program();
-    trace.registry = reader.registry();
-    trace.writeSites = reader.writeSites();
-
-    // Reserve conservatively: a corrupt count must fail on stream
-    // exhaustion, not on allocation.
-    trace.events.reserve((std::size_t)std::min<std::uint64_t>(
-        reader.eventCount(), 1u << 20));
-    Event chunk[4096];
-    while (std::size_t n = reader.read(chunk, std::size(chunk)))
-        trace.events.insert(trace.events.end(), chunk, chunk + n);
-
-    trace.totalWrites = reader.totalWrites();
-    trace.estimatedInstructions = reader.estimatedInstructions();
-    return trace;
+    return decodeTrace(readAll(is, "trace stream"));
 }
 
 void
@@ -710,10 +550,14 @@ saveTrace(const Trace &trace, const std::string &path,
 Trace
 loadTrace(const std::string &path)
 {
+    EDB_OBS_TIMED_SPAN("trace.load", obsLoadNs);
+    // v2 decodes straight out of a mapping; only v1 is read in.
+    if (probeTraceFormat(path) == TraceFormat::V2Blocked)
+        return decodeV2(MappedTrace(path, MappedTrace::Unindexed{}));
     std::ifstream is(path, std::ios::binary);
     if (!is)
         parseError("cannot open '%s' for reading", path.c_str());
-    return readTrace(is);
+    return decodeTrace(readAll(is, "'" + path + "'"));
 }
 
 TraceFormat
@@ -722,17 +566,11 @@ probeTraceFormat(const std::string &path)
     std::ifstream is(path, std::ios::binary);
     if (!is)
         parseError("cannot open '%s' for reading", path.c_str());
-    char got[sizeof(magicV1)];
-    is.read(got, sizeof(got));
-    if ((std::size_t)is.gcount() == sizeof(got)) {
-        if (std::equal(std::begin(got), std::end(got),
-                       std::begin(magicV1)))
-            return TraceFormat::V1Flat;
-        if (std::equal(std::begin(got), std::end(got),
-                       std::begin(magicV2)))
-            return TraceFormat::V2Blocked;
-    }
-    parseError("not an EDB trace file (bad magic)");
+    unsigned char got[sizeof(magicV1)];
+    is.read((char *)got, sizeof(got));
+    if ((std::size_t)is.gcount() < sizeof(got))
+        parseError("not an EDB trace file (bad magic)");
+    return formatOf(got, sizeof(got));
 }
 
 } // namespace edb::trace

@@ -14,14 +14,12 @@
  * previous event's begin address, which compresses the strong spatial
  * locality of real write streams. docs/FORMAT.md specifies the layout.
  *
- * Two read paths share one decoder:
- *
- *  - readTrace/loadTrace materialize a whole Trace, for tools that
- *    need random access to the event stream;
- *  - TraceReader streams events in caller-sized chunks after parsing
- *    the header tables, so phase-2 analysis of a trace runs in O(chunk)
- *    memory instead of O(trace) (the parallel simulator's streaming
- *    mode is built on it).
+ * Every v2 input decodes through one reader, MappedTrace: the query
+ * engine, the daemon and block-skip replay map a file and decode
+ * blocks on demand, while readTrace/loadTrace materialize a whole
+ * Trace by decoding every block in order. v1 files run the flat event
+ * loop over the same in-memory bytes with the same header parser, so
+ * every reader agrees on what a well-formed trace is.
  *
  * Malformed or truncated input raises TraceError — a recoverable
  * error, never a process abort — and corrupt length fields are capped
@@ -32,7 +30,6 @@
 #define EDB_TRACE_TRACE_IO_H
 
 #include <cstddef>
-#include <fstream>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
@@ -113,131 +110,6 @@ struct WriteOptions
  */
 TraceFormat probeTraceFormat(const std::string &path);
 
-/**
- * Incremental trace decoder.
- *
- * Construction parses the header and the function/write-site/object
- * tables (small, O(registry)); the event stream is then pulled in
- * chunks with read(). After the last event the trailer is parsed and
- * cross-checked against the stream (the write count must match the
- * writes actually decoded).
- *
- * Input is consumed through an internal refill buffer, one block at a
- * time, so decoding never touches the stream byte-wise and never needs
- * the whole artifact in memory.
- *
- * Throws TraceError on any malformed input.
- */
-class TraceReader
-{
-  public:
-    /** Decode from an open stream (caller keeps it alive). */
-    explicit TraceReader(std::istream &is,
-                         std::size_t buffer_bytes = defaultBufferBytes);
-
-    /** Open a file and decode from it. */
-    explicit TraceReader(const std::string &path,
-                         std::size_t buffer_bytes = defaultBufferBytes);
-
-    /** @name Header data, available immediately after construction */
-    /// @{
-    const std::string &program() const { return program_; }
-    const ObjectRegistry &registry() const { return registry_; }
-    const std::vector<std::string> &writeSites() const
-    {
-        return write_sites_;
-    }
-    /** Number of events the header declares. */
-    std::uint64_t eventCount() const { return event_count_; }
-    /** Container format detected from the magic. */
-    TraceFormat format() const { return format_; }
-    /** The writer's events-per-block (v2 only; 0 for v1). */
-    std::uint64_t blockEventsHint() const { return block_events_hint_; }
-    /// @}
-
-    /**
-     * Decode up to `max` events into `out`.
-     *
-     * @return The number of events produced; 0 exactly when the stream
-     *         is exhausted (at which point the trailer has been parsed
-     *         and validated).
-     */
-    std::size_t read(Event *out, std::size_t max);
-
-    /** Events decoded so far. */
-    std::uint64_t eventsRead() const { return events_read_; }
-
-    /** True once every event and the trailer have been consumed. */
-    bool done() const { return done_; }
-
-    /** @name Trailer data, valid once done() */
-    /// @{
-    std::uint64_t totalWrites() const;
-    std::uint64_t estimatedInstructions() const;
-    /// @}
-
-    /** Absolute file offset of the next undecoded byte. Accurate even
-     *  though input is pulled through a readahead buffer. */
-    std::uint64_t bytesConsumed() const { return base_off_ + buf_pos_; }
-
-    static constexpr std::size_t defaultBufferBytes = 256 * 1024;
-
-  private:
-    friend struct StreamBlockSrc;
-
-    void refill();
-    int getByte();
-    void getBytes(char *out, std::size_t n);
-    std::uint64_t getVarint();
-    std::string getString();
-    void parseHeader();
-    void parseTrailer();
-    void decodeNextBlock();
-    void parseIndexAndFooter();
-    [[noreturn]] void fail(const char *fmt, ...) const
-        __attribute__((format(printf, 2, 3)));
-
-    std::ifstream file_; ///< backing storage for the path constructor
-    std::istream *is_;
-    std::vector<char> buf_;
-    std::size_t buf_pos_ = 0;
-    std::size_t buf_len_ = 0;
-    std::uint64_t base_off_ = 0; ///< file offset of buf_[0]
-
-    std::string program_;
-    ObjectRegistry registry_;
-    std::vector<std::string> write_sites_;
-    TraceFormat format_ = TraceFormat::V1Flat;
-    std::uint64_t event_count_ = 0;
-    std::uint64_t events_read_ = 0;
-    std::uint64_t writes_seen_ = 0;
-    Addr prev_begin_ = 0;
-    bool done_ = false;
-    std::uint64_t total_writes_ = 0;
-    std::uint64_t estimated_instructions_ = 0;
-
-    /** @name v2 block state */
-    /// @{
-    std::uint64_t block_events_hint_ = 0;
-    std::int64_t cur_block_ = -1; ///< block being decoded, for errors
-    std::vector<Event> block_buf_;
-    std::size_t block_pos_ = 0;
-    std::vector<unsigned char> block_scratch_;
-    /** Batched-decode scratch (columns land here, then scatter into
-     *  block_buf_ in stream order). */
-    WriteBatch batch_;
-    /** (record bytes, events, writes) per decoded block, cross-checked
-     *  against the trailing index. */
-    struct BlockMeta
-    {
-        std::uint64_t bytes;
-        std::uint64_t events;
-        std::uint64_t writes;
-    };
-    std::vector<BlockMeta> blocks_seen_;
-    /// @}
-};
-
 /** Serialize a trace to a stream. Throws TraceError on I/O error. */
 void writeTrace(const Trace &trace, std::ostream &os,
                 const WriteOptions &options = {});
@@ -247,19 +119,24 @@ void saveTrace(const Trace &trace, const std::string &path,
                const WriteOptions &options = {});
 
 /**
- * Deserialize a whole trace from a stream (either format). Throws
- * TraceError on malformed input.
+ * Deserialize a whole trace from a stream (either format), which must
+ * hold exactly one trace: everything up to end-of-stream is decoded.
+ * Throws TraceError on malformed input.
  */
 Trace readTrace(std::istream &is);
 
-/** Deserialize a trace from a file (either format). Throws TraceError. */
+/**
+ * Deserialize a trace from a file (either format). Never consults a
+ * sidecar index. Throws TraceError.
+ */
 Trace loadTrace(const std::string &path);
 
 /**
  * Zero-copy random-access view of a v2 blocked trace.
  *
  * The file is mmap'd (falling back to one in-memory copy where mmap is
- * unavailable); construction parses the header tables, the fixed
+ * unavailable), or the bytes are handed over already in memory;
+ * construction parses the header tables, the fixed
  * footer, the block index and every block header — so blockCount(),
  * per-block event/write counts and page summaries are available
  * without touching any payload byte — and cross-checks the index
@@ -302,7 +179,12 @@ class MappedTrace
         std::uint64_t controls() const { return events - writes; }
     };
 
+    /** Map the file at `path`, then attach its sidecar index when
+     *  one is found (see openIndex()). */
     explicit MappedTrace(const std::string &path);
+    /** Take ownership of an in-memory encoding. There is no path, so
+     *  no sidecar is ever discovered and path() is empty. */
+    explicit MappedTrace(std::vector<unsigned char> bytes);
     ~MappedTrace();
 
     MappedTrace(const MappedTrace &) = delete;
@@ -331,7 +213,8 @@ class MappedTrace
     /** True when the file is backed by an actual mmap (false on the
      *  read-into-memory fallback). */
     bool isMapped() const { return mapped_; }
-    /** The path the mapping was opened from. */
+    /** The path the mapping was opened from (empty for an
+     *  in-memory encoding). */
     const std::string &path() const { return path_; }
 
     /** FNV-1a64 digest of the whole mapped file — what a sidecar
@@ -410,13 +293,22 @@ class MappedTrace
     void decodeBlockReference(std::size_t i, Event *out) const;
 
   private:
+    /** Map `path` without looking for a sidecar: loadTrace's way in. */
+    struct Unindexed
+    {
+    };
+    MappedTrace(const std::string &path, Unindexed);
+    friend Trace loadTrace(const std::string &path);
+
     void decodeBlockBatchInto(std::size_t i, WriteBatch &out) const;
     void load(const std::string &path);
-    void parse(const std::string &path);
+    void parse();
 
     const unsigned char *data_ = nullptr;
     std::uint64_t size_ = 0;
     bool mapped_ = false;
+    /** Owned bytes: an in-memory encoding, or the copy read where
+     *  mmap is unavailable. */
     std::vector<unsigned char> fallback_;
 
     std::string path_;

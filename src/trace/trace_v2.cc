@@ -1,6 +1,7 @@
 /**
  * @file
- * The mmap-backed zero-copy reader of v2 blocked traces.
+ * The mmap-backed zero-copy reader of v2 blocked traces — the only v2
+ * decoder; readTrace/loadTrace materialize through it too.
  *
  * MappedTrace validates the whole container skeleton up front — header
  * tables, footer, block index, every block header, and their mutual
@@ -13,8 +14,7 @@
 
 #include <cstdio>
 #include <cstring>
-#include <istream>
-#include <streambuf>
+#include <fstream>
 
 #include "trace/index_format.h"
 #include "trace/trace_io.h"
@@ -28,28 +28,9 @@
 #include <unistd.h>
 #else
 #define EDB_TRACE_HAVE_MMAP 0
-#include <fstream>
 #endif
 
 namespace edb::trace {
-
-namespace {
-
-constexpr std::size_t footerBytes = 12;
-constexpr char footerMagic[4] = {'E', 'D', 'B', 'X'};
-
-/** Read-only streambuf over the mapped bytes, so header-table parsing
- *  reuses TraceReader instead of a second table decoder. */
-struct MemBuf : std::streambuf
-{
-    MemBuf(const unsigned char *p, std::size_t n)
-    {
-        char *b = const_cast<char *>(reinterpret_cast<const char *>(p));
-        setg(b, b, b + n);
-    }
-};
-
-} // namespace
 
 const char *
 traceFormatName(TraceFormat format)
@@ -70,11 +51,18 @@ obsNoteSkippedBlocks(std::uint64_t blocks, std::uint64_t writes)
 }
 
 MappedTrace::MappedTrace(const std::string &path)
+    : MappedTrace(path, Unindexed{})
+{
+    if (traceIndexEnabled())
+        openIndex();
+}
+
+MappedTrace::MappedTrace(const std::string &path, Unindexed)
 {
     path_ = path;
     load(path);
     try {
-        parse(path);
+        parse();
     } catch (...) {
         // parse() throwing would leak the mapping: the destructor of
         // a never-completed object does not run.
@@ -84,8 +72,14 @@ MappedTrace::MappedTrace(const std::string &path)
 #endif
         throw;
     }
-    if (traceIndexEnabled())
-        openIndex();
+}
+
+MappedTrace::MappedTrace(std::vector<unsigned char> bytes)
+    : fallback_(std::move(bytes))
+{
+    data_ = fallback_.data();
+    size_ = fallback_.size();
+    parse();
 }
 
 std::uint64_t
@@ -100,6 +94,8 @@ MappedTrace::contentDigest() const
 bool
 MappedTrace::openIndex()
 {
+    if (path_.empty())
+        return false; // in-memory encoding: nothing to discover
     const std::string sidecar = traceIndexPathFor(path_);
     std::ifstream probe(sidecar, std::ios::binary);
     if (!probe)
@@ -188,39 +184,41 @@ MappedTrace::load(const std::string &path)
 }
 
 void
-MappedTrace::parse(const std::string &path)
+MappedTrace::parse()
 {
-    // Header tables, via the streaming parser over the mapped bytes.
-    MemBuf mb(data_, (std::size_t)size_);
-    std::istream is(&mb);
-    TraceReader header(is);
-    if (header.format() != TraceFormat::V2Blocked) {
-        throw TraceError("'" + path +
-                         "' is a v1 flat trace; convert it to v2 "
+    detail::SpanIn in(data_, (std::size_t)size_, 0, -1);
+    detail::TraceHeader header = detail::parseTraceHeader(in);
+    if (header.format != TraceFormat::V2Blocked) {
+        throw TraceError((path_.empty() ? std::string("trace")
+                                        : "'" + path_ + "'") +
+                         " is a v1 flat trace; convert it to v2 "
                          "blocked before mapping");
     }
-    program_ = header.program();
-    registry_ = header.registry();
-    write_sites_ = header.writeSites();
-    event_count_ = header.eventCount();
-    const std::uint64_t first_block_off = header.bytesConsumed();
+    program_ = std::move(header.program);
+    registry_ = std::move(header.registry);
+    write_sites_ = std::move(header.writeSites);
+    event_count_ = header.eventCount;
+    const std::uint64_t first_block_off = in.offset();
 
-    // Footer.
-    if (size_ < first_block_off + footerBytes) {
+    // Footer: the last footerBytes of the file, always. A file cut
+    // short or carrying bytes after its footer fails right here.
+    if (size_ < first_block_off + detail::footerBytes) {
         detail::failTraceAt(size_, -1,
                             "trace file truncated before the footer");
     }
-    const unsigned char *foot = data_ + size_ - footerBytes;
-    if (std::memcmp(foot + 8, footerMagic, sizeof(footerMagic)) != 0) {
+    const unsigned char *foot = data_ + size_ - detail::footerBytes;
+    if (std::memcmp(foot + 8, detail::footerMagic,
+                    sizeof(detail::footerMagic)) != 0) {
         detail::failTraceAt(size_ - 4, -1,
-                            "trace file footer magic invalid");
+                            "trace file footer magic invalid (file "
+                            "truncated, or bytes after the footer)");
     }
     std::uint64_t index_off = 0;
     for (int i = 0; i < 8; ++i)
         index_off |= (std::uint64_t)foot[i] << (8 * i);
     if (index_off < first_block_off ||
-        index_off >= size_ - footerBytes) {
-        detail::failTraceAt(size_ - footerBytes, -1,
+        index_off >= size_ - detail::footerBytes) {
+        detail::failTraceAt(size_ - detail::footerBytes, -1,
                             "trace file footer index offset %llu "
                             "implausible",
                             (unsigned long long)index_off);
@@ -228,7 +226,8 @@ MappedTrace::parse(const std::string &path)
 
     // Block index + trailer.
     detail::SpanIn idx(data_ + index_off,
-                       (std::size_t)(size_ - footerBytes - index_off),
+                       (std::size_t)(size_ - detail::footerBytes -
+                                     index_off),
                        index_off, -1);
     const std::uint64_t nblocks = idx.varint();
     if (nblocks > event_count_) {
@@ -282,30 +281,16 @@ MappedTrace::parse(const std::string &path)
         Block &b = blocks_[i];
         detail::SpanIn sp(data_ + b.offset, (std::size_t)b.bytes,
                           b.offset, (std::int64_t)i);
-        struct SpanSrc
-        {
-            detail::SpanIn &in;
-            std::uint64_t varint() { return in.varint(); }
-            [[noreturn]] void
-            fail(const char *fmt, ...)
-                __attribute__((format(printf, 2, 3)))
-            {
-                va_list args;
-                va_start(args, fmt);
-                detail::vfailTraceAt(in.offset(), in.block, fmt,
-                                     args);
-            }
-        } src{sp};
-        detail::BlockHeader h = detail::parseBlockHeader(src, b.events);
+        detail::BlockHeader h = detail::parseBlockHeader(sp, b.events);
         if (h.events != b.events || h.writes != b.writes) {
-            src.fail("trace file block header disagrees with the "
-                     "block index");
+            sp.fail("trace file block header disagrees with the "
+                    "block index");
         }
         const std::uint64_t header_bytes =
             (std::uint64_t)(sp.p - sp.start);
         if (header_bytes + h.payloadBytes() != b.bytes) {
-            src.fail("trace file block record size disagrees with "
-                     "its header");
+            sp.fail("trace file block record size disagrees with "
+                    "its header");
         }
         b.base = h.base;
         b.payloadOff = b.offset + header_bytes;

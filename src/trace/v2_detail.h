@@ -45,11 +45,9 @@
  * write site), which is where v2's compression over the v1 flat
  * stream comes from.
  *
- * The block header parser is shared between the streaming reader
- * (varints pulled through TraceReader's refill buffer) and the mapped
- * reader (varints pulled from the mapping) via the Src template
- * parameter; the payload decoder always works on an in-memory span,
- * because both readers have the whole payload resident by then.
+ * Both the block header parser and the payload decoder work on an
+ * in-memory span: MappedTrace, the only v2 reader, holds the whole
+ * encoding resident.
  *
  * Every parse failure throws TraceError with the absolute byte offset
  * and, where one applies, the block id.
@@ -87,6 +85,11 @@ inline obs::Counter bytesEncoded{"trace.v2.bytes_encoded"};
 inline obs::Counter skipWrites{"sim.block_skip_writes"};
 } // namespace obs_v2
 #endif
+
+/** v2 fixed footer: u64 LE block-index offset + footerMagic. It is
+ *  always the last footerBytes of the file. */
+inline constexpr char footerMagic[4] = {'E', 'D', 'B', 'X'};
+inline constexpr std::size_t footerBytes = 12;
 
 /** Render "<msg> at byte <off>[ (block <id>)]" and throw TraceError.
  *  block < 0 means "no block context". */
@@ -171,6 +174,28 @@ struct SpanIn
         }
     }
 };
+
+/**
+ * The file header both container formats share: magic, program name,
+ * function/write-site/object tables and the declared event count,
+ * followed in v2 by the writer's events-per-block.
+ */
+struct TraceHeader
+{
+    TraceFormat format = TraceFormat::V1Flat;
+    std::string program;
+    ObjectRegistry registry;
+    std::vector<std::string> writeSites;
+    std::uint64_t eventCount = 0;
+    std::uint64_t blockEvents = 0; ///< v2 only
+};
+
+/**
+ * Parse and validate a file header from the start of `in`, leaving
+ * `in` at the first byte after it (the v1 event stream or the first
+ * v2 block). Implemented in trace_io.cc.
+ */
+TraceHeader parseTraceHeader(SpanIn &in);
 
 /** Streaming decoder of one RLE column; see the format comment. */
 class RleCursor
@@ -298,13 +323,11 @@ struct BlockHeader
 };
 
 /**
- * Parse and validate one block header. `Src` provides varint() and a
- * printf-style [[noreturn]] fail(); remaining_events bounds the
+ * Parse and validate one block header; remaining_events bounds the
  * declared event count against the file header's total.
  */
-template <typename Src>
-BlockHeader
-parseBlockHeader(Src &src, std::uint64_t remaining_events)
+inline BlockHeader
+parseBlockHeader(SpanIn &src, std::uint64_t remaining_events)
 {
     BlockHeader h;
     h.events = src.varint();

@@ -3,10 +3,10 @@
  * A small fixed-size worker pool with a bounded task queue.
  *
  * Built for the parallel phase-2 simulator: one producer (the shard
- * scanner or the streaming trace reader) submits closures, N workers
- * drain them. The bounded queue gives the producer backpressure, which
- * is what keeps the streaming pipeline's memory proportional to the
- * number of in-flight shards rather than to the whole trace.
+ * scanner) submits closures, N workers drain them. The bounded queue
+ * gives the producer backpressure, which keeps the number of
+ * dispatched-but-unreplayed shards proportional to the worker count
+ * rather than to the whole trace.
  */
 
 #ifndef EDB_UTIL_THREAD_POOL_H
@@ -52,7 +52,7 @@ class ThreadPool
 
     /**
      * Enqueue a task. Blocks while the queue is at capacity (the
-     * backpressure that bounds the streaming pipeline's memory).
+     * backpressure that bounds the shards in flight).
      */
     void submit(std::function<void()> task);
 

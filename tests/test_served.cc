@@ -16,6 +16,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -973,6 +975,37 @@ TEST_F(ServedServerTest, StopDrainsConnectedClients)
     EXPECT_EQ(snap.gauge("served.connections.active"), 0);
     EXPECT_EQ(snap.gauge("served.readers.active"), 0);
 #endif
+}
+
+/** Lines of /proc/self/maps: one per mapping, so each unjoined
+ *  thread's stack shows up. */
+std::size_t
+mappingCount()
+{
+    std::ifstream maps("/proc/self/maps");
+    std::size_t n = 0;
+    for (std::string line; std::getline(maps, line);)
+        ++n;
+    return n;
+}
+
+TEST_F(ServedServerTest, FinishedConnectionsAreReleased)
+{
+    auto helloBye = [&] {
+        Client c = connected("transient");
+        c.bye();
+    };
+    // Warm up first: the allocator sets up its per-thread arenas on
+    // the first few reader threads and reuses them afterwards.
+    for (int i = 0; i < 20; ++i)
+        helloBye();
+    const std::size_t before = mappingCount();
+    for (int i = 0; i < 200; ++i)
+        helloBye();
+    // Every finished reader was joined on a later accept; at most the
+    // last few can still be winding down.
+    EXPECT_LE(mappingCount(), before + 16);
+    EXPECT_EQ(server_->connectionsAccepted(), 220u);
 }
 
 // ---- byte-flip fuzz sweep ------------------------------------------

@@ -8,7 +8,7 @@
  *   simulateOneSession()  the paper's per-session replay (the oracle)
  *   simulate()            the sequential one-pass multi-session sweep
  *   parallelSimulate()    sharded workers + counter merge, in-memory
- *                         and streaming front ends
+ *                         and mapped front ends
  *
  * This suite pins them to each other, counter by counter: on
  * randomized traces across jobs in {1,2,4,8} and deliberately tiny
@@ -99,26 +99,35 @@ TEST_P(DifferentialRandom, StreamingMatchesSequential)
     SessionSet set = SessionSet::enumerate(t);
     SimResult seq = simulate(t, set);
 
+    // Shards stream from a mapped encoding through the bounded queue.
+    // Small blocks and shards of an in-memory encoding: many shard
+    // boundaries, each snapshotted from the dispatcher's control
+    // decode.
+    constexpr std::size_t blockEvents = 16;
+    constexpr std::size_t shardEvents = 128;
+    trace::WriteOptions wopts;
+    wopts.blockEvents = blockEvents;
     std::stringstream ss;
-    trace::writeTrace(t, ss);
-    trace::TraceReader reader(ss);
+    trace::writeTrace(t, ss, wopts);
+    const std::string bytes = ss.str();
+    trace::MappedTrace mapped(
+        std::vector<unsigned char>(bytes.begin(), bytes.end()));
 
-    // Sessions enumerated straight from the streamed header must match
-    // the ones enumerated from the materialized trace.
-    SessionSet streamed_set = SessionSet::enumerate(reader.registry());
-    ASSERT_EQ(streamed_set.size(), set.size());
+    // Sessions enumerated from the mapped header alone must match the
+    // ones enumerated from the materialized trace.
+    SessionSet mapped_set = SessionSet::enumerate(mapped.registry());
+    ASSERT_EQ(mapped_set.size(), set.size());
 
     ParallelOptions opts;
     opts.jobs = jobs;
-    opts.shardEvents = 128;
+    opts.shardEvents = shardEvents;
     ParallelStats stats;
-    SimResult par = parallelSimulate(reader, streamed_set, opts, &stats);
+    SimResult par = parallelSimulate(mapped, mapped_set, opts, &stats);
     expectIdentical(par, seq, set, t);
-    EXPECT_TRUE(reader.done());
-    EXPECT_EQ(reader.totalWrites(), t.totalWrites);
-    // The pipeline may never hold more than the in-flight shard
-    // window: (queued + executing + being-scanned) shards.
-    EXPECT_LE(stats.peakBufferedEvents, (2 * jobs + 1) * 128u);
+    // Shards in flight are bounded by the queue: queued + executing +
+    // the one being submitted, each at most a block over budget.
+    EXPECT_LE(stats.peakBufferedEvents,
+              (2 * jobs + 1) * (shardEvents + blockEvents));
 }
 
 TEST_P(DifferentialRandom, ParallelMatchesPerSessionOracle)
@@ -179,20 +188,6 @@ TEST_P(DifferentialWorkload, ParallelBitIdenticalOnWorkloadTrace)
         SimResult par = parallelSimulate(t, set, opts);
         expectIdentical(par, seq, set, t);
     }
-
-    // Streaming front end once per workload (jobs=4): the round trip
-    // through the on-disk format plus sharded replay must also be
-    // bit-identical.
-    std::stringstream ss;
-    trace::writeTrace(t, ss);
-    trace::TraceReader reader(ss);
-    SessionSet streamed_set = SessionSet::enumerate(reader.registry());
-    ASSERT_EQ(streamed_set.size(), set.size());
-    ParallelOptions opts;
-    opts.jobs = 4;
-    opts.shardEvents = 16 * 1024;
-    SimResult par = parallelSimulate(reader, streamed_set, opts);
-    expectIdentical(par, seq, set, t);
 }
 
 TEST_P(DifferentialWorkload, SequentialMatchesOracleOnWorkloadTrace)

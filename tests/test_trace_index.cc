@@ -316,6 +316,28 @@ TEST(TraceIndexErrors, StaleSidecarIsRejectedAndFallsBack)
 #endif
 }
 
+TEST(TraceIndex, LoadTraceNeverConsultsTheSidecar)
+{
+    ScopedIndexEnv on("on");
+    const Trace a = randomTrace(0x10AD, 2000);
+    SavedTrace f(a, "loadonly", true);
+    // Orphan the sidecar too: a consumer that looked would tick stale.
+    saveTrace(randomTrace(0x10AE, 2000), f.path());
+
+#if EDB_OBS_ENABLED
+    const obs::Snapshot before = obs::takeSnapshot();
+#endif
+    const Trace loaded = loadTrace(f.path());
+    std::ifstream in(f.path(), std::ios::binary);
+    const Trace read = readTrace(in);
+    EXPECT_EQ(loaded.events, read.events);
+#if EDB_OBS_ENABLED
+    const obs::Snapshot after = obs::takeSnapshot();
+    for (const char *name : {"trace.idx.hits", "trace.idx.stale"})
+        EXPECT_EQ(after.counter(name), before.counter(name)) << name;
+#endif
+}
+
 /** The four sidecar states every consumer must agree across. */
 enum class SidecarState { Absent, Fresh, Stale, Corrupt };
 

@@ -1,20 +1,101 @@
 /**
  * @file
  * Tests for the binary trace file format: round trips, compactness,
- * malformed-input handling.
+ * malformed-input handling, and the agreement of every reader —
+ * readTrace, loadTrace and MappedTrace — on what a well-formed trace
+ * is.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
+#include <unistd.h>
+
+#include "testing/random_trace.h"
 #include "trace/trace_io.h"
 #include "trace/tracer.h"
 #include "util/rng.h"
+#include "workload/workload.h"
 
 namespace edb::trace {
 namespace {
+
+using testgen::randomTrace;
+
+std::string
+encode(const Trace &t, const WriteOptions &opts = {})
+{
+    std::stringstream ss;
+    writeTrace(t, ss, opts);
+    return ss.str();
+}
+
+WriteOptions
+v1Options()
+{
+    WriteOptions opts;
+    opts.format = TraceFormat::V1Flat;
+    return opts;
+}
+
+/** A temp file unique to this test process (ctest runs under -j). */
+class TempTrace
+{
+  public:
+    TempTrace()
+        : path_(::testing::TempDir() + "/edb_trace_io." +
+                std::to_string(::getpid()) + ".trc")
+    {
+    }
+    ~TempTrace() { std::remove(path_.c_str()); }
+
+    const std::string &
+    holding(const std::string &bytes)
+    {
+        std::ofstream os(path_, std::ios::binary | std::ios::trunc);
+        os.write(bytes.data(), (std::streamsize)bytes.size());
+        return path_;
+    }
+
+  private:
+    std::string path_;
+};
+
+Trace
+readBytes(const std::string &bytes)
+{
+    std::stringstream ss(bytes);
+    return readTrace(ss);
+}
+
+/** Byte-flip mutants of `bytes`: `rounds` copies with 1-3 bit flips
+ *  each, at or after byte `from`, drawn from `seed`. */
+std::vector<std::string>
+flipMutants(const std::string &bytes, std::uint64_t seed, int rounds,
+            std::size_t from)
+{
+    Rng rng(seed * 2654435761u + 17);
+    std::vector<std::string> out;
+    for (int round = 0; round < rounds; ++round) {
+        std::string mutated = bytes;
+        const int flips = 1 + (int)rng.below(3);
+        for (int i = 0; i < flips; ++i) {
+            const std::size_t at =
+                from + rng.below(mutated.size() - from);
+            mutated[at] = (char)(mutated[at] ^ (1 << rng.below(8)));
+        }
+        out.push_back(std::move(mutated));
+    }
+    return out;
+}
 
 /** Build a small but representative trace. */
 Trace
@@ -176,6 +257,88 @@ TEST(TraceIoErrors, MissingFileThrows)
     }
 }
 
+TEST(TraceIo, EmptyTraceHasNoEventsAndNoWrites)
+{
+    Tracer tracer("empty");
+    const Trace original = tracer.finish();
+    TempTrace file;
+    for (const WriteOptions &opts : {WriteOptions{}, v1Options()}) {
+        const std::string bytes = encode(original, opts);
+        for (const Trace &t :
+             {readBytes(bytes), loadTrace(file.holding(bytes))}) {
+            EXPECT_TRUE(t.events.empty());
+            EXPECT_EQ(t.totalWrites, 0u);
+            EXPECT_EQ(t.program, "empty");
+        }
+    }
+    const std::string v2 = encode(original);
+    MappedTrace mapped(std::vector<unsigned char>(v2.begin(), v2.end()));
+    EXPECT_EQ(mapped.blockCount(), 0u);
+    EXPECT_EQ(mapped.eventCount(), 0u);
+}
+
+TEST(TraceIo, MappedHeaderExposesTablesBeforeDecode)
+{
+    // Opening a trace parses its tables and block skeleton only; the
+    // header is complete before any block is decoded.
+    const Trace original = randomTrace(77);
+    const std::string bytes = encode(original);
+    MappedTrace mapped(
+        std::vector<unsigned char>(bytes.begin(), bytes.end()));
+    EXPECT_EQ(mapped.program(), original.program);
+    EXPECT_EQ(mapped.eventCount(), original.events.size());
+    EXPECT_EQ(mapped.totalWrites(), original.totalWrites);
+    EXPECT_EQ(mapped.writeSites(), original.writeSites);
+    EXPECT_EQ(mapped.registry().objectCount(),
+              original.registry.objectCount());
+    EXPECT_EQ(mapped.registry().functionCount(),
+              original.registry.functionCount());
+    EXPECT_TRUE(mapped.path().empty());
+    EXPECT_EQ(mapped.index(), nullptr);
+}
+
+TEST(TraceIoErrors, WriteCountMismatchIsAParseError)
+{
+    // Tamper with the totalWrites trailer: every reader cross-checks
+    // it against the writes actually decoded (v1) or the block index
+    // (v2).
+    Trace original = randomTrace(123, 100);
+    original.totalWrites += 1;
+    TempTrace file;
+    for (const WriteOptions &opts : {WriteOptions{}, v1Options()}) {
+        const std::string bytes = encode(original, opts);
+        EXPECT_THROW((void)readBytes(bytes), TraceError);
+        EXPECT_THROW((void)loadTrace(file.holding(bytes)), TraceError);
+    }
+}
+
+class TraceIoRoundTrip : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(TraceIoRoundTrip, EveryTruncationIsACleanParseError)
+{
+    Trace original = randomTrace(GetParam() + 5000, 60);
+    TempTrace file;
+
+    // Every proper prefix, of either container, must throw TraceError
+    // — never hang, crash, or return a silently wrong trace.
+    for (const WriteOptions &opts : {WriteOptions{}, v1Options()}) {
+        const std::string bytes = encode(original, opts);
+        for (std::size_t len = 0; len < bytes.size(); ++len) {
+            const std::string prefix = bytes.substr(0, len);
+            EXPECT_THROW((void)readBytes(prefix), TraceError)
+                << "prefix length " << len << " of " << bytes.size();
+            EXPECT_THROW((void)loadTrace(file.holding(prefix)),
+                         TraceError)
+                << "prefix length " << len << " of " << bytes.size();
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TraceIoRoundTrip,
+                         ::testing::Values(1, 2, 3));
+
 TEST(TraceIoErrors, ErrorIsRecoverable)
 {
     // The recoverable contract: after a failed parse the process is
@@ -190,6 +353,69 @@ TEST(TraceIoErrors, ErrorIsRecoverable)
     expectTracesEqual(original, loaded);
 }
 
+/** Each paper workload survives both containers bit for bit. */
+class TraceIoWorkload : public ::testing::TestWithParam<std::string_view>
+{
+};
+
+TEST_P(TraceIoWorkload, LoadTraceIsBitIdenticalInBothContainers)
+{
+    auto w = workload::makeWorkload(GetParam());
+    const Trace original = workload::runTraced(*w);
+    TempTrace file;
+    for (const WriteOptions &opts : {WriteOptions{}, v1Options()}) {
+        SCOPED_TRACE(traceFormatName(opts.format));
+        expectTracesEqual(loadTrace(file.holding(encode(original, opts))),
+                          original);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, TraceIoWorkload,
+    ::testing::ValuesIn(workload::workloadNames()),
+    [](const ::testing::TestParamInfo<std::string_view> &info) {
+        return std::string(info.param);
+    });
+
+/** The byte-flip inputs of TraceIoFuzz seed `seed`: the sample
+ *  trace, magic left intact. */
+std::vector<std::string>
+fuzzInputs(int seed)
+{
+    constexpr std::size_t magic_len = 8;
+    return flipMutants(encode(makeSampleTrace()), (std::uint64_t)seed,
+                       40, magic_len);
+}
+
+/** The byte-flip inputs of TraceIoRandomFuzz seed `seed`: a larger
+ *  random trace, flipped anywhere, magic included. */
+std::vector<std::string>
+randomFuzzInputs(int seed)
+{
+    return flipMutants(
+        encode(randomTrace(500 + (std::uint64_t)seed, 200)),
+        (std::uint64_t)seed, 20, 0);
+}
+
+/** Every input must load through readTrace and loadTrace or throw
+ *  TraceError from both. */
+void
+expectLoadOrThrow(const std::vector<std::string> &inputs)
+{
+    TempTrace file;
+    for (const std::string &mutated : inputs) {
+        try {
+            (void)readBytes(mutated);
+        } catch (const TraceError &) {
+            // A clean, recoverable rejection.
+        }
+        try {
+            (void)loadTrace(file.holding(mutated));
+        } catch (const TraceError &) {
+        }
+    }
+}
+
 /**
  * Byte-flip fuzzing: a corrupted trace must either load (the flip
  * landed somewhere semantically inert) or throw TraceError — never
@@ -202,33 +428,134 @@ class TraceIoFuzz : public ::testing::TestWithParam<int>
 
 TEST_P(TraceIoFuzz, CorruptedBytesLoadOrThrow)
 {
-    Trace original = makeSampleTrace();
-    std::stringstream ss;
-    writeTrace(original, ss);
-    std::string bytes = ss.str();
-
-    Rng rng((std::uint64_t)GetParam() * 2654435761u + 17);
-    for (int round = 0; round < 40; ++round) {
-        // Flip 1-3 bytes somewhere after the magic.
-        std::string mutated = bytes;
-        constexpr std::size_t magic_len = 8;
-        int flips = 1 + (int)rng.below(3);
-        for (int i = 0; i < flips; ++i) {
-            std::size_t at =
-                magic_len + rng.below(mutated.size() - magic_len);
-            mutated[at] = (char)(mutated[at] ^ (1 << rng.below(8)));
-        }
-
-        std::stringstream in(mutated);
-        try {
-            (void)readTrace(in);
-        } catch (const TraceError &) {
-            // A clean, recoverable rejection.
-        }
-    }
+    expectLoadOrThrow(fuzzInputs(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Flips, TraceIoFuzz, ::testing::Range(0, 24));
+
+/** The same contract on larger random traces. */
+class TraceIoRandomFuzz : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(TraceIoRandomFuzz, CorruptedBytesLoadOrThrow)
+{
+    expectLoadOrThrow(randomFuzzInputs(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Flips, TraceIoRandomFuzz, ::testing::Range(0, 8));
+
+/** What one reader made of an input: a trace, or a TraceError. */
+template <typename Read>
+std::optional<Trace>
+attempt(Read &&read)
+{
+    try {
+        return read();
+    } catch (const TraceError &) {
+        return std::nullopt;
+    }
+}
+
+/** MappedTrace over a file, every block decoded in order. */
+Trace
+decodeMapped(const std::string &path)
+{
+    MappedTrace m(path);
+    Trace t;
+    t.program = m.program();
+    t.writeSites = m.writeSites();
+    t.totalWrites = m.totalWrites();
+    t.estimatedInstructions = m.estimatedInstructions();
+    for (std::size_t b = 0; b < m.blockCount(); ++b) {
+        const std::size_t at = t.events.size();
+        t.events.resize(at + (std::size_t)m.block(b).events);
+        m.decodeBlock(b, t.events.data() + at);
+    }
+    return t;
+}
+
+bool
+sameTrace(const Trace &a, const Trace &b)
+{
+    return a.program == b.program && a.events == b.events &&
+           a.writeSites == b.writeSites &&
+           a.totalWrites == b.totalWrites &&
+           a.estimatedInstructions == b.estimatedInstructions;
+}
+
+/**
+ * One table over every kind of v2 input: readTrace, loadTrace and a
+ * full MappedTrace decode must all return the same trace or all throw
+ * TraceError. A reader that accepted bytes another rejects (trailing
+ * junk after the footer, say) would let replay, query and the daemon
+ * disagree about the same file.
+ */
+TEST(TraceIoAgreement, EveryReaderAcceptsAndRejectsTheSameInputs)
+{
+    struct Row
+    {
+        std::string label;
+        std::string bytes;
+        bool valid;
+    };
+    std::vector<Row> rows;
+    auto readFile = [](const std::string &path) {
+        std::ifstream in(path, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    for (const char *name :
+         {"mini_ghost.v2.trc", "mini_mixed.v2.trc", "mini_scatter.v2.trc",
+          "mini_straddle.v2.trc", "mini_writes.v2.trc"}) {
+        rows.push_back(
+            {name, readFile(std::string(EDB_CORPUS_DIR) + "/" + name),
+             true});
+    }
+    const std::string small = encode(randomTrace(7, 60));
+    for (std::size_t len = 0; len < small.size(); ++len) {
+        rows.push_back({"truncated to " + std::to_string(len),
+                        small.substr(0, len), false});
+    }
+    for (int seed = 0; seed < 24; ++seed) {
+        int round = 0;
+        for (std::string &m : fuzzInputs(seed)) {
+            rows.push_back({"fuzz seed " + std::to_string(seed) +
+                                " round " + std::to_string(round++),
+                            std::move(m), false});
+        }
+    }
+    for (int seed = 0; seed < 8; ++seed) {
+        int round = 0;
+        for (std::string &m : randomFuzzInputs(seed)) {
+            rows.push_back({"random fuzz seed " + std::to_string(seed) +
+                                " round " + std::to_string(round++),
+                            std::move(m), false});
+        }
+    }
+    for (std::size_t junk : {1, 8, 4096}) {
+        rows.push_back({std::to_string(junk) + " trailing bytes",
+                        small + std::string(junk, '\x5a'), false});
+    }
+
+    TempTrace file;
+    std::size_t accepted = 0;
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.label);
+        const std::string &path = file.holding(row.bytes);
+        const auto read = attempt([&] { return readBytes(row.bytes); });
+        const auto load = attempt([&] { return loadTrace(path); });
+        const auto mapped = attempt([&] { return decodeMapped(path); });
+        ASSERT_EQ(read.has_value(), load.has_value());
+        ASSERT_EQ(read.has_value(), mapped.has_value());
+        ASSERT_TRUE(read.has_value() || !row.valid);
+        if (read.has_value()) {
+            ++accepted;
+            ASSERT_TRUE(sameTrace(*read, *load));
+            ASSERT_TRUE(sameTrace(*read, *mapped));
+        }
+    }
+    EXPECT_GE(accepted, 5u);
+}
 
 } // namespace
 } // namespace edb::trace

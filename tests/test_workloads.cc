@@ -9,6 +9,7 @@
 
 #include <map>
 #include <numeric>
+#include <ostream>
 #include <vector>
 
 #include "report/study.h"
@@ -94,6 +95,14 @@ struct Profile
     bool has_heap_sessions;
     std::size_t min_sessions;
 };
+
+/** Print a profile as its workload name, so test names do not depend
+ *  on where the name string happens to be loaded. */
+void
+PrintTo(const Profile &p, std::ostream *os)
+{
+    *os << p.name;
+}
 
 class WorkloadProfile : public ::testing::TestWithParam<Profile>
 {
