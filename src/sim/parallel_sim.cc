@@ -6,28 +6,28 @@
  *
  * Shard replay runs on the shared ReplayEngine (replay_core.h) — the
  * same code path the sequential simulate() uses — seeded from the
- * boundary snapshot. Workers draw engines from a fixed pool of `jobs`
- * pre-sized instances, so steady-state replay allocates nothing and
- * never rehashes a page table mid-shard.
+ * boundary snapshot. Workers draw engines, each with its own block
+ * decode scratch, from a fixed pool of `jobs` pre-sized instances, so
+ * steady-state replay allocates nothing and never rehashes a page
+ * table mid-shard. The mapped front end takes every block decision
+ * from the BlockPlanner (block_planner.h) that simulate() runs too.
  */
 
 #include "sim/parallel_sim.h"
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "obs/obs.h"
-#include "sim/relevance.h"
+#include "sim/block_planner.h"
 #include "sim/replay_core.h"
-#include "trace/index_format.h"
-#include "trace/trace_format.h"
 #include "util/thread_pool.h"
 
 namespace edb::sim {
@@ -104,71 +104,26 @@ advanceLiveState(LiveMap &live, const Event *events, std::size_t n)
     }
 }
 
-/**
- * The dispatcher-side twin of ReplayEngine's summary-page refcounts
- * (the shared sim::SummaryPageTracker of relevance.h): summary page ->
- * number of *session-relevant* monitored objects touching it,
- * maintained in stream order as blocks are dispatched. The parallel front end skips
- * a pure-write block exactly when the sequential engine would — the
- * live set at a block's position is a pure function of the preceding
- * install/remove events, which the dispatcher consumes in order.
- */
-class SkipPageMap
+/** One pooled worker: an engine plus the decode scratch of its
+ *  mapped blocks, reused across every shard it replays. */
+struct Worker
 {
-  public:
-    explicit SkipPageMap(const SessionSet &sessions)
-        : sessions_(sessions)
+    Worker(const SessionSet &sessions, const SessionMaskTable &masks,
+           std::size_t page_hint)
+        : engine(sessions, masks, page_hint)
     {
     }
 
-    /** Fold one decoded block's install/removes into the map. */
-    void
-    advance(const Event *events, std::size_t n)
-    {
-        for (std::size_t i = 0; i < n; ++i) {
-            const Event &e = events[i];
-            if (e.kind == EventKind::Write)
-                continue;
-            if (sessions_.sessionsOf(e.aux).empty())
-                continue;
-            if (e.kind == EventKind::InstallMonitor)
-                pages_.add(e.range());
-            else
-                pages_.remove(e.range());
-        }
-    }
-
-    /** Dispatcher twin of ReplayEngine::anyInstallTouchesSummary():
-     *  true when a session-relevant install among `ctl` lands on a
-     *  summary page of `runs`. */
-    bool
-    anyInstallTouches(const Event *ctl, std::size_t n,
-                      const trace::PageRun *runs,
-                      std::size_t nruns) const
-    {
-        return anyInstallTouchesRuns(
-            ctl, n, runs, nruns, [this](ObjectId obj) {
-                return !sessions_.sessionsOf(obj).empty();
-            });
-    }
-
-    /** True when any summary page in `runs` is currently monitored. */
-    bool
-    anyMonitored(const trace::PageRun *runs, std::size_t n) const
-    {
-        return pages_.anyMonitored(runs, n);
-    }
-
-  private:
-    const SessionSet &sessions_;
-    SummaryPageTracker pages_;
+    ReplayEngine engine;
+    trace::WriteBatch batch;
 };
 
 /**
- * A fixed set of pre-sized ReplayEngines, one per worker thread.
- * Counter arrays, scratch masks and page-table capacity are all
- * allocated once here — before the first shard is dispatched — so
- * replay itself performs no rehashing.
+ * A fixed set of pre-sized workers, one per worker thread. Counter
+ * arrays, scratch masks and page-table capacity are all allocated
+ * once here — before the first shard is dispatched — so replay
+ * itself performs no rehashing, and a worker's decode batch grows to
+ * the largest block it has decoded, then stays.
  */
 class EnginePool
 {
@@ -177,38 +132,38 @@ class EnginePool
                const SessionMaskTable &masks, unsigned count,
                std::size_t page_hint)
     {
-        engines_.reserve(count);
+        workers_.reserve(count);
         free_.reserve(count);
         for (unsigned i = 0; i < count; ++i) {
-            engines_.push_back(std::make_unique<ReplayEngine>(
+            workers_.push_back(std::make_unique<Worker>(
                 sessions, masks, page_hint));
-            free_.push_back(engines_.back().get());
+            free_.push_back(workers_.back().get());
         }
     }
 
-    ReplayEngine *
+    Worker *
     acquire()
     {
         std::lock_guard<std::mutex> lock(mu_);
-        // The pool holds one engine per pool thread, and each worker
-        // releases before finishing, so a free engine always exists.
+        // The pool holds one worker per pool thread, and each task
+        // releases before finishing, so a free worker always exists.
         EDB_ASSERT(!free_.empty(), "engine pool exhausted");
-        ReplayEngine *e = free_.back();
+        Worker *w = free_.back();
         free_.pop_back();
-        return e;
+        return w;
     }
 
     void
-    release(ReplayEngine *e)
+    release(Worker *w)
     {
         std::lock_guard<std::mutex> lock(mu_);
-        free_.push_back(e);
+        free_.push_back(w);
     }
 
   private:
     std::mutex mu_;
-    std::vector<std::unique_ptr<ReplayEngine>> engines_;
-    std::vector<ReplayEngine *> free_;
+    std::vector<std::unique_ptr<Worker>> workers_;
+    std::vector<Worker *> free_;
 };
 
 /**
@@ -248,37 +203,34 @@ class InFlight
     std::atomic<std::size_t> peak_{0};
 };
 
-unsigned
-jobsFor(const ParallelOptions &opts)
-{
-    return std::min(opts.jobs ? opts.jobs : ThreadPool::defaultJobs(),
-                    ThreadPool::maxJobs);
-}
-
-} // namespace
-
+/**
+ * The dispatch loop both front ends share. The scanner snapshots the
+ * boundary live state, then `gather(running, budget, shard)` fills
+ * the next shard, advances `running` over its install/removes and
+ * returns its event count; an empty shard ends the stream. Each
+ * shard is replayed by `replay(worker, shard)` on a pooled engine
+ * *seeded* from the snapshot without counting: the install events
+ * that created that state were counted by the shards that hold them.
+ */
+template <typename Shard, typename Gather, typename Replay>
 SimResult
-parallelSimulate(const Trace &trace, const SessionSet &sessions,
-                 const ParallelOptions &opts, ParallelStats *stats)
+dispatchShards(const SessionSet &sessions, const ParallelOptions &opts,
+               ParallelStats &stats, Gather &&gather, Replay &&replay)
 {
     EDB_OBS_INC(obsDispatchRuns);
     EDB_OBS_SPAN("sim.parallel.dispatch");
-    const unsigned jobs = jobsFor(opts);
-    const std::size_t shard_events =
-        std::max<std::size_t>(opts.shardEvents, 1);
+    stats.jobs = std::min(opts.jobs ? opts.jobs
+                                    : ThreadPool::defaultJobs(),
+                          ThreadPool::maxJobs);
+    const std::size_t budget = std::max<std::size_t>(opts.shardEvents, 1);
 
-    SimResult merged;
-    merged.counters.resize(sessions.size());
-
-    ParallelStats local_stats;
-    local_stats.jobs = jobs;
-
-    // Shared per-run read-only state plus the worker engines, all
-    // built before the pool starts. The page-capacity hint comes from
-    // the trace header's object registry (via the session set): live
+    // Shared per-run read-only state plus the workers, all built
+    // before the pool starts. The page-capacity hint comes from the
+    // trace header's object registry (via the session set): live
     // objects bound monitored pages.
     const SessionMaskTable masks(sessions);
-    EnginePool engines(sessions, masks, jobs, sessions.objectCount());
+    EnginePool engines(sessions, masks, stats.jobs,
+                       sessions.objectCount());
 
     // Declared before the pool so workers never outlive them.
     std::deque<SimResult> parts;
@@ -287,53 +239,70 @@ parallelSimulate(const Trace &trace, const SessionSet &sessions,
     {
         // Queue bound = jobs: the scanner runs at most jobs shards
         // ahead of the workers.
-        ThreadPool pool(jobs, jobs);
-
-        const std::size_t total = trace.events.size();
-        for (std::size_t at = 0; at < total; at += shard_events) {
-            // Workers read their shard straight out of the trace; the
-            // scanner consumes its install/removes now.
-            const Event *events = trace.events.data() + at;
-            const std::size_t n = std::min(shard_events, total - at);
+        ThreadPool pool(stats.jobs, stats.jobs);
+        for (;;) {
             Snapshot snap = snapshotOf(running);
-            advanceLiveState(running, events, n);
+            Shard shard;
+            const std::size_t n = gather(running, budget, shard);
+            if (shard.empty())
+                break;
             in_flight.add(n);
-
             parts.emplace_back();
             SimResult *out = &parts.back();
-            ++local_stats.shards;
+            ++stats.shards;
             EDB_OBS_INC(obsShards);
 
-            // The live/page state is *seeded* from the snapshot
-            // without counting: the install events that created it
-            // were counted by the shards that contain them.
-            pool.submit([events, n, snap = std::move(snap), out,
-                         &engines, &in_flight] {
+            pool.submit([shard = std::move(shard),
+                         snap = std::move(snap), n, out, &engines,
+                         &in_flight, &replay] {
                 EDB_OBS_TIMED_SPAN("sim.parallel.shard",
                                    obsShardWallNs);
-                ReplayEngine *engine = engines.acquire();
-                engine->reset();
-                engine->seed(snap.data(), snap.size());
-                engine->replay(events, n);
-                *out = engine->result();
-                engines.release(engine);
+                Worker *w = engines.acquire();
+                w->engine.reset();
+                w->engine.seed(snap.data(), snap.size());
+                replay(*w, shard);
+                *out = w->engine.result();
+                engines.release(w);
                 in_flight.sub(n);
             });
         }
         pool.wait();
     }
 
+    SimResult merged;
+    merged.counters.resize(sessions.size());
     for (const SimResult &part : parts)
         merged.merge(part);
+    stats.peakBufferedEvents = in_flight.peak();
+    return merged;
+}
 
-    local_stats.peakBufferedEvents = in_flight.peak();
+} // namespace
+
+SimResult
+parallelSimulate(const Trace &trace, const SessionSet &sessions,
+                 const ParallelOptions &opts, ParallelStats *stats)
+{
+    // Workers read their event-index shard straight out of the trace.
+    using Span = std::span<const Event>;
+    std::size_t at = 0;
+    ParallelStats local;
+    SimResult merged = dispatchShards<Span>(
+        sessions, opts, local,
+        [&](LiveMap &running, std::size_t budget, Span &shard) {
+            shard = Span(trace.events).subspan(
+                at, std::min(budget, trace.events.size() - at));
+            advanceLiveState(running, shard.data(), shard.size());
+            at += shard.size();
+            return shard.size();
+        },
+        [](Worker &w, const Span &shard) {
+            w.engine.replay(shard.data(), shard.size());
+        });
+
     if (stats)
-        *stats = local_stats;
-    EDB_ASSERT(merged.totalWrites == trace.totalWrites,
-               "trace totalWrites header (%llu) disagrees with events "
-               "(%llu)",
-               (unsigned long long)trace.totalWrites,
-               (unsigned long long)merged.totalWrites);
+        *stats = local;
+    detail::checkTotalWrites(merged, trace.totalWrites);
     return merged;
 }
 
@@ -341,178 +310,62 @@ SimResult
 parallelSimulate(const MappedTrace &trace, const SessionSet &sessions,
                  const ParallelOptions &opts, ParallelStats *stats)
 {
-    EDB_OBS_INC(obsDispatchRuns);
-    EDB_OBS_SPAN("sim.parallel.dispatch");
-    const unsigned jobs = jobsFor(opts);
-    const std::size_t shard_events =
-        std::max<std::size_t>(opts.shardEvents, 1);
-
-    SimResult merged;
-    merged.counters.resize(sessions.size());
-
-    ParallelStats local_stats;
-    local_stats.jobs = jobs;
-
-    const SessionMaskTable masks(sessions);
-    EnginePool engines(sessions, masks, jobs, sessions.objectCount());
-
-    // Dispatcher-owned stream-order state: the boundary live map for
-    // snapshots, the monitored-summary-page refcounts for the skip
-    // decision, and a decode scratch for the control groups — the
-    // dispatcher decodes only those (writes never change live state).
-    std::deque<SimResult> parts;
-    InFlight in_flight;
-    LiveMap running;
-    SkipPageMap skip(sessions);
-    std::vector<Event> scratch(trace.largestBlockEvents());
-    const trace::TraceIndex *idx = trace.index();
-    std::uint64_t idx_elided = 0;
-    // Writes of fully-skipped blocks never reach a worker, so they
-    // fold into the merged result below; control-only skipped writes
-    // are folded by the worker (ReplayEngine::skipWrites) instead.
-    std::uint64_t fold_writes = 0;
     /** One worker work item: a block, decoded fully or control-only. */
     struct ShardBlock
     {
         std::size_t id;
         bool ctlOnly;
     };
-    {
-        ThreadPool pool(jobs, jobs);
-
-        std::size_t b = 0;
-        while (b < trace.blockCount()) {
-            // Gather one shard: consecutive non-skipped blocks up to
-            // the event budget. Blocks are atomic — a shard boundary
-            // never splits one.
-            auto blocks = std::make_shared<std::vector<ShardBlock>>();
-            std::size_t shard_size = 0;
-            Snapshot snap = snapshotOf(running);
-            while (b < trace.blockCount() &&
-                   shard_size < shard_events) {
-                // Tree descent (same proof as the sequential path,
-                // DESIGN.md §16): a pure-write superblock whose
-                // merged runs miss every monitored page retires all
-                // its member blocks in one probe — none would have
-                // been decoded or dispatched, and the live state
-                // cannot change across a node with no controls.
-                if (idx != nullptr &&
-                    (b & (trace::traceIndexSuperSpan - 1)) == 0) {
-                    const trace::IndexNode &super = idx->superOf(b);
-                    if (sim::indexNodeSkippable(super, skip)) {
-                        local_stats.skippedBlocks += super.blocks;
-                        local_stats.skippedWrites += super.writes;
-                        fold_writes += super.writes;
-                        idx_elided += super.blocks;
-                        b += super.blocks;
-                        continue;
-                    }
-                }
-                const MappedTrace::Block &blk = trace.block(b);
-                const std::size_t ctl = (std::size_t)blk.controls();
-                // Judge the write summary against the monitored set
-                // *before* this block's own installs advance it.
-                bool write_skip =
-                    blk.writes > 0 &&
-                    !skip.anyMonitored(blk.runs.begin(),
-                                       blk.runs.size());
-                if (write_skip && blk.pureWrites()) {
-                    // Never decoded or dispatched: its writes hit
-                    // nothing, and pure writes cannot perturb the
-                    // live state.
-                    ++local_stats.skippedBlocks;
-                    local_stats.skippedWrites += blk.writes;
-                    fold_writes += blk.writes;
-                    ++b;
-                    continue;
-                }
-                if (ctl > 0) {
-                    trace.decodeBlockControl(b, scratch.data());
-                    if (write_skip &&
-                        skip.anyInstallTouches(scratch.data(), ctl,
-                                               blk.runs.begin(),
-                                               blk.runs.size())) {
-                        write_skip = false;
-                    }
-                }
-                if (write_skip) {
-                    blocks->push_back(ShardBlock{b, true});
-                    shard_size += ctl;
-                    ++local_stats.controlOnlyBlocks;
-                    local_stats.skippedWrites += blk.writes;
-                } else {
-                    blocks->push_back(ShardBlock{b, false});
-                    shard_size += (std::size_t)blk.events;
-                }
-                if (ctl > 0) {
-                    advanceLiveState(running, scratch.data(), ctl);
-                    skip.advance(scratch.data(), ctl);
-                }
-                ++b;
+    // The planner decides every block in stream order; the scanner
+    // only batches the blocks it hands out into shards, whole blocks
+    // each. Skipped blocks never reach a worker, and their writes
+    // fold into the merged count below.
+    BlockPlanner planner(trace, sessions);
+    BlockPlanner::Step step;
+    bool more = planner.next(step);
+    ParallelStats local;
+    SimResult merged = dispatchShards<std::vector<ShardBlock>>(
+        sessions, opts, local,
+        [&](LiveMap &running, std::size_t budget,
+            std::vector<ShardBlock> &shard) {
+            std::size_t n = 0;
+            for (; more && n < budget; more = planner.next(step)) {
+                const bool ctl_only =
+                    step.action == BlockPlanner::Action::ControlOnly;
+                shard.push_back(ShardBlock{step.block, ctl_only});
+                n += ctl_only ? step.controls
+                              : (std::size_t)trace.block(step.block)
+                                    .events;
+                // Only controls change the live state: the scanner
+                // decodes those and leaves the writes to the workers.
+                const Event *ctl = planner.controlsOf(step);
+                advanceLiveState(running, ctl, step.controls);
+                planner.advance(ctl, step.controls);
             }
-            if (blocks->empty())
-                continue; // the tail of the trace was all skipped
-            in_flight.add(shard_size);
-
-            parts.emplace_back();
-            SimResult *out = &parts.back();
-            ++local_stats.shards;
-            EDB_OBS_INC(obsShards);
-
+            return n;
+        },
+        [&trace](Worker &w, const std::vector<ShardBlock> &shard) {
             // Workers decode their own blocks straight from the
-            // mapping (decodeBlock is const and thread-safe), so the
-            // only data crossing the dispatch boundary is the block
-            // list and the snapshot.
-            pool.submit([blocks, snap = std::move(snap), shard_size,
-                         out, &engines, &trace, &in_flight] {
-                EDB_OBS_TIMED_SPAN("sim.parallel.shard",
-                                   obsShardWallNs);
-                ReplayEngine *engine = engines.acquire();
-                engine->reset();
-                engine->seed(snap.data(), snap.size());
-                std::vector<Event> buf(trace.largestBlockEvents());
-                trace::WriteBatch batch;
-                for (const ShardBlock &sb : *blocks) {
-                    const MappedTrace::Block &blk =
-                        trace.block(sb.id);
-                    if (sb.ctlOnly) {
-                        trace.decodeBlockControl(sb.id, buf.data());
-                        engine->replay(buf.data(),
-                                       (std::size_t)blk.controls());
-                        engine->skipWrites(blk.writes);
-                    } else {
-                        trace.decodeBlockBatch(sb.id, batch);
-                        engine->replayBlock(batch);
-                    }
+            // mapping (decoding is const and thread-safe).
+            for (const ShardBlock &sb : shard) {
+                if (sb.ctlOnly) {
+                    std::vector<Event> &ctl = w.batch.ctl;
+                    ctl.resize((std::size_t)trace.block(sb.id).controls());
+                    trace.decodeBlockControl(sb.id, ctl.data());
+                    w.engine.replay(ctl.data(), ctl.size());
+                } else {
+                    trace.decodeBlockBatch(sb.id, w.batch);
+                    w.engine.replayBlock(w.batch);
                 }
-                *out = engine->result();
-                engines.release(engine);
-                in_flight.sub(shard_size);
-            });
-        }
-        pool.wait();
-    }
+            }
+        });
 
-    for (const SimResult &part : parts)
-        merged.merge(part);
-    merged.totalWrites += fold_writes;
-    trace::obsNoteSkippedBlocks(local_stats.skippedBlocks +
-                                    local_stats.controlOnlyBlocks,
-                                local_stats.skippedWrites);
-    if (idx != nullptr) {
-        trace::obsNoteIndexPlan(trace.blockCount() - idx_elided,
-                                idx_elided);
-    }
-
-    local_stats.peakBufferedEvents = in_flight.peak();
+    merged.totalWrites += planner.stats().writesSkipped;
+    planner.publish();
+    local.plan = planner.stats();
     if (stats)
-        *stats = local_stats;
-
-    EDB_ASSERT(merged.totalWrites == trace.totalWrites(),
-               "replayed + skipped write count (%llu) disagrees with "
-               "the trace trailer (%llu)",
-               (unsigned long long)merged.totalWrites,
-               (unsigned long long)trace.totalWrites());
+        *stats = local;
+    detail::checkTotalWrites(merged, trace.totalWrites());
     return merged;
 }
 

@@ -24,10 +24,10 @@
  *    never spans a shard boundary;
  *  - addition of the partial counters is commutative and associative.
  *
- * Two front ends share the shard replayer: one over a materialized
- * Trace, whose workers replay event-index shards in place, and one
- * over a mapped v2 trace, whose workers decode their own runs of
- * whole blocks straight out of the mapping.
+ * Two front ends share one dispatch loop and shard replayer: one over
+ * a materialized Trace, whose workers replay event-index shards in
+ * place, and one over a mapped v2 trace, whose workers decode their
+ * own runs of whole blocks straight out of the mapping.
  */
 
 #ifndef EDB_SIM_PARALLEL_SIM_H
@@ -37,6 +37,7 @@
 
 #include "session/session.h"
 #include "sim/counters.h"
+#include "sim/simulator.h"
 #include "trace/trace.h"
 #include "trace/trace_io.h"
 
@@ -66,14 +67,10 @@ struct ParallelStats
      * shardEvents, not by trace size.
      */
     std::size_t peakBufferedEvents = 0;
-    /** v2 pure-write blocks skipped without decoding at all (mapped
-     *  front end only). */
-    std::uint64_t skippedBlocks = 0;
-    /** v2 mixed blocks whose writes were skipped — workers decoded
-     *  and replayed only their control group. */
-    std::uint64_t controlOnlyBlocks = 0;
-    /** Write events across both kinds of skipped block. */
-    std::uint64_t skippedWrites = 0;
+    /** The block plan the mapped front end executed: the same
+     *  counts the sequential simulate(MappedTrace) reports. Zero for
+     *  the Trace front end. */
+    BlockSkipStats plan;
 };
 
 /**
@@ -86,14 +83,12 @@ SimResult parallelSimulate(const trace::Trace &trace,
                            ParallelStats *stats = nullptr);
 
 /**
- * Block-sharded front end over a mapped v2 trace. Shards are runs of
- * whole blocks located through the trace's block index, and workers
- * decode their own blocks straight out of the mapping. The dispatcher judges every block's write summary
- * against the summary pages of the currently-monitored,
- * session-relevant objects (and the block's own installs): pure-write
- * blocks that cannot touch one are never decoded or dispatched at
- * all, mixed ones are dispatched control-only so workers decode just
- * their install/remove columns. Either way the skipped writes
+ * Block-sharded front end over a mapped v2 trace. It runs the same
+ * BlockPlanner as simulate(MappedTrace) (block_planner.h) and batches
+ * the blocks it hands out into shards of whole blocks: skipped blocks
+ * are never dispatched, control-only ones are dispatched so workers
+ * decode just their install/remove columns, and full ones are decoded
+ * whole by the workers, straight out of the mapping. Skipped writes
  * contribute only their header count (DESIGN.md §11), so the result
  * stays bit-identical to simulate() on the same sessions.
  */

@@ -3,13 +3,17 @@
  * Summary-page relevance helpers shared by every consumer of the v2
  * block summaries (DESIGN.md §11/§12).
  *
- * Three places judge "can this block's writes possibly matter?"
- * against the per-block 8 KiB page-summary runs: the sequential
- * replay engine (replay_core.h), the parallel simulator's dispatcher
- * (parallel_sim.cc), and the trace query planner (src/query). They
- * must agree exactly — a divergence turns a skip into silent data
- * loss — so the refcounted monitored-summary-page set and the
- * install-touches-summary test live here, once.
+ * Two places judge "can this block's writes possibly matter?"
+ * against the per-block 8 KiB page-summary runs: replay's
+ * BlockPlanner (block_planner.h), which both simulate(MappedTrace)
+ * and the parallel simulator execute, and the trace query planner
+ * (src/query). A wrong "no" turns a skip into silent data loss, so
+ * the refcounted monitored-summary-page set and the
+ * range-touches-summary test live here, once, and each planner
+ * keeps exactly one tracker. (Replay's planner runs the install test
+ * on the same pass that folds a block's controls into its tracker;
+ * the query planner, whose live state tolerates malformed streams,
+ * uses anyInstallTouchesRuns().)
  */
 
 #ifndef EDB_SIM_RELEVANCE_H
@@ -19,7 +23,6 @@
 #include <cstdint>
 
 #include "trace/event.h"
-#include "trace/index_format.h"
 #include "trace/trace_format.h"
 #include "util/addr.h"
 #include "util/flat_map.h"
@@ -51,28 +54,6 @@ rangeTouchesRuns(const AddrRange &r, const trace::PageRun *runs,
         }
     }
     return false;
-}
-
-/**
- * Tree-descent write-skip test of one sidecar-index node (DESIGN.md
- * §16). A node with no control events whose merged runs miss every
- * monitored page proves each member block would individually pass the
- * per-block skip test: the node's runs are a superset of every member
- * block's runs, every member block is pure-write (the node's control
- * total is the sum of theirs), and — with no control event inside the
- * node — the monitored set cannot change across it. One probe, same
- * decision, same stats, for the whole node.
- *
- * `pages` is any monitored-summary-page probe exposing
- * anyMonitored(const trace::PageRun*, n) — SummaryPageTracker or a
- * session-filtered twin.
- */
-template <typename PageProbe>
-inline bool
-indexNodeSkippable(const trace::IndexNode &node, const PageProbe &pages)
-{
-    return node.pureWrites() && node.writes > 0 &&
-           !pages.anyMonitored(node.runs.begin(), node.runs.size());
 }
 
 /**
@@ -131,10 +112,6 @@ class SummaryPageTracker
                 pages_.erase(p);
         }
     }
-
-    void clear() { pages_.clear(); }
-
-    std::size_t size() const { return pages_.size(); }
 
     /** True when any summary page in `runs` is currently tracked. */
     bool

@@ -51,9 +51,7 @@
 #include "obs/obs.h"
 #include "session/session.h"
 #include "sim/counters.h"
-#include "sim/relevance.h"
 #include "trace/trace.h"
-#include "trace/trace_format.h"
 #include "trace/trace_io.h"
 #include "util/arena_pool.h"
 #include "util/flat_map.h"
@@ -92,6 +90,18 @@ using session::SessionSet;
 using trace::Event;
 using trace::EventKind;
 using trace::ObjectId;
+
+/** Panic unless a replay's write count, skipped writes included,
+ *  matches the trace header's. */
+inline void
+checkTotalWrites(const SimResult &result, std::uint64_t header)
+{
+    EDB_ASSERT(result.totalWrites == header,
+               "trace totalWrites header (%llu) disagrees with events "
+               "(%llu)",
+               (unsigned long long)header,
+               (unsigned long long)result.totalWrites);
+}
 
 /** A currently installed object instance. */
 struct LiveObj
@@ -280,7 +290,6 @@ class ReplayEngine
     reset()
     {
         live_.clear();
-        skip_pages_.clear();
         for (std::size_t i = 0; i < vmPageSizeCount; ++i) {
             pages_[i].clear();
             std::fill(page_filter_[i].begin(), page_filter_[i].end(),
@@ -307,29 +316,7 @@ class ReplayEngine
         for (std::size_t k = 0; k < n; ++k) {
             const LiveMonitor &m = snap[k];
             live_.emplace(m.begin, LiveObj{m.end, m.obj});
-            const AddrRange r(m.begin, m.end);
-            const auto &sess = sessions_.sessionsOf(m.obj);
-            // Session-less objects (possible under SessionSet::subset)
-            // keep their live_ entry for hit resolution but must not
-            // touch the page tables: they contribute to no per-page
-            // counter, and remove() reclaims a page entry as soon as
-            // its session counts drain.
-            if (sess.empty())
-                continue;
-            skip_pages_.add(r);
-            for (std::size_t i = 0; i < vmPageSizeCount; ++i) {
-                auto [first, last] = pageSpan(r, vmPageSizes[i]);
-                for (Addr p = first; p <= last; ++p) {
-                    auto [slot, fresh] = pages_[i].try_emplace(p);
-                    if (fresh)
-                        ++page_filter_[i][p & (filterSlots - 1)];
-                    PageSessions &ps = *slot;
-                    if (i == 0 && prefilter_)
-                        ps.addObj(m.begin, m.end, m.obj);
-                    for (SessionId s : sess)
-                        ps.addSession(s);
-                }
-            }
+            addToPages<false>(AddrRange(m.begin, m.end), m.obj);
         }
     }
 
@@ -387,72 +374,6 @@ class ReplayEngine
     }
 
     const SimResult &result() const { return result_; }
-
-    // The block-skip fast path (DESIGN.md §11) relies on every
-    // monitored page of every simulated size nesting inside a summary
-    // page: then "no summary page of the block is monitored" implies
-    // no write in the block can hit an object or land on an active
-    // page, for any size.
-    static_assert(trace::summaryPageBytes %
-                          vmPageSizes[vmPageSizeCount - 1] ==
-                      0,
-                  "block summaries must nest the coarsest VM page");
-
-    /**
-     * True when any summary page in `runs` currently carries a
-     * *session-relevant* monitored object — one whose sessionsOf() is
-     * non-empty. Objects outside every session cannot contribute to
-     * any counter, so they do not block skipping even though they sit
-     * in the live map.
-     */
-    bool
-    anySummaryPageMonitored(const trace::PageRun *runs,
-                            std::size_t n) const
-    {
-        return skip_pages_.anyMonitored(runs, n);
-    }
-
-    /** Tree-descent twin of anySummaryPageMonitored() over one
-     *  sidecar-index node: true when the whole node (a pure-write
-     *  superblock whose merged runs miss every monitored page) can
-     *  skip in one decision (relevance.h indexNodeSkippable). */
-    bool
-    indexNodeSkippable(const trace::IndexNode &node) const
-    {
-        return sim::indexNodeSkippable(node, skip_pages_);
-    }
-
-    /**
-     * True when any session-relevant install among `ctl` lands on a
-     * summary page of `runs`. Complements anySummaryPageMonitored()
-     * for write-skipping a *mixed* block: the monitored set the
-     * block's writes can see is the pre-block set plus whatever the
-     * block itself installs (removes only shrink it), so a block
-     * whose write summary misses both replays its control events and
-     * folds its write count, bit-identically (DESIGN.md §11).
-     */
-    bool
-    anyInstallTouchesSummary(const Event *ctl, std::size_t n,
-                             const trace::PageRun *runs,
-                             std::size_t nruns) const
-    {
-        return anyInstallTouchesRuns(
-            ctl, n, runs, nruns, [this](ObjectId obj) {
-                return !sessions_.sessionsOf(obj).empty();
-            });
-    }
-
-    /**
-     * Account for a run of write events skipped without decoding:
-     * none of them can hit or miss (their block's summary touches no
-     * monitored page), so their whole counter effect is the write
-     * count itself.
-     */
-    void
-    skipWrites(std::uint64_t n)
-    {
-        result_.totalWrites += n;
-    }
 
   private:
     /**
@@ -546,17 +467,30 @@ class ReplayEngine
         // do the cached object ranges (no overlap possible).
         invalidateWindowsTouching(r);
 
-        const auto &sess = sessions_.sessionsOf(e.aux);
-        // A session-less object (possible under SessionSet::subset)
-        // affects no counter and must leave the page tables alone:
-        // remove() reclaims a page entry once its session counts
-        // drain, which would strand a stale entry-less page under a
-        // still-live session-less object.
+        addToPages<true>(r, e.aux);
+    }
+
+    /**
+     * Enter a live object onto every page table, counting its
+     * installs and protect transitions when `Count` (install()) but
+     * not when seeding a shard boundary (seed()). A session-less
+     * object (possible under SessionSet::subset) keeps only its live_
+     * entry, for hit resolution: it affects no counter, and remove()
+     * reclaims a page entry once its session counts drain, which
+     * would strand a stale page under a still-live session-less
+     * object.
+     */
+    template <bool Count>
+    void
+    addToPages(const AddrRange &r, ObjectId obj)
+    {
+        const auto &sess = sessions_.sessionsOf(obj);
         if (sess.empty())
             return;
-        skip_pages_.add(r);
-        for (SessionId s : sess)
-            ++result_.counters[s].installs;
+        if constexpr (Count) {
+            for (SessionId s : sess)
+                ++result_.counters[s].installs;
+        }
         for (std::size_t i = 0; i < vmPageSizeCount; ++i) {
             auto [first, last] = pageSpan(r, vmPageSizes[i]);
             for (Addr p = first; p <= last; ++p) {
@@ -565,9 +499,9 @@ class ReplayEngine
                     ++page_filter_[i][p & (filterSlots - 1)];
                 PageSessions &ps = *slot;
                 if (i == 0 && prefilter_)
-                    ps.addObj(r.begin, r.end, e.aux);
+                    ps.addObj(r.begin, r.end, obj);
                 for (SessionId s : sess) {
-                    if (ps.addSession(s))
+                    if (ps.addSession(s) && Count)
                         ++result_.counters[s].vm[i].protects;
                 }
             }
@@ -599,7 +533,6 @@ class ReplayEngine
         // page tables.
         if (sess.empty())
             return;
-        skip_pages_.remove(r);
         for (SessionId s : sess)
             ++result_.counters[s].removes;
         for (std::size_t i = 0; i < vmPageSizeCount; ++i) {
@@ -1111,17 +1044,6 @@ class ReplayEngine
         LiveAlloc(&live_pool_)};
     std::array<util::FlatMap<Addr, PageSessions>, vmPageSizeCount>
         pages_;
-    /**
-     * Summary pages (trace::summaryPageBytes granularity) -> count of
-     * live *session-relevant* objects touching them. Unlike pages_,
-     * which under a restricted session set still tracks session-less
-     * live objects, this tracker holds exactly the set the block-skip
-     * test must probe; the shared implementation (relevance.h) keeps
-     * it in lockstep with the parallel dispatcher and the query
-     * planner.
-     */
-    SummaryPageTracker skip_pages_;
-
     /** The replay cache, round-robin replacement. */
     std::array<CacheEntry, 4> cache_;
     /** Replay windows of cache_ (kept compact for the probe). */

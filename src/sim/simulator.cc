@@ -5,7 +5,9 @@
  * simulate() is a thin front end over the shared ReplayEngine
  * (replay_core.h), which owns the bitset/flat-table hot path; the
  * engine is also what the parallel shards run, so the two stay
- * identical by construction. simulateOneSession() deliberately keeps
+ * identical by construction. Over a mapped trace it executes the
+ * BlockPlanner's plan (block_planner.h), the same plan the parallel
+ * front end shards. simulateOneSession() deliberately keeps
  * its naive flat-list implementation: it is the oracle the
  * differential tests pin everything else against, so it must stay
  * simple enough to be obviously correct.
@@ -17,8 +19,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sim/block_planner.h"
 #include "sim/replay_core.h"
-#include "trace/index_format.h"
 
 namespace edb::sim {
 
@@ -41,11 +43,7 @@ simulate(const Trace &trace, const SessionSet &sessions)
     engine.replay(trace.events.data(), trace.events.size());
 
     SimResult result = engine.result();
-    EDB_ASSERT(result.totalWrites == trace.totalWrites,
-               "trace totalWrites header (%llu) disagrees with events "
-               "(%llu)",
-               (unsigned long long)trace.totalWrites,
-               (unsigned long long)result.totalWrites);
+    detail::checkTotalWrites(result, trace.totalWrites);
     return result;
 }
 
@@ -57,76 +55,28 @@ simulate(const trace::MappedTrace &trace, const SessionSet &sessions,
     detail::ReplayEngine engine(sessions, masks,
                                 sessions.objectCount());
 
-    std::vector<Event> buf(trace.largestBlockEvents());
+    // The planner decides every block; this loop only executes the
+    // plan. A Full block's controls fold back into the planner from
+    // the batch they were decoded into, not from a second decode.
+    BlockPlanner planner(trace, sessions);
+    BlockPlanner::Step step;
     trace::WriteBatch batch;
-    BlockSkipStats local;
-    local.blocksTotal = trace.blockCount();
-    const trace::TraceIndex *idx = trace.index();
-    std::uint64_t idx_elided = 0;
-    for (std::size_t b = 0; b < trace.blockCount(); ++b) {
-        // Tree descent: at a superblock boundary, one probe of the
-        // node's merged runs can retire all 64 member blocks with the
-        // exact per-block decisions, stats and counters (DESIGN.md
-        // §16) — valid only for pure-write nodes, where the monitored
-        // set cannot change mid-node.
-        if (idx != nullptr &&
-            (b & (trace::traceIndexSuperSpan - 1)) == 0) {
-            const trace::IndexNode &super = idx->superOf(b);
-            if (engine.indexNodeSkippable(super)) {
-                engine.skipWrites(super.writes);
-                local.blocksSkipped += super.blocks;
-                local.writesSkipped += super.writes;
-                idx_elided += super.blocks;
-                b += super.blocks - 1;
-                continue;
-            }
+    while (planner.next(step)) {
+        if (step.action == BlockPlanner::Action::ControlOnly) {
+            engine.replay(step.ctl, step.controls);
+            continue;
         }
-        const trace::MappedTrace::Block &blk = trace.block(b);
-        // Writes may skip when the block's write summary misses every
-        // currently-monitored page; installs/removes always replay.
-        if (blk.writes > 0 &&
-            !engine.anySummaryPageMonitored(blk.runs.begin(),
-                                            blk.runs.size())) {
-            if (blk.pureWrites()) {
-                engine.skipWrites(blk.writes);
-                ++local.blocksSkipped;
-                local.writesSkipped += blk.writes;
-                continue;
-            }
-            // Mixed block: decode only the control group, and keep
-            // the skip only if nothing installed *inside* the block
-            // could be hit by its writes either.
-            const std::size_t ctl = (std::size_t)blk.controls();
-            trace.decodeBlockControl(b, buf.data());
-            if (!engine.anyInstallTouchesSummary(buf.data(), ctl,
-                                                 blk.runs.begin(),
-                                                 blk.runs.size())) {
-                engine.replay(buf.data(), ctl);
-                engine.skipWrites(blk.writes);
-                ++local.blocksControlOnly;
-                local.writesSkipped += blk.writes;
-                continue;
-            }
-        }
-        trace.decodeBlockBatch(b, batch);
+        trace.decodeBlockBatch(step.block, batch);
         engine.replayBlock(batch);
+        planner.advance(batch.ctl.data(), batch.ctl.size());
     }
-    trace::obsNoteSkippedBlocks(local.blocksSkipped +
-                                    local.blocksControlOnly,
-                                local.writesSkipped);
-    if (idx != nullptr) {
-        trace::obsNoteIndexPlan(trace.blockCount() - idx_elided,
-                                idx_elided);
-    }
+    planner.publish();
     if (stats != nullptr)
-        *stats = local;
+        *stats = planner.stats();
 
     SimResult result = engine.result();
-    EDB_ASSERT(result.totalWrites == trace.totalWrites(),
-               "trace totalWrites header (%llu) disagrees with events "
-               "(%llu)",
-               (unsigned long long)trace.totalWrites(),
-               (unsigned long long)result.totalWrites);
+    result.totalWrites += planner.stats().writesSkipped;
+    detail::checkTotalWrites(result, trace.totalWrites());
     return result;
 }
 

@@ -55,19 +55,22 @@ struct BlockSkipStats
     std::uint64_t blocksControlOnly = 0;
     /** Write events across both kinds of skipped block. */
     std::uint64_t writesSkipped = 0;
+
+    bool operator==(const BlockSkipStats &) const = default;
 };
 
 /**
- * One-pass simulation over a mapped v2 trace, block by block. A block
- * whose write summary touches no currently-monitored page (of any
- * session in `sessions`) — nor any page its own installs monitor —
- * never decodes its write columns: the installs and removes still
- * replay exactly, and the write count folds straight into the
- * counters, bit-identically to full replay (DESIGN.md §11). Most
- * profitable under a sparse SessionSet::subset(), where most blocks
- * miss the monitored set.
+ * One-pass simulation over a mapped v2 trace, executing the
+ * BlockPlanner's plan (block_planner.h) inline: a block whose write
+ * summary misses every page monitored by a session in `sessions`,
+ * and every page its own installs monitor, never decodes its write
+ * columns. Its installs and removes still replay exactly, and its
+ * write count folds straight into the counters, bit-identically to
+ * full replay (DESIGN.md §11). parallelSimulate() runs the same plan.
+ * Most profitable under a sparse SessionSet::subset(), where most
+ * blocks miss the monitored set.
  *
- * @param stats Optional out-param reporting how much was skipped.
+ * @param stats Optional out-param reporting the plan.
  */
 SimResult simulate(const trace::MappedTrace &trace,
                    const session::SessionSet &sessions,

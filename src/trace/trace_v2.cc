@@ -43,7 +43,7 @@ obsNoteSkippedBlocks(std::uint64_t blocks, std::uint64_t writes)
 {
 #if EDB_OBS_ENABLED
     detail::obs_v2::blocksSkipped.add(blocks);
-    detail::obs_v2::skipWrites.add(writes);
+    detail::obs_v2::foldedWrites.add(writes);
 #else
     (void)blocks;
     (void)writes;

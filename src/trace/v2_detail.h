@@ -82,7 +82,7 @@ inline obs::Counter blocksDecoded{"trace.v2.blocks_decoded"};
 inline obs::Counter blocksSkipped{"trace.v2.blocks_skipped"};
 inline obs::Counter bytesRaw{"trace.v2.bytes_raw"};
 inline obs::Counter bytesEncoded{"trace.v2.bytes_encoded"};
-inline obs::Counter skipWrites{"sim.block_skip_writes"};
+inline obs::Counter foldedWrites{"sim.block_skip_writes"};
 } // namespace obs_v2
 #endif
 

@@ -26,6 +26,7 @@
 
 #include <unistd.h>
 
+#include "obs/obs.h"
 #include "sim/parallel_sim.h"
 #include "sim/simulator.h"
 #include "testing/random_trace.h"
@@ -274,6 +275,8 @@ TEST_P(DifferentialWorkload, MappedBlockSkipBitIdenticalOnFullSet)
         expectIdentical(par, seq, set, t);
         ASSERT_TRUE(par == seq) << "jobs " << jobs;
         EXPECT_EQ(pstats.jobs, jobs);
+        // Both front ends execute one planner's plan.
+        EXPECT_EQ(pstats.plan, stats) << "jobs " << jobs;
     }
 }
 
@@ -319,8 +322,11 @@ TEST_P(DifferentialWorkload, SparseSubsetSkipMatchesFullRunAndOracle)
             ParallelOptions opts;
             opts.jobs = jobs;
             opts.shardEvents = 16 * 1024;
-            SimResult par = parallelSimulate(mapped, sub, opts);
+            ParallelStats pstats;
+            SimResult par = parallelSimulate(mapped, sub, opts, &pstats);
             ASSERT_TRUE(par == ms)
+                << "jobs " << jobs << " subset of " << keep.size();
+            EXPECT_EQ(pstats.plan, stats)
                 << "jobs " << jobs << " subset of " << keep.size();
         }
     }
@@ -333,6 +339,45 @@ TEST_P(DifferentialWorkload, SparseSubsetSkipMatchesFullRunAndOracle)
     ASSERT_TRUE(ms.counters[0] == oracle)
         << set.describe(singles.back(), t);
 }
+
+#if EDB_OBS_ENABLED
+TEST_P(DifferentialWorkload, MappedReplayFullyDecodesOnlyFullBlocks)
+{
+    auto w = workload::makeWorkload(GetParam());
+    trace::Trace t = workload::runTraced(*w);
+    SessionSet set = SessionSet::enumerate(t);
+    SavedV2 saved(t);
+    trace::MappedTrace mapped(saved.path());
+
+    // Under a single session most blocks skip or run control-only.
+    // Each front end must fully decode exactly the blocks planned
+    // Full: a skipped block decoded is wasted work, a Full block
+    // decoded twice is a second copy of the decision.
+    SessionSet one = set.subset({(session::SessionId)(set.size() / 2)});
+    auto decoded = [] {
+        return obs::takeSnapshot().counter("trace.v2.blocks_decoded");
+    };
+
+    BlockSkipStats stats;
+    std::int64_t before = decoded();
+    const SimResult seq = simulate(mapped, one, &stats);
+    const std::int64_t seq_decoded = decoded() - before;
+    EXPECT_GT(stats.blocksSkipped + stats.blocksControlOnly, 0u);
+    EXPECT_EQ(seq_decoded,
+              (std::int64_t)(stats.blocksTotal - stats.blocksSkipped -
+                             stats.blocksControlOnly));
+
+    ParallelOptions opts;
+    opts.jobs = 4;
+    opts.shardEvents = 16 * 1024;
+    ParallelStats pstats;
+    before = decoded();
+    const SimResult par = parallelSimulate(mapped, one, opts, &pstats);
+    EXPECT_EQ(decoded() - before, seq_decoded);
+    EXPECT_EQ(pstats.plan, stats);
+    ASSERT_TRUE(par == seq);
+}
+#endif
 
 INSTANTIATE_TEST_SUITE_P(
     Workloads, DifferentialWorkload,

@@ -512,8 +512,11 @@ checkAllStates(const Trace &t, const char *tag)
         for (unsigned jobs : {1u, 2u, 4u, 8u}) {
             sim::ParallelOptions po;
             po.jobs = jobs;
-            ASSERT_TRUE(sim::parallelSimulate(m, set, po, nullptr) ==
+            sim::ParallelStats pst;
+            ASSERT_TRUE(sim::parallelSimulate(m, set, po, &pst) ==
                         psim_ref[pi++])
+                << stateName(state) << " parallel jobs " << jobs;
+            EXPECT_EQ(pst.plan, skip)
                 << stateName(state) << " parallel jobs " << jobs;
         }
     }
