@@ -26,9 +26,9 @@
 #include "served/client.h"
 #include "session/session.h"
 #include "sim/parallel_sim.h"
-#include "telemetry/telemetry.h"
 #include "trace/index_format.h"
 #include "trace/trace_io.h"
+#include "util/json.h"
 #include "util/thread_pool.h"
 #include "workload/workload.h"
 
@@ -661,27 +661,6 @@ eventKindName(trace::EventKind kind)
     return "?";
 }
 
-/** Minimal JSON string escaping (quotes, backslash, control). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if ((unsigned char)c < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", (unsigned)c);
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
-
 std::string
 fmtHex(Addr a)
 {
@@ -1261,10 +1240,10 @@ fmtUs(double ns)
 }
 
 const std::string *
-labelValue(const std::vector<telemetry::Label> &labels,
+labelValue(const std::vector<obs::Label> &labels,
            const char *key)
 {
-    for (const telemetry::Label &l : labels) {
+    for (const obs::Label &l : labels) {
         if (l.key == key)
             return &l.value;
     }
@@ -1312,19 +1291,19 @@ renderTop(const served::MetricsReply &r, std::ostream &out)
         if (tenant == nullptr)
             continue;
         TenantRow &row = tenants[*tenant];
-        if (s.name == "served.tenant.monitors")
+        if (s.name == "served.monitors")
             row.monitors = s.value;
-        else if (s.name == "served.tenant.pending_hits")
+        else if (s.name == "served.pending_hits")
             row.pending = s.value;
-        else if (s.name == "served.tenant.open_traces")
+        else if (s.name == "served.open_traces")
             row.traces = s.value;
-        else if (s.name == "served.tenant.runs")
+        else if (s.name == "served.runs")
             row.runs = s.hasRate ? s.rate : 0.0;
-        else if (s.name == "served.tenant.queries")
+        else if (s.name == "served.queries")
             row.queries = s.hasRate ? s.rate : 0.0;
-        else if (s.name == "served.tenant.notifications")
+        else if (s.name == "served.notifications")
             row.notifs = s.hasRate ? s.rate : 0.0;
-        else if (s.name == "served.tenant.run_writes")
+        else if (s.name == "served.run_writes")
             row.writes = s.hasRate ? s.rate : 0.0;
     }
 

@@ -1,13 +1,15 @@
 /**
  * @file
- * The obs registry: shard lifecycle (adopt / retire / recycle),
- * instrument interning, the snapshot merge, and JSON export.
+ * The obs registry: series interning (zero-label slots and labeled
+ * cells, the labeled-series cap and its overflow series), shard
+ * lifecycle (adopt / recycle), collect(), the by-name snapshot fold,
+ * and JSON export.
  *
  * The registry is an intentionally leaked singleton: detached threads
  * and atexit hooks may touch instruments after main() returns, and a
  * destructed registry would turn those into use-after-free. ~30KB of
- * shards is a fair price for never having to reason about static
- * destruction order.
+ * shards plus a few hundred bytes per labeled cell is a fair price
+ * for never having to reason about static destruction order.
  */
 
 #include "obs/obs.h"
@@ -19,12 +21,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <mutex>
 #include <ostream>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
 
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace edb::obs {
@@ -33,25 +40,50 @@ constinit thread_local Shard *t_shard = nullptr;
 
 namespace {
 
-/** Plain (non-atomic) accumulation of shards whose threads exited. */
-struct RetiredSums
+constexpr std::uint32_t noSlot = ~std::uint32_t{0};
+
+/** A series' identity; map order is (name, labels), so one name's
+ *  series are adjacent. */
+using SeriesId = std::pair<std::string, std::vector<Label>>;
+
+/** One stored series: a shard slot (zero-label instrument) or a
+ *  shared cell (labeled series). Never freed: handles point in. */
+struct Entry
 {
-    std::int64_t scalars[maxScalars] = {};
-    struct Hist
-    {
-        std::uint64_t count = 0;
-        std::uint64_t sum = 0;
-        std::uint64_t min = ~std::uint64_t{0};
-        std::uint64_t max = 0;
-        std::uint64_t buckets[histBuckets] = {};
-    } hists[maxHistograms];
+    Kind kind = Kind::Counter;
+    std::uint32_t slot = noSlot;
+    std::atomic<std::int64_t> value{0};
+    std::unique_ptr<Shard::Hist> hist; ///< labeled histogram cell
 };
 
-struct Instrument
+/** Add one histogram cell into a merged value (min starts at ~0). */
+void
+addHist(HistogramValue &dst, const Shard::Hist &src)
 {
-    std::string name;
-    std::uint32_t slot;
-};
+    const std::uint64_t count = src.count.load(std::memory_order_relaxed);
+    if (count == 0)
+        return;
+    dst.count += count;
+    dst.sum += src.sum.load(std::memory_order_relaxed);
+    dst.min = std::min(dst.min, src.min.load(std::memory_order_relaxed));
+    dst.max = std::max(dst.max, src.max.load(std::memory_order_relaxed));
+    for (std::size_t b = 0; b < histBuckets; ++b)
+        dst.buckets[b] += src.buckets[b].load(std::memory_order_relaxed);
+}
+
+/** Add one merged value into another (the snapshot's family fold). */
+void
+addHist(HistogramValue &dst, const HistogramValue &src)
+{
+    if (src.count == 0)
+        return;
+    dst.min = dst.count == 0 ? src.min : std::min(dst.min, src.min);
+    dst.count += src.count;
+    dst.sum += src.sum;
+    dst.max = std::max(dst.max, src.max);
+    for (std::size_t b = 0; b < histBuckets; ++b)
+        dst.buckets[b] += src.buckets[b];
+}
 
 class Registry
 {
@@ -82,42 +114,61 @@ class Registry
     }
 
     Shard &fallback() { return *fallback_; }
+    std::uint64_t startNs() const { return start_ns_; }
 
     std::uint32_t
-    internScalar(const char *name, bool is_gauge)
+    internSlot(const char *name, Kind kind)
     {
         std::lock_guard<std::mutex> lk(mu_);
-        auto &table = is_gauge ? gauges_ : counters_;
-        auto &other = is_gauge ? counters_ : gauges_;
-        for (const Instrument &i : other) {
-            EDB_ASSERT(i.name != name,
-                       "obs instrument '%s' registered as both "
-                       "counter and gauge", name);
+        if (const Entry *e = find(name, {}, kind)) {
+            EDB_ASSERT(e->slot != noSlot,
+                       "obs instrument '%s' is also a labeled series",
+                       name);
+            return e->slot;
         }
-        for (const Instrument &i : table) {
-            if (i.name == name)
-                return i.slot;
-        }
-        EDB_ASSERT(next_scalar_ < maxScalars,
-                   "obs registry out of scalar slots (%zu); raise "
-                   "obs::maxScalars", maxScalars);
-        table.push_back({name, next_scalar_});
-        return next_scalar_++;
+        std::uint32_t &next =
+            kind == Kind::Histogram ? next_hist_ : next_scalar_;
+        const std::size_t cap =
+            kind == Kind::Histogram ? maxHistograms : maxScalars;
+        EDB_ASSERT(next < cap,
+                   "obs registry out of %s slots (%zu); raise "
+                   "obs::maxScalars / obs::maxHistograms",
+                   kindName(kind), cap);
+        Entry &added = series_[{name, {}}];
+        added.kind = kind;
+        added.slot = next;
+        return next++;
     }
 
-    std::uint32_t
-    internHistogram(const char *name)
+    /** The cell of a labeled series, interned on first use; past the
+     *  cap a new identity gets its name's overflow series. */
+    Entry &
+    internCell(const std::string &name, std::vector<Label> labels,
+               Kind kind)
     {
         std::lock_guard<std::mutex> lk(mu_);
-        for (const Instrument &i : histograms_) {
-            if (i.name == name)
-                return i.slot;
+        if (Entry *e = find(name, labels, kind)) {
+            if (e->slot != noSlot) {
+                throw std::invalid_argument(
+                    "obs series '" + name +
+                    "' is a zero-label instrument");
+            }
+            return *e;
         }
-        EDB_ASSERT(next_hist_ < maxHistograms,
-                   "obs registry out of histogram slots (%zu); raise "
-                   "obs::maxHistograms", maxHistograms);
-        histograms_.push_back({name, next_hist_});
-        return next_hist_++;
+        if (labeled_ >= max_series_) {
+            // Degrade attribution, never the process: the update still
+            // reaches its name's total through the overflow series.
+            labels = {{"overflow", "true"}};
+            if (Entry *e = find(name, labels, kind))
+                return *e;
+        } else {
+            ++labeled_;
+        }
+        Entry &e = series_[{name, std::move(labels)}];
+        e.kind = kind;
+        if (kind == Kind::Histogram)
+            e.hist = std::make_unique<Shard::Hist>();
+        return e;
     }
 
     void
@@ -138,10 +189,12 @@ class Registry
     }
 
     /**
-     * Fold a dying thread's shard into the retired sums and recycle
-     * it, so total footprint tracks peak concurrency, not the number
-     * of threads ever created. The mutex excludes snapshots, so no
-     * value is counted twice or dropped.
+     * Hand a dying thread's shard to the next thread that adopts one,
+     * so total footprint tracks peak concurrency, not the number of
+     * threads ever created. The shard keeps its values: collect()
+     * sums every shard ever created, so nothing is dropped or counted
+     * twice, and sums, buckets and min/max stay valid accumulators
+     * whichever thread adds to them next.
      */
     void
     retireCurrentThread()
@@ -151,131 +204,95 @@ class Registry
             return;
         t_shard = nullptr;
         std::lock_guard<std::mutex> lk(mu_);
-        for (std::size_t i = 0; i < maxScalars; ++i) {
-            retired_.scalars[i] +=
-                s->scalars[i].exchange(0, std::memory_order_relaxed);
-        }
-        for (std::size_t h = 0; h < maxHistograms; ++h) {
-            Shard::Hist &src = s->hists[h];
-            RetiredSums::Hist &dst = retired_.hists[h];
-            const std::uint64_t count =
-                src.count.exchange(0, std::memory_order_relaxed);
-            if (count > 0) {
-                dst.count += count;
-                dst.sum +=
-                    src.sum.exchange(0, std::memory_order_relaxed);
-                dst.min = std::min(
-                    dst.min,
-                    src.min.load(std::memory_order_relaxed));
-                dst.max = std::max(
-                    dst.max,
-                    src.max.load(std::memory_order_relaxed));
-                for (std::size_t b = 0; b < histBuckets; ++b) {
-                    dst.buckets[b] += src.buckets[b].exchange(
-                        0, std::memory_order_relaxed);
-                }
-            } else {
-                src.sum.store(0, std::memory_order_relaxed);
-            }
-            src.min.store(~std::uint64_t{0},
-                          std::memory_order_relaxed);
-            src.max.store(0, std::memory_order_relaxed);
-        }
         free_.push_back(s);
     }
 
-    Snapshot
-    takeSnapshot()
+    std::vector<SeriesValue>
+    collect()
     {
         std::lock_guard<std::mutex> lk(mu_);
-
-        Snapshot snap;
-        snap.wallMs = (std::uint64_t)std::chrono::duration_cast<
-                          std::chrono::milliseconds>(
-                          std::chrono::system_clock::now()
-                              .time_since_epoch())
-                          .count();
-        snap.uptimeNs = monotonicNs() - start_ns_;
-        snap.pid = (std::int64_t)::getpid();
-
-        // Merge per-slot first, then attach names.
-        std::vector<std::int64_t> scalars(next_scalar_, 0);
-        for (std::size_t i = 0; i < next_scalar_; ++i)
-            scalars[i] = retired_.scalars[i];
-        for (const Shard *s : shards_) {
-            for (std::size_t i = 0; i < next_scalar_; ++i) {
-                scalars[i] +=
-                    s->scalars[i].load(std::memory_order_relaxed);
-            }
-        }
-
-        snap.counters.reserve(counters_.size());
-        for (const Instrument &i : counters_)
-            snap.counters.emplace_back(i.name, scalars[i.slot]);
-        snap.gauges.reserve(gauges_.size());
-        for (const Instrument &i : gauges_)
-            snap.gauges.emplace_back(i.name, scalars[i.slot]);
-
-        snap.histograms.reserve(histograms_.size());
-        for (const Instrument &i : histograms_) {
-            HistogramValue hv;
-            hv.name = i.name;
-            hv.buckets.assign(histBuckets, 0);
-            std::uint64_t mn = ~std::uint64_t{0};
-            std::uint64_t mx = 0;
-            const RetiredSums::Hist &r = retired_.hists[i.slot];
-            hv.count = r.count;
-            hv.sum = r.sum;
-            mn = std::min(mn, r.min);
-            mx = std::max(mx, r.max);
-            for (std::size_t b = 0; b < histBuckets; ++b)
-                hv.buckets[b] = r.buckets[b];
-            for (const Shard *s : shards_) {
-                const Shard::Hist &h = s->hists[i.slot];
-                const std::uint64_t count =
-                    h.count.load(std::memory_order_relaxed);
-                if (count == 0)
-                    continue;
-                hv.count += count;
-                hv.sum += h.sum.load(std::memory_order_relaxed);
-                mn = std::min(mn,
-                              h.min.load(std::memory_order_relaxed));
-                mx = std::max(mx,
-                              h.max.load(std::memory_order_relaxed));
-                for (std::size_t b = 0; b < histBuckets; ++b) {
-                    hv.buckets[b] += h.buckets[b].load(
+        std::vector<SeriesValue> out;
+        out.reserve(series_.size());
+        for (const auto &[id, e] : series_) {
+            SeriesValue v;
+            v.name = id.first;
+            v.labels = id.second;
+            v.kind = e.kind;
+            if (e.kind == Kind::Histogram) {
+                HistogramValue &h = v.hist;
+                h.name = id.first;
+                h.min = ~std::uint64_t{0};
+                h.buckets.assign(histBuckets, 0);
+                if (e.hist) {
+                    addHist(h, *e.hist);
+                } else {
+                    for (const Shard *s : shards_)
+                        addHist(h, s->hists[e.slot]);
+                }
+                if (h.count == 0)
+                    h.min = 0;
+                v.value = (std::int64_t)h.count;
+            } else if (e.slot != noSlot) {
+                for (const Shard *s : shards_) {
+                    v.value += s->scalars[e.slot].load(
                         std::memory_order_relaxed);
                 }
+            } else {
+                v.value = e.value.load(std::memory_order_relaxed);
             }
-            hv.min = hv.count > 0 ? mn : 0;
-            hv.max = mx;
-            snap.histograms.push_back(std::move(hv));
+            out.push_back(std::move(v));
         }
+        return out;
+    }
 
-        auto byName = [](const auto &a, const auto &b) {
-            return a.first < b.first;
-        };
-        std::sort(snap.counters.begin(), snap.counters.end(), byName);
-        std::sort(snap.gauges.begin(), snap.gauges.end(), byName);
-        std::sort(snap.histograms.begin(), snap.histograms.end(),
-                  [](const HistogramValue &a, const HistogramValue &b) {
-                      return a.name < b.name;
-                  });
-        return snap;
+    std::size_t
+    labeledCount()
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        return labeled_;
+    }
+
+    std::size_t
+    setMaxSeries(std::size_t cap)
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        return std::exchange(max_series_, cap);
     }
 
   private:
+    /** The entry of (name, labels), or null. Throws
+     *  std::invalid_argument when `name` already holds another kind:
+     *  one name, one kind, so its series fold into one total. */
+    Entry *
+    find(const std::string &name, const std::vector<Label> &labels,
+         Kind kind)
+    {
+        auto it = series_.find(SeriesId{name, labels});
+        if (it == series_.end()) {
+            // The first series of the name, if any, carries its kind.
+            it = series_.lower_bound(SeriesId{name, {}});
+            if (it == series_.end() || it->first.first != name)
+                return nullptr;
+        }
+        if (it->second.kind != kind) {
+            throw std::invalid_argument(
+                "obs series '" + name + "' already registered as a " +
+                kindName(it->second.kind) + ", not a " +
+                kindName(kind));
+        }
+        return it->first.second == labels ? &it->second : nullptr;
+    }
+
     std::mutex mu_;
     std::uint64_t start_ns_ = 0;
     Shard *fallback_;
     std::vector<Shard *> shards_; ///< every shard ever created
-    std::vector<Shard *> free_;   ///< retired shards ready for reuse
-    RetiredSums retired_;
-    std::vector<Instrument> counters_;
-    std::vector<Instrument> gauges_;
-    std::vector<Instrument> histograms_;
-    std::size_t next_scalar_ = 0;
-    std::size_t next_hist_ = 0;
+    std::vector<Shard *> free_;   ///< shards of exited threads
+    std::map<SeriesId, Entry> series_;
+    std::uint32_t next_scalar_ = 0;
+    std::uint32_t next_hist_ = 0;
+    std::size_t labeled_ = 0;
+    std::size_t max_series_ = defaultMaxSeries;
 };
 
 Registry &
@@ -291,30 +308,30 @@ struct ShardRetirer
     ~ShardRetirer() { registry().retireCurrentThread(); }
 };
 
-/** Escape a string into a JSON literal (without the quotes). */
-std::string
-jsonEscape(const std::string &s)
+/** Canonicalize and validate a label set (see Domain). */
+std::vector<Label>
+normalizeLabels(std::vector<Label> labels)
 {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if ((unsigned char)c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
+    if (labels.size() > maxLabelsPerDomain) {
+        throw std::invalid_argument(
+            "obs domain has " + std::to_string(labels.size()) +
+            " labels; the cap is " + std::to_string(maxLabelsPerDomain));
+    }
+    for (Label &l : labels) {
+        if (l.key.empty())
+            throw std::invalid_argument("obs label key is empty");
+        if (l.value.size() > maxLabelValueBytes)
+            l.value.resize(maxLabelValueBytes);
+    }
+    std::sort(labels.begin(), labels.end(),
+              [](const Label &a, const Label &b) { return a.key < b.key; });
+    for (std::size_t i = 1; i < labels.size(); ++i) {
+        if (labels[i - 1].key == labels[i].key) {
+            throw std::invalid_argument("obs label key '" +
+                                        labels[i].key + "' appears twice");
         }
     }
-    return out;
+    return labels;
 }
 
 } // namespace
@@ -322,15 +339,9 @@ jsonEscape(const std::string &s)
 namespace detail {
 
 std::uint32_t
-internScalar(const char *name, bool is_gauge)
+internSlot(const char *name, Kind kind)
 {
-    return registry().internScalar(name, is_gauge);
-}
-
-std::uint32_t
-internHistogram(const char *name)
-{
-    return registry().internHistogram(name);
+    return registry().internSlot(name, kind);
 }
 
 Shard &
@@ -350,6 +361,38 @@ prepareCurrentThread()
     // shard back even when later TLS destructors still count.
     thread_local ShardRetirer retirer;
     (void)retirer;
+}
+
+Domain::Domain(std::vector<Label> labels)
+    : labels_(normalizeLabels(std::move(labels)))
+{
+}
+
+Domain
+Domain::with(std::string key, std::string value) const
+{
+    std::vector<Label> ext = labels_;
+    ext.push_back({std::move(key), std::move(value)});
+    return Domain(std::move(ext));
+}
+
+Series
+Domain::counter(const std::string &name) const
+{
+    return Series(&registry().internCell(name, labels_, Kind::Counter).value);
+}
+
+Series
+Domain::gauge(const std::string &name) const
+{
+    return Series(&registry().internCell(name, labels_, Kind::Gauge).value);
+}
+
+HistSeries
+Domain::histogram(const std::string &name) const
+{
+    return HistSeries(
+        registry().internCell(name, labels_, Kind::Histogram).hist.get());
 }
 
 double
@@ -427,10 +470,54 @@ Snapshot::histogram(const std::string &name) const &
     return nullptr;
 }
 
+std::vector<SeriesValue>
+collect()
+{
+    return registry().collect();
+}
+
+std::size_t
+seriesCount()
+{
+    return registry().labeledCount();
+}
+
+std::size_t
+setMaxSeriesForTest(std::size_t cap)
+{
+    return registry().setMaxSeries(cap);
+}
+
 Snapshot
 takeSnapshot()
 {
-    return registry().takeSnapshot();
+    Snapshot snap;
+    snap.wallMs = (std::uint64_t)std::chrono::duration_cast<
+                      std::chrono::milliseconds>(
+                      std::chrono::system_clock::now().time_since_epoch())
+                      .count();
+    snap.uptimeNs = monotonicNs() - registry().startNs();
+    snap.pid = (std::int64_t)::getpid();
+
+    // collect() is sorted by name, so each family is one run: fold it
+    // into its last row.
+    for (SeriesValue &s : collect()) {
+        if (s.kind == Kind::Histogram) {
+            if (!snap.histograms.empty() &&
+                snap.histograms.back().name == s.name) {
+                addHist(snap.histograms.back(), s.hist);
+            } else {
+                snap.histograms.push_back(std::move(s.hist));
+            }
+            continue;
+        }
+        auto &rows = s.kind == Kind::Counter ? snap.counters : snap.gauges;
+        if (!rows.empty() && rows.back().first == s.name)
+            rows.back().second += s.value;
+        else
+            rows.emplace_back(std::move(s.name), s.value);
+    }
+    return snap;
 }
 
 void

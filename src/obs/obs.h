@@ -1,30 +1,49 @@
 /**
  * @file
- * `edb::obs` — always-on process-wide observability instruments
- * (DESIGN.md §10).
+ * `edb::obs` — the process-wide metrics registry and its instruments
+ * (DESIGN.md §10, §15).
  *
- * A registry of named Counter / Gauge / Histogram instruments backed
- * by thread-local shards of relaxed atomics: the hot-path increment is
- * one relaxed fetch_add into the calling thread's shard, no locks, no
- * allocation. snapshot() merges every shard (plus the accumulated
- * values of threads that already exited) under the registry mutex.
+ * One registry holds every series, identified by a name plus an
+ * optional label set:
+ *
+ *  - Zero-label instruments (Counter / Gauge / Histogram) are
+ *    constructed once with a fixed name and backed by thread-local
+ *    shards of relaxed atomics: the hot-path increment is one relaxed
+ *    fetch_add into the calling thread's shard, no locks, no
+ *    allocation.
+ *  - Labeled series (`served.runs{tenant="a"}`) come from a Domain,
+ *    a set of up to maxLabelsPerDomain label pairs, at run time. Each
+ *    is one shared cell of the same registry; an update is one
+ *    relaxed RMW on it (a Histogram cell uses the same Shard::Hist
+ *    layout and observe routine as the shards). Label values arrive
+ *    from clients, so the registry caps the number of labeled series:
+ *    past the cap a new identity lands in its name's overflow series,
+ *    `name{overflow="true"}`, instead of aborting.
+ *
+ * collect() is the one read: every stored series, merged across
+ * shards. takeSnapshot() folds it by name, so the snapshot value of
+ * a labeled family is the sum over its labels — the process-global
+ * total is derived at read time, never counted a second time.
  *
  * Signal-safety rules:
  *
- *  - Counter::add / Gauge::add / Histogram::observe are
- *    async-signal-safe: when the calling thread has no shard (it never
- *    called prepareCurrentThread()), the increment lands in a shared
+ *  - Counter::add / Gauge::add / Histogram::observe and
+ *    Series::add / HistSeries::observe are async-signal-safe: when
+ *    the calling thread has no shard (it never called
+ *    prepareCurrentThread()), the increment lands in a shared
  *    fallback shard via the same lock-free atomics — never an
  *    allocation, never a mutex. Signal-context code (live WMS
  *    notification paths) may therefore bump counters freely.
- *  - Everything else — instrument *construction*, ScopeTimer spans,
- *    the trace sink, snapshot() — allocates or locks and must stay out
- *    of signal handlers.
+ *  - Everything else — instrument and series *creation*, ScopeTimer
+ *    spans, the trace sink, collect() and snapshots — allocates or
+ *    locks and must stay out of signal handlers.
  *
  * Compile-time gating: when the build sets EDB_OBS=OFF (no
  * EDB_OBS_ENABLED definition), the EDB_OBS_* macros below expand to
- * nothing and none of the types in this header exist, so instrumented
- * code carries zero cost — not even a load — in the off build.
+ * nothing, the zero-label instrument types do not exist, and Domain /
+ * Series / HistSeries collapse to inline no-ops, so instrumented code
+ * carries zero cost — not even a load — in the off build. Label and
+ * Kind stay: the METRICS wire rows use them in every build.
  */
 
 #ifndef EDB_OBS_OBS_H
@@ -34,16 +53,47 @@
 #define EDB_OBS_ENABLED 0
 #endif
 
+#include <compare>
+#include <cstdint>
+#include <initializer_list>
+#include <string>
+#include <vector>
+
+namespace edb::obs {
+
+/** One key=value attribution pair. */
+struct Label
+{
+    std::string key;
+    std::string value;
+
+    auto operator<=>(const Label &) const = default;
+};
+
+/** What a series measures (Prometheus exposition types). */
+enum class Kind : std::uint8_t { Counter = 0, Gauge = 1, Histogram = 2 };
+
+/** The exposition type name of a kind ("counter", ...). */
+constexpr const char *
+kindName(Kind kind)
+{
+    switch (kind) {
+      case Kind::Counter: return "counter";
+      case Kind::Gauge: return "gauge";
+      case Kind::Histogram: return "histogram";
+    }
+    return "?";
+}
+
+} // namespace edb::obs
+
 #if EDB_OBS_ENABLED
 
 #include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstddef>
-#include <cstdint>
 #include <iosfwd>
-#include <string>
-#include <vector>
 
 namespace edb::obs {
 
@@ -54,11 +104,18 @@ inline constexpr std::size_t maxHistograms = 64;
 /** log2 buckets per histogram: bucket 0 holds value 0, bucket b>0
  *  holds values with bit length b (covers the full uint64 range). */
 inline constexpr std::size_t histBuckets = 65;
+/** Label pairs one Domain may carry. */
+inline constexpr std::size_t maxLabelsPerDomain = 4;
+/** Label values longer than this are truncated (never rejected:
+ *  a tenant's chosen name must not be able to fail HELLO). */
+inline constexpr std::size_t maxLabelValueBytes = 128;
+/** Default cap on distinct labeled series (overflow series aside). */
+inline constexpr std::size_t defaultMaxSeries = 4096;
 
 /**
  * One thread's slice of every instrument. All members are lock-free
  * atomics updated with relaxed ordering; exact totals come from the
- * snapshot merge, which only needs eventual per-cell consistency.
+ * collect() merge, which only needs eventual per-cell consistency.
  */
 struct Shard
 {
@@ -66,10 +123,35 @@ struct Shard
     {
         std::atomic<std::uint64_t> count{0};
         std::atomic<std::uint64_t> sum{0};
-        /** Tracked via CAS loops; reset to ~0 / 0 when recycled. */
+        /** Tracked via lock-free CAS loops. */
         std::atomic<std::uint64_t> min{~std::uint64_t{0}};
         std::atomic<std::uint64_t> max{0};
         std::atomic<std::uint64_t> buckets[histBuckets]{};
+
+        static constexpr std::size_t
+        bucketOf(std::uint64_t v) noexcept
+        {
+            return (std::size_t)(64 - std::countl_zero(v | 1)) -
+                   (v == 0 ? 1 : 0);
+        }
+
+        /** Async-signal-safe: a few relaxed RMWs, the min/max CAS
+         *  loops are lock-free. */
+        void
+        observe(std::uint64_t v) noexcept
+        {
+            buckets[bucketOf(v)].fetch_add(1, std::memory_order_relaxed);
+            count.fetch_add(1, std::memory_order_relaxed);
+            sum.fetch_add(v, std::memory_order_relaxed);
+            std::uint64_t cur = min.load(std::memory_order_relaxed);
+            while (v < cur && !min.compare_exchange_weak(
+                                  cur, v, std::memory_order_relaxed)) {
+            }
+            cur = max.load(std::memory_order_relaxed);
+            while (v > cur && !max.compare_exchange_weak(
+                                  cur, v, std::memory_order_relaxed)) {
+            }
+        }
     };
 
     std::atomic<std::int64_t> scalars[maxScalars]{};
@@ -86,8 +168,8 @@ extern constinit thread_local Shard *t_shard;
 /**
  * Give the calling thread its own shard (idempotent). Worker threads
  * call this once at startup so their increments stay uncontended; the
- * shard is folded back into the registry and recycled when the thread
- * exits. NOT async-signal-safe (may allocate).
+ * shard keeps its values and is handed to the next thread that asks
+ * when this one exits. NOT async-signal-safe (may allocate).
  */
 void prepareCurrentThread();
 
@@ -102,10 +184,10 @@ monotonicNs() noexcept
 }
 
 namespace detail {
-/** Intern an instrument; returns its slot. Panics on name/kind
- *  collisions or a full registry. */
-std::uint32_t internScalar(const char *name, bool is_gauge);
-std::uint32_t internHistogram(const char *name);
+/** Intern a zero-label instrument; returns its shard slot. Panics
+ *  on a full registry; throws std::invalid_argument when the name
+ *  already holds another kind (a program bug). */
+std::uint32_t internSlot(const char *name, Kind kind);
 /** The shared fallback shard for threads without their own. */
 Shard &fallbackShard();
 } // namespace detail
@@ -119,7 +201,7 @@ class Counter
 {
   public:
     explicit Counter(const char *name)
-        : id_(detail::internScalar(name, false)),
+        : id_(detail::internSlot(name, Kind::Counter)),
           fallback_(&detail::fallbackShard())
     {
     }
@@ -150,7 +232,7 @@ class Gauge
 {
   public:
     explicit Gauge(const char *name)
-        : id_(detail::internScalar(name, true)),
+        : id_(detail::internSlot(name, Kind::Gauge)),
           fallback_(&detail::fallbackShard())
     {
     }
@@ -174,14 +256,13 @@ class Gauge
 
 /**
  * log2-bucketed value distribution with exact count/sum/min/max.
- * observe() is async-signal-safe: a few relaxed RMWs, the min/max
- * CAS loops are lock-free.
+ * observe() is async-signal-safe (Shard::Hist::observe).
  */
 class Histogram
 {
   public:
     explicit Histogram(const char *name)
-        : id_(detail::internHistogram(name)),
+        : id_(detail::internSlot(name, Kind::Histogram)),
           fallback_(&detail::fallbackShard())
     {
     }
@@ -189,31 +270,106 @@ class Histogram
     static constexpr std::size_t
     bucketOf(std::uint64_t v) noexcept
     {
-        return (std::size_t)(64 - std::countl_zero(v | 1)) -
-               (v == 0 ? 1 : 0);
+        return Shard::Hist::bucketOf(v);
     }
 
     void
     observe(std::uint64_t v) noexcept
     {
         Shard *s = t_shard;
-        Shard::Hist &h = (s ? s : fallback_)->hists[id_];
-        h.buckets[bucketOf(v)].fetch_add(1, std::memory_order_relaxed);
-        h.count.fetch_add(1, std::memory_order_relaxed);
-        h.sum.fetch_add(v, std::memory_order_relaxed);
-        std::uint64_t cur = h.min.load(std::memory_order_relaxed);
-        while (v < cur && !h.min.compare_exchange_weak(
-                              cur, v, std::memory_order_relaxed)) {
-        }
-        cur = h.max.load(std::memory_order_relaxed);
-        while (v > cur && !h.max.compare_exchange_weak(
-                              cur, v, std::memory_order_relaxed)) {
-        }
+        (s ? s : fallback_)->hists[id_].observe(v);
     }
 
   private:
     std::uint32_t id_;
     Shard *fallback_;
+};
+
+/**
+ * Handle to a labeled counter or gauge cell. Cheap to copy; a
+ * default-constructed handle is a no-op sink. Cells live as long as
+ * the (leaked) registry, so a handle never dangles.
+ */
+class Series
+{
+  public:
+    Series() = default;
+
+    /** Async-signal-safe; one relaxed fetch_add. */
+    void
+    add(std::int64_t d) const noexcept
+    {
+        if (cell_ != nullptr)
+            cell_->fetch_add(d, std::memory_order_relaxed);
+    }
+
+    void inc() const noexcept { add(1); }
+    void sub(std::int64_t d) const noexcept { add(-d); }
+
+  private:
+    friend class Domain;
+    explicit Series(std::atomic<std::int64_t> *cell) : cell_(cell) {}
+    std::atomic<std::int64_t> *cell_ = nullptr;
+};
+
+/** Handle to a labeled histogram cell (the log2 bucket scheme). */
+class HistSeries
+{
+  public:
+    HistSeries() = default;
+
+    /** Async-signal-safe (Shard::Hist::observe). */
+    void
+    observe(std::uint64_t v) const noexcept
+    {
+        if (cell_ != nullptr)
+            cell_->observe(v);
+    }
+
+  private:
+    friend class Domain;
+    explicit HistSeries(Shard::Hist *cell) : cell_(cell) {}
+    Shard::Hist *cell_ = nullptr;
+};
+
+/**
+ * A set of label pairs scoping series names. Construction validates
+ * the labels once; the factories then intern (name, labels) series
+ * in the registry. Interning the same identity again (a tenant
+ * reconnecting under its name) returns the same cell.
+ *
+ * Validation throws std::invalid_argument on more than
+ * maxLabelsPerDomain pairs, an empty key, or a duplicate key; label
+ * *values* are truncated to maxLabelValueBytes rather than rejected.
+ * The factories throw std::invalid_argument when the name is already
+ * registered with a different kind; past the series cap they return
+ * the name's overflow series (see setMaxSeriesForTest()).
+ */
+class Domain
+{
+  public:
+    /** The empty domain: series carry no labels. */
+    Domain() = default;
+
+    Domain(std::initializer_list<Label> labels)
+        : Domain(std::vector<Label>(labels))
+    {
+    }
+
+    explicit Domain(std::vector<Label> labels);
+
+    /** A copy of this domain extended with one more pair (same
+     *  validation: a duplicate key or a fifth pair throws). */
+    Domain with(std::string key, std::string value) const;
+
+    const std::vector<Label> &labels() const { return labels_; }
+
+    Series counter(const std::string &name) const;
+    Series gauge(const std::string &name) const;
+    HistSeries histogram(const std::string &name) const;
+
+  private:
+    std::vector<Label> labels_; ///< key-ascending, canonical
 };
 
 /** One merged histogram in a Snapshot. min/max are 0 when count is. */
@@ -236,7 +392,41 @@ struct HistogramValue
     double quantile(double q) const;
 };
 
-/** A point-in-time merge of every shard, names sorted ascending. */
+/** One stored series as collect() reads it. */
+struct SeriesValue
+{
+    std::string name;
+    std::vector<Label> labels; ///< key-ascending; empty: zero-label
+    Kind kind = Kind::Counter;
+    /** Counter / gauge value; a histogram's count. */
+    std::int64_t value = 0;
+    HistogramValue hist; ///< kind == Kind::Histogram only
+};
+
+/**
+ * The one read of the registry: every stored series — zero-label
+ * instruments merged across shards, every labeled series, overflow
+ * series included — sorted by (name, labels), so a name's series are
+ * adjacent. Values are relaxed reads: concurrent increments may or
+ * may not be included. Thread-safe.
+ */
+std::vector<SeriesValue> collect();
+
+/** Distinct labeled series counted against the cap (overflow series
+ *  excluded). */
+std::size_t seriesCount();
+
+/** Override the labeled-series cap; returns the previous value.
+ *  Exists for the cap-enforcement tests — production keeps
+ *  defaultMaxSeries. */
+std::size_t setMaxSeriesForTest(std::size_t cap);
+
+/**
+ * collect() folded by name: one value per name, names sorted
+ * ascending. A labeled family's value is the sum over its series (a
+ * histogram family merges its buckets), so `served.runs` is the
+ * total over every tenant.
+ */
 struct Snapshot
 {
     /** Wall-clock milliseconds since the Unix epoch at merge time. */
@@ -264,8 +454,7 @@ struct Snapshot
         delete;
 };
 
-/** Merge every shard (active, retired, fallback) into a Snapshot.
- *  Thread-safe; concurrent increments may or may not be included. */
+/** collect(), folded by name, plus the meta fields. Thread-safe. */
 Snapshot takeSnapshot();
 
 /** Serialize takeSnapshot() as JSON (schema edb-obs-snapshot-v2:
@@ -374,6 +563,35 @@ class ScopeTimer
                                           __LINE__)(name, &(hist))
 
 #else // !EDB_OBS_ENABLED — every macro compiles away entirely.
+
+namespace edb::obs {
+
+/** Labeled handles as inline no-op shells, zero cost. */
+class Series
+{
+  public:
+    void add(std::int64_t) const noexcept {}
+    void inc() const noexcept {}
+    void sub(std::int64_t) const noexcept {}
+};
+
+class HistSeries
+{
+  public:
+    void observe(std::uint64_t) const noexcept {}
+};
+
+class Domain
+{
+  public:
+    Domain() = default;
+    Domain(std::initializer_list<Label>) {}
+    Series counter(const std::string &) const { return {}; }
+    Series gauge(const std::string &) const { return {}; }
+    HistSeries histogram(const std::string &) const { return {}; }
+};
+
+} // namespace edb::obs
 
 #define EDB_OBS_ONLY(...)
 

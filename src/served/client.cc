@@ -505,14 +505,14 @@ Client::metricsText(MetricsFormat format)
 
 namespace {
 
-std::vector<telemetry::Label>
+std::vector<obs::Label>
 readLabels(PayloadReader &rd)
 {
     const std::uint8_t n = rd.getU8();
-    std::vector<telemetry::Label> labels;
+    std::vector<obs::Label> labels;
     labels.reserve(n);
     for (std::uint8_t i = 0; i < n; ++i) {
-        telemetry::Label l;
+        obs::Label l;
         l.key = rd.getString();
         l.value = rd.getString();
         labels.push_back(std::move(l));

@@ -110,8 +110,8 @@ struct StatsReply
 struct MetricsSeriesRow
 {
     std::string name;
-    std::vector<telemetry::Label> labels;
-    std::uint8_t kind = 0; ///< telemetry::Kind
+    std::vector<obs::Label> labels;
+    std::uint8_t kind = 0; ///< obs::Kind
     std::int64_t value = 0;
     bool hasRate = false;
     double rate = 0.0; ///< per second, over the sampler's ring window
@@ -121,7 +121,7 @@ struct MetricsSeriesRow
 struct MetricsHistRow
 {
     std::string name;
-    std::vector<telemetry::Label> labels;
+    std::vector<obs::Label> labels;
     std::uint64_t count = 0;
     std::uint64_t sum = 0;
     std::uint64_t min = 0;

@@ -22,19 +22,8 @@ obs::Counter obsByes{"served.byes"};
 obs::Counter obsAdmissionRejects{"served.admission_rejects"};
 obs::Counter obsOpens{"served.trace_opens"};
 obs::Counter obsOpenShared{"served.trace_open_shared"};
-obs::Counter obsInstalls{"served.installs"};
-obs::Counter obsRemoves{"served.removes"};
-obs::Counter obsResumes{"served.resumes"};
-obs::Counter obsRuns{"served.runs"};
-obs::Counter obsQueries{"served.queries"};
-obs::Counter obsNotifications{"served.notifications"};
 obs::Counter obsPendingDropped{"served.pending_dropped"};
-obs::Counter obsRunWrites{"served.run_writes"};
 obs::Gauge obsTenants{"served.tenants"};
-obs::Gauge obsMonitors{"served.monitors"};
-obs::Gauge obsOpenTraces{"served.open_traces"};
-obs::Gauge obsPendingHits{"served.pending_hits"};
-obs::Gauge obsTraceBytes{"served.trace_bytes"};
 obs::Histogram obsRunNs{"served.run_ns"};
 obs::Histogram obsQueryNs{"served.query_ns"};
 obs::Histogram obsResumeBatch{"served.resume_batch"};
@@ -127,30 +116,26 @@ Tenant::Tenant(Registry &owner, std::uint64_t id, std::string name,
         software_.setNotificationHandler(handler);
     }
 
-    // Per-tenant attribution: one labeled domain, handles cached so
-    // the request path pays one relaxed RMW per update. The tenant
-    // *name* is the label (not the id): reconnecting under the same
-    // name resumes the same series, which is what a dashboard wants.
-    tdomain_ = telemetry::TelemetryDomain{{"tenant", name_}};
-    t_runs_ = tdomain_.counter("served.tenant.runs");
-    t_queries_ = tdomain_.counter("served.tenant.queries");
-    t_installs_ = tdomain_.counter("served.tenant.installs");
-    t_removes_ = tdomain_.counter("served.tenant.removes");
-    t_resumes_ = tdomain_.counter("served.tenant.resumes");
-    t_notifications_ = tdomain_.counter("served.tenant.notifications");
-    t_run_writes_ = tdomain_.counter("served.tenant.run_writes");
-    t_monitors_ = tdomain_.gauge("served.tenant.monitors");
-    t_pending_hits_ = tdomain_.gauge("served.tenant.pending_hits");
-    t_open_traces_ = tdomain_.gauge("served.tenant.open_traces");
-    t_trace_bytes_ = tdomain_.gauge("served.tenant.trace_bytes");
+    // Per-tenant series, handles cached so the request path pays one
+    // relaxed RMW per update. The tenant *name* is the label (not the
+    // id): reconnecting under the same name resumes the same series,
+    // which is what a dashboard wants.
+    const obs::Domain d{{"tenant", name_}};
+    t_runs_ = d.counter("served.runs");
+    t_queries_ = d.counter("served.queries");
+    t_installs_ = d.counter("served.installs");
+    t_removes_ = d.counter("served.removes");
+    t_resumes_ = d.counter("served.resumes");
+    t_notifications_ = d.counter("served.notifications");
+    t_run_writes_ = d.counter("served.run_writes");
+    t_monitors_ = d.gauge("served.monitors");
+    t_pending_hits_ = d.gauge("served.pending_hits");
+    t_open_traces_ = d.gauge("served.open_traces");
+    t_trace_bytes_ = d.gauge("served.trace_bytes");
 }
 
 Tenant::~Tenant()
 {
-    EDB_OBS_GAUGE_SUB(obsMonitors, monitors_.size());
-    EDB_OBS_GAUGE_SUB(obsOpenTraces, traces_.size());
-    EDB_OBS_GAUGE_SUB(obsPendingHits, pending_.size());
-    EDB_OBS_GAUGE_SUB(obsTraceBytes, trace_bytes_total_);
     t_monitors_.sub((std::int64_t)monitors_.size());
     t_open_traces_.sub((std::int64_t)traces_.size());
     t_pending_hits_.sub((std::int64_t)pending_.size());
@@ -192,13 +177,11 @@ Tenant::openTrace(const std::string &path)
     const std::uint32_t tid = next_trace_++;
     traces_.emplace(tid, handle);
     traces_stat_.store(traces_.size(), std::memory_order_relaxed);
-    EDB_OBS_GAUGE_ADD(obsOpenTraces, 1);
     // Attribute the mapping's bytes to every tenant holding it: the
     // gauge answers "how much trace data does this tenant pin", and
     // a shared mapping is pinned by each of its holders.
     const std::uint64_t bytes = handle->mapped.fileBytes();
     trace_bytes_total_ += bytes;
-    EDB_OBS_GAUGE_ADD(obsTraceBytes, bytes);
     t_open_traces_.add(1);
     t_trace_bytes_.add((std::int64_t)bytes);
 
@@ -236,8 +219,6 @@ Tenant::install(const AddrRange &r)
     monitors_.emplace(id, Monitor{r, true});
     installEngine(r);
     monitors_stat_.store(monitors_.size(), std::memory_order_relaxed);
-    EDB_OBS_INC(obsInstalls);
-    EDB_OBS_GAUGE_ADD(obsMonitors, 1);
     t_installs_.inc();
     t_monitors_.add(1);
     return id;
@@ -256,14 +237,10 @@ Tenant::remove(std::uint32_t monitorId)
     if (it->second.enabled)
         removeEngine(it->second.range);
     monitors_.erase(it);
-    if (pending_.erase(monitorId) > 0) {
-        EDB_OBS_GAUGE_SUB(obsPendingHits, 1);
+    if (pending_.erase(monitorId) > 0)
         t_pending_hits_.sub(1);
-    }
     pending_stat_.store(pending_.size(), std::memory_order_relaxed);
     monitors_stat_.store(monitors_.size(), std::memory_order_relaxed);
-    EDB_OBS_INC(obsRemoves);
-    EDB_OBS_GAUGE_SUB(obsMonitors, 1);
     t_removes_.inc();
     t_monitors_.sub(1);
 }
@@ -312,9 +289,7 @@ Tenant::resume()
     pending_.clear();
     pending_dropped_ = 0;
     pending_stat_.store(0, std::memory_order_relaxed);
-    EDB_OBS_INC(obsResumes);
     EDB_OBS_OBSERVE(obsResumeBatch, batch.hits.size());
-    EDB_OBS_GAUGE_SUB(obsPendingHits, batch.hits.size());
     t_resumes_.inc();
     t_pending_hits_.sub((std::int64_t)batch.hits.size());
     return batch;
@@ -331,7 +306,6 @@ Tenant::onNotification(const wms::Notification &n)
         if (!mon.enabled || !mon.range.intersects(n.written))
             continue;
         notifications_.fetch_add(1, std::memory_order_relaxed);
-        EDB_OBS_INC(obsNotifications);
         t_notifications_.inc();
         auto it = pending_.find(id);
         if (it != pending_.end()) {
@@ -344,7 +318,6 @@ Tenant::onNotification(const wms::Notification &n)
                                1});
             pending_stat_.store(pending_.size(),
                                 std::memory_order_relaxed);
-            EDB_OBS_GAUGE_ADD(obsPendingHits, 1);
             t_pending_hits_.add(1);
         } else {
             ++pending_dropped_;
@@ -395,8 +368,6 @@ Tenant::runLive(std::uint32_t traceId)
     res.notifications =
         notifications_.load(std::memory_order_relaxed) - before;
     runs_.fetch_add(1, std::memory_order_relaxed);
-    EDB_OBS_INC(obsRuns);
-    EDB_OBS_ADD(obsRunWrites, res.writes);
     t_runs_.inc();
     t_run_writes_.add((std::int64_t)res.writes);
     return res;
@@ -438,8 +409,6 @@ Tenant::runSessions(std::uint32_t traceId,
     res.totalWrites = sim.totalWrites;
     res.counters = sim.counters;
     runs_.fetch_add(1, std::memory_order_relaxed);
-    EDB_OBS_INC(obsRuns);
-    EDB_OBS_ADD(obsRunWrites, res.totalWrites);
     t_runs_.inc();
     t_run_writes_.add((std::int64_t)res.totalWrites);
     return res;
@@ -472,7 +441,6 @@ Tenant::query(const WireQuery &q)
     const query::QueryResult r =
         query::runQuery(t->mapped, t->sessions, spec);
     queries_.fetch_add(1, std::memory_order_relaxed);
-    EDB_OBS_INC(obsQueries);
     t_queries_.inc();
     return QueryReply{r.matches, r.sessionCounts};
 }

@@ -40,9 +40,9 @@
 #include <string>
 #include <vector>
 
+#include "obs/obs.h"
 #include "query/query.h"
 #include "served/protocol.h"
-#include "telemetry/telemetry.h"
 #include "session/session.h"
 #include "sim/counters.h"
 #include "sim/simulator.h"
@@ -363,27 +363,25 @@ class Tenant
     std::atomic<std::uint64_t> runs_{0};
     std::atomic<std::uint64_t> queries_{0};
 
-    /** @name Per-tenant attributed telemetry (ISSUE 9)
-     *  A `{tenant: name}` domain plus cached series handles, so
-     *  every update on the request path stays one relaxed RMW.
-     *  Gauge contributions are withdrawn by the destructor; the
-     *  matching process-global obs instruments move at the same
-     *  call sites, so summing a tenant-labeled series over tenants
-     *  reproduces the obs value (the differential-test invariant).
-     *  Under EDB_OBS=OFF these are inline no-ops. */
+    /** @name Per-tenant obs series
+     *  Cached handles of the `{tenant: name}` series, so every
+     *  update on the request path stays one relaxed RMW. Each
+     *  quantity is counted here only: the process-global
+     *  `served.runs` etc. are these series summed over tenants when
+     *  the registry is read. Gauge contributions are withdrawn by
+     *  the destructor. Under EDB_OBS=OFF these are inline no-ops. */
     /// @{
-    telemetry::TelemetryDomain tdomain_;
-    telemetry::Series t_runs_;
-    telemetry::Series t_queries_;
-    telemetry::Series t_installs_;
-    telemetry::Series t_removes_;
-    telemetry::Series t_resumes_;
-    telemetry::Series t_notifications_;
-    telemetry::Series t_run_writes_;
-    telemetry::Series t_monitors_;      ///< gauge
-    telemetry::Series t_pending_hits_;  ///< gauge
-    telemetry::Series t_open_traces_;   ///< gauge
-    telemetry::Series t_trace_bytes_;   ///< gauge
+    obs::Series t_runs_;
+    obs::Series t_queries_;
+    obs::Series t_installs_;
+    obs::Series t_removes_;
+    obs::Series t_resumes_;
+    obs::Series t_notifications_;
+    obs::Series t_run_writes_;
+    obs::Series t_monitors_;      ///< gauge
+    obs::Series t_pending_hits_;  ///< gauge
+    obs::Series t_open_traces_;   ///< gauge
+    obs::Series t_trace_bytes_;   ///< gauge
     /** Sum of fileBytes() over this tenant's open handles, so the
      *  destructor can withdraw the trace-byte gauges exactly. */
     std::uint64_t trace_bytes_total_ = 0;

@@ -7,9 +7,11 @@
 #include "served/server.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cerrno>
 #include <iterator>
+#include <mutex>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -43,32 +45,29 @@ obs::Gauge obsReadersActive{"served.readers.active"};
 obs::Histogram obsFrameBytes{"served.frame_bytes"};
 
 /** The per-op request instruments: an op-labeled request counter and
- *  latency histogram. Interned once per opcode; the copy handed back
- *  is two raw pointers, so the per-request cost after the first hit
- *  is one map lookup under an uncontended mutex. */
+ *  latency histogram. */
 struct OpInstruments
 {
-    telemetry::Series requests;
-    telemetry::HistSeries latency;
+    obs::Series requests;
+    obs::HistSeries latency;
 };
 
-OpInstruments
+/** The instruments of request opcode `op` (isRequestOp), from a table
+ *  indexed by opcode. An op's series are interned by its first
+ *  request (so only ops that ran are exported); after that the
+ *  lookup is one once-flag check, no lock and no search. */
+const OpInstruments &
 opInstruments(std::uint8_t op)
 {
-    static std::mutex mu;
-    static std::map<std::uint8_t, OpInstruments> cache;
-    std::lock_guard<std::mutex> lk(mu);
-    auto it = cache.find(op);
-    if (it == cache.end()) {
-        telemetry::TelemetryDomain d{{"op", opName(op)}};
-        it = cache
-                 .emplace(op,
-                          OpInstruments{
-                              d.counter("served.requests"),
-                              d.histogram("served.request_ns")})
-                 .first;
-    }
-    return it->second;
+    constexpr std::size_t n = (std::size_t)Op::Metrics + 1;
+    static std::array<OpInstruments, n> table;
+    static std::array<std::once_flag, n> once;
+    std::call_once(once[op], [op] {
+        const obs::Domain d{{"op", opName(op)}};
+        table[op] = {d.counter("served.requests"),
+                     d.histogram("served.request_ns")};
+    });
+    return table[op];
 }
 #endif
 
@@ -117,7 +116,7 @@ writeReportBinary(PayloadWriter &w, const telemetry::Report &report)
     for (const telemetry::ReportSeries &s : report.series) {
         w.putString(s.name);
         w.putU8((std::uint8_t)s.labels.size());
-        for (const telemetry::Label &l : s.labels) {
+        for (const obs::Label &l : s.labels) {
             w.putString(l.key);
             w.putString(l.value);
         }
@@ -130,7 +129,7 @@ writeReportBinary(PayloadWriter &w, const telemetry::Report &report)
     for (const telemetry::ReportHist &h : report.hists) {
         w.putString(h.name);
         w.putU8((std::uint8_t)h.labels.size());
-        for (const telemetry::Label &l : h.labels) {
+        for (const obs::Label &l : h.labels) {
             w.putString(l.key);
             w.putString(l.value);
         }
@@ -446,7 +445,7 @@ Server::dispatch(Conn &conn, const Frame &frame)
         obs::emitTraceEvent(name, 'E', t1, req_id);
     const std::uint64_t ns = t1 - t0;
     if (isRequestOp(frame.opcode)) {
-        OpInstruments ins = opInstruments(frame.opcode);
+        const OpInstruments &ins = opInstruments(frame.opcode);
         ins.requests.inc();
         ins.latency.observe(ns);
     }

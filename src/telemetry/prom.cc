@@ -11,7 +11,7 @@
 #include <sstream>
 #include <vector>
 
-#include "telemetry/telemetry.h"
+#include "obs/obs.h"
 
 namespace edb::telemetry {
 
@@ -55,14 +55,15 @@ promEscape(const std::string &s)
 /** Render `{k="v", ...}` (empty string when no labels), with an
  *  optional extra pair appended (the histogram `le` bound). */
 std::string
-labelBlock(const std::vector<Label> &labels, const std::string &extraKey = "",
+labelBlock(const std::vector<obs::Label> &labels,
+           const std::string &extraKey = "",
            const std::string &extraValue = "")
 {
     if (labels.empty() && extraKey.empty())
         return "";
     std::string out = "{";
     bool first = true;
-    for (const Label &l : labels) {
+    for (const obs::Label &l : labels) {
         if (!first)
             out += ",";
         out += promName(l.key).substr(4); // mangle, drop edb_ prefix
@@ -83,8 +84,8 @@ labelBlock(const std::vector<Label> &labels, const std::string &extraKey = "",
     return out;
 }
 
-/** One metric family: TYPE plus its sample lines, labeled series
- *  after the unlabeled one. */
+/** One metric family: TYPE plus its sample lines, in collect()
+ *  order. */
 struct Family
 {
     std::string type;
@@ -93,32 +94,11 @@ struct Family
 };
 
 void
-addScalar(std::map<std::string, Family> &families,
-          const std::string &rawName, const std::vector<Label> &labels,
-          const char *type, std::int64_t value, const char *origin)
+addHistogram(Family &f, const std::string &name,
+             const obs::SeriesValue &s)
 {
-    const std::string name = promName(rawName);
-    Family &f = families[name];
-    if (f.type.empty()) {
-        f.type = type;
-        f.help = std::string(origin) + " " + type + " '" + rawName + "'";
-    }
-    f.lines.push_back(name + labelBlock(labels) + " " +
-                      std::to_string(value));
-}
-
-void
-addHistogram(std::map<std::string, Family> &families,
-             const obs::HistogramValue &h,
-             const std::vector<Label> &labels, const char *origin)
-{
-    const std::string name = promName(h.name);
-    Family &f = families[name];
-    if (f.type.empty()) {
-        f.type = "histogram";
-        f.help =
-            std::string(origin) + " histogram '" + h.name + "' (ns)";
-    }
+    const obs::HistogramValue &h = s.hist;
+    const std::vector<obs::Label> &labels = s.labels;
     // Cumulative buckets up to the last occupied log2 bucket; bucket
     // b > 0 covers values of bit length b, upper bound 2^b - 1.
     std::size_t last = 0;
@@ -152,32 +132,23 @@ addHistogram(std::map<std::string, Family> &families,
 void
 writePrometheus(std::ostream &os)
 {
+    // Keyed by mangled name: two raw names that mangle alike share
+    // one family rather than announcing it twice.
     std::map<std::string, Family> families;
-
-    const obs::Snapshot snap = obs::takeSnapshot();
-    for (const auto &[name, value] : snap.counters)
-        addScalar(families, name, {}, "counter", value, "edb::obs");
-    for (const auto &[name, value] : snap.gauges)
-        addScalar(families, name, {}, "gauge", value, "edb::obs");
-    for (const obs::HistogramValue &h : snap.histograms)
-        addHistogram(families, h, {}, "edb::obs");
-
-    for (const SeriesValue &s : collect()) {
-        switch (s.kind) {
-          case Kind::Counter:
-            addScalar(families, s.name, s.labels, "counter", s.value,
-                      "edb::telemetry");
-            break;
-          case Kind::Gauge:
-            addScalar(families, s.name, s.labels, "gauge", s.value,
-                      "edb::telemetry");
-            break;
-          case Kind::Histogram: {
-            obs::HistogramValue h = s.hist;
-            h.name = s.name;
-            addHistogram(families, h, s.labels, "edb::telemetry");
-            break;
-          }
+    for (const obs::SeriesValue &s : obs::collect()) {
+        const std::string name = promName(s.name);
+        Family &f = families[name];
+        const bool hist = s.kind == obs::Kind::Histogram;
+        if (f.type.empty()) {
+            f.type = obs::kindName(s.kind);
+            f.help = "edb::obs " + f.type + " '" + s.name + "'" +
+                     (hist ? " (ns)" : "");
+        }
+        if (hist) {
+            addHistogram(f, name, s);
+        } else {
+            f.lines.push_back(name + labelBlock(s.labels) + " " +
+                              std::to_string(s.value));
         }
     }
 

@@ -1,16 +1,17 @@
 /**
  * @file
- * Prometheus text exposition (format version 0.0.4) of the obs and
- * telemetry registries.
+ * Prometheus text exposition (format version 0.0.4) of the obs
+ * registry.
  *
- * Every obs counter/gauge/histogram becomes an unlabeled metric
- * family and every telemetry labeled series joins the family of its
- * (mangled) name, so one scrape shows the process-global totals next
- * to the per-tenant attribution. Names are mangled to the Prometheus
- * grammar with an `edb_` prefix (`served.tenant.runs` ->
- * `edb_served_tenant_runs`); histograms expose cumulative
- * `_bucket{le="2^b-1"}` series from the log2 buckets plus `_sum` and
- * `_count`.
+ * Every stored series from obs::collect() joins the family of its
+ * (mangled) name: a zero-label instrument is one unlabeled sample, a
+ * labeled family one sample per label set. Derived totals are not
+ * exported — `edb_served_runs` carries one sample per tenant (plus
+ * `{overflow="true"}` past the series cap) and `sum()` over it is the
+ * total. Names are mangled to the Prometheus grammar with an `edb_`
+ * prefix (`served.runs` -> `edb_served_runs`); histograms expose
+ * cumulative `_bucket{le="2^b-1"}` series from the log2 buckets plus
+ * `_sum` and `_count`.
  *
  * Under EDB_OBS=OFF the exposition is empty-but-valid: one comment
  * line, no series — scrapers parse it, dashboards show nothing.

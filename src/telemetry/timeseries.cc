@@ -6,63 +6,27 @@
 
 #include "telemetry/timeseries.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <sstream>
+
+#include "util/json.h"
 
 namespace edb::telemetry {
 
 namespace {
 
-/** Escape a string into a JSON literal (without the quotes). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if ((unsigned char)c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 void
-appendLabels(std::ostream &os, const std::vector<Label> &labels)
+appendLabels(std::ostream &os, const std::vector<obs::Label> &labels)
 {
     os << "{";
     bool first = true;
-    for (const Label &l : labels) {
+    for (const obs::Label &l : labels) {
         os << (first ? "" : ", ") << "\"" << jsonEscape(l.key)
            << "\": \"" << jsonEscape(l.value) << "\"";
         first = false;
     }
     os << "}";
-}
-
-const char *
-kindName(Kind kind)
-{
-    switch (kind) {
-      case Kind::Counter: return "counter";
-      case Kind::Gauge: return "gauge";
-      case Kind::Histogram: return "histogram";
-    }
-    return "?";
 }
 
 /** Print a double with enough precision for rates/quantiles without
@@ -93,7 +57,7 @@ reportToJson(const Report &report)
         os << (first ? "\n" : ",\n") << "    {\"name\": \""
            << jsonEscape(s.name) << "\", \"labels\": ";
         appendLabels(os, s.labels);
-        os << ", \"kind\": \"" << kindName(s.kind)
+        os << ", \"kind\": \"" << obs::kindName(s.kind)
            << "\", \"value\": " << s.value;
         if (s.hasRate)
             os << ", \"rate\": " << jsonNumber(s.rate);
@@ -123,56 +87,23 @@ reportToJson(const Report &report)
 
 namespace {
 
-/** Shared by makeReport() and snapshotReport(): the histogram side
- *  of a Report is always built fresh from the live buckets. */
-std::vector<ReportHist>
-liveHists()
+/** Every series of `all` at its live value, no rates: what
+ *  snapshotReport() serves and what makeReport() starts from. */
+Report
+liveReport(const std::vector<obs::SeriesValue> &all)
 {
-    std::vector<ReportHist> out;
-    const obs::Snapshot snap = obs::takeSnapshot();
-    for (const obs::HistogramValue &h : snap.histograms) {
-        ReportHist rh;
-        rh.name = h.name;
-        rh.count = h.count;
-        rh.sum = h.sum;
-        rh.min = h.min;
-        rh.max = h.max;
-        rh.p50 = h.quantile(0.50);
-        rh.p95 = h.quantile(0.95);
-        rh.p99 = h.quantile(0.99);
-        out.push_back(std::move(rh));
-    }
-    for (const SeriesValue &s : collect()) {
-        if (s.kind != Kind::Histogram)
+    Report report;
+    for (const obs::SeriesValue &s : all) {
+        if (s.kind != obs::Kind::Histogram) {
+            report.series.push_back({s.name, s.labels, s.kind, s.value});
             continue;
-        ReportHist rh;
-        rh.name = s.name;
-        rh.labels = s.labels;
-        rh.count = s.hist.count;
-        rh.sum = s.hist.sum;
-        rh.min = s.hist.min;
-        rh.max = s.hist.max;
-        rh.p50 = s.hist.quantile(0.50);
-        rh.p95 = s.hist.quantile(0.95);
-        rh.p99 = s.hist.quantile(0.99);
-        out.push_back(std::move(rh));
+        }
+        const obs::HistogramValue &h = s.hist;
+        report.hists.push_back({s.name, s.labels, h.count, h.sum, h.min,
+                                h.max, h.quantile(0.50),
+                                h.quantile(0.95), h.quantile(0.99)});
     }
-    return out;
-}
-
-std::string
-ringKey(char scope, const std::string &name,
-        const std::vector<Label> &labels)
-{
-    std::string key(1, scope);
-    key += name;
-    for (const Label &l : labels) {
-        key += '\x1f';
-        key += l.key;
-        key += '\x1f';
-        key += l.value;
-    }
-    return key;
+    return report;
 }
 
 } // namespace
@@ -256,42 +187,18 @@ Sampler::threadLoop()
 }
 
 void
-Sampler::recordSample(const std::string &key, const std::string &name,
-                      const std::vector<Label> &labels, Kind kind,
-                      std::int64_t value, std::uint64_t now_ns)
-{
-    Entry &e = rings_[key];
-    if (e.name.empty()) {
-        e.name = name;
-        e.labels = labels;
-        e.kind = kind;
-    }
-    e.ring.push(now_ns, value, options_.ringCapacity);
-}
-
-void
 Sampler::sampleOnce(std::uint64_t now_ns)
 {
     if (now_ns == 0)
         now_ns = obs::monotonicNs();
-    const obs::Snapshot snap = obs::takeSnapshot();
-    const std::vector<SeriesValue> labeled = collect();
+    const std::vector<obs::SeriesValue> all = obs::collect();
 
     std::lock_guard<std::mutex> lk(mu_);
-    static const std::vector<Label> noLabels;
-    for (const auto &[name, value] : snap.counters) {
-        recordSample(ringKey('o', name, noLabels), name, noLabels,
-                     Kind::Counter, value, now_ns);
-    }
-    for (const auto &[name, value] : snap.gauges) {
-        recordSample(ringKey('o', name, noLabels), name, noLabels,
-                     Kind::Gauge, value, now_ns);
-    }
-    for (const SeriesValue &s : labeled) {
-        if (s.kind == Kind::Histogram)
-            continue;
-        recordSample(ringKey('t', s.name, s.labels), s.name, s.labels,
-                     s.kind, s.value, now_ns);
+    for (const obs::SeriesValue &s : all) {
+        if (s.kind != obs::Kind::Histogram) {
+            rings_[{s.name, s.labels}].push(now_ns, s.value,
+                                            options_.ringCapacity);
+        }
     }
     ++samples_taken_;
 }
@@ -299,61 +206,27 @@ Sampler::sampleOnce(std::uint64_t now_ns)
 Report
 Sampler::makeReport() const
 {
-    Report report;
+    Report report = liveReport(obs::collect());
     report.intervalMs = options_.intervalMs;
-    // Series born after the last tick have no ring yet but must
-    // still appear (a fresh daemon's first scrape races the first
-    // interval); they get their live value and no rate.
-    const obs::Snapshot snap = obs::takeSnapshot();
-    const std::vector<SeriesValue> labeled = collect();
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        report.samples = samples_taken_;
-        report.series.reserve(rings_.size());
-        for (const auto &[key, e] : rings_) {
-            ReportSeries rs;
-            rs.name = e.name;
-            rs.labels = e.labels;
-            rs.kind = e.kind;
-            const std::size_t n = e.ring.n;
-            if (n == 0)
-                continue;
-            const Ring::Point &last = e.ring.at(n - 1);
-            rs.value = last.value;
-            if (e.kind == Kind::Counter && n >= 2) {
-                const Ring::Point &oldest = e.ring.at(0);
-                const std::uint64_t dt = last.t_ns - oldest.t_ns;
-                if (dt > 0 && last.value >= oldest.value) {
-                    rs.rate = (double)(last.value - oldest.value) *
-                              1e9 / (double)dt;
-                    rs.hasRate = true;
-                }
+    std::lock_guard<std::mutex> lk(mu_);
+    report.samples = samples_taken_;
+    for (ReportSeries &rs : report.series) {
+        const auto it = rings_.find({rs.name, rs.labels});
+        if (it == rings_.end())
+            continue;
+        const Ring &ring = it->second;
+        const Ring::Point &last = ring.at(ring.n - 1);
+        rs.value = last.value;
+        if (rs.kind == obs::Kind::Counter && ring.n >= 2) {
+            const Ring::Point &oldest = ring.at(0);
+            const std::uint64_t dt = last.t_ns - oldest.t_ns;
+            if (dt > 0 && last.value >= oldest.value) {
+                rs.rate = (double)(last.value - oldest.value) * 1e9 /
+                          (double)dt;
+                rs.hasRate = true;
             }
-            report.series.push_back(std::move(rs));
-        }
-        static const std::vector<Label> noLabels;
-        auto addUnsampled = [&](const std::string &key,
-                                const std::string &name,
-                                const std::vector<Label> &labels,
-                                Kind kind, std::int64_t value) {
-            if (rings_.count(key) != 0)
-                return;
-            report.series.push_back({name, labels, kind, value});
-        };
-        for (const auto &[name, value] : snap.counters)
-            addUnsampled(ringKey('o', name, noLabels), name, noLabels,
-                         Kind::Counter, value);
-        for (const auto &[name, value] : snap.gauges)
-            addUnsampled(ringKey('o', name, noLabels), name, noLabels,
-                         Kind::Gauge, value);
-        for (const SeriesValue &s : labeled) {
-            if (s.kind == Kind::Histogram)
-                continue;
-            addUnsampled(ringKey('t', s.name, s.labels), s.name,
-                         s.labels, s.kind, s.value);
         }
     }
-    report.hists = liveHists();
     return report;
 }
 
@@ -367,19 +240,8 @@ Sampler::samples() const
 Report
 Sampler::snapshotReport()
 {
-    Report report;
-    const obs::Snapshot snap = obs::takeSnapshot();
+    Report report = liveReport(obs::collect());
     report.samples = 1;
-    for (const auto &[name, value] : snap.counters)
-        report.series.push_back({name, {}, Kind::Counter, value});
-    for (const auto &[name, value] : snap.gauges)
-        report.series.push_back({name, {}, Kind::Gauge, value});
-    for (const SeriesValue &s : collect()) {
-        if (s.kind == Kind::Histogram)
-            continue;
-        report.series.push_back({s.name, s.labels, s.kind, s.value});
-    }
-    report.hists = liveHists();
     return report;
 }
 

@@ -1,20 +1,21 @@
 /**
  * @file
- * Time-series collection over the obs + telemetry registries
- * (DESIGN.md §15).
+ * Time-series collection over the obs registry (DESIGN.md §15).
  *
- * A Sampler takes periodic point-in-time samples of every scalar
- * instrument — obs counters/gauges and telemetry labeled series —
- * into fixed-size per-series ring buffers of {t, value} points, and
- * derives per-second rates for counters over the ring window. The
- * daemon runs one Sampler on a configurable interval and serves its
- * Report through the METRICS protocol op; `edb-trace top` renders
- * the same Report client-side.
+ * A Sampler takes periodic point-in-time samples of every stored
+ * scalar series — zero-label counters/gauges and labeled series
+ * alike, from one obs::collect() per tick — into fixed-size
+ * per-series ring buffers of {t, value} points, and derives
+ * per-second rates for counters over the ring window. The daemon runs
+ * one Sampler on a configurable interval and serves its Report
+ * through the METRICS protocol op; `edb-trace top` renders the same
+ * Report client-side. Like Prometheus, a Report carries the stored
+ * series only, not the by-name totals that STATS serves.
  *
- * Sampling cost is one obs snapshot merge plus one telemetry collect
- * per tick — microseconds of work against second-scale intervals,
- * and entirely off the request path (the sampler owns its thread and
- * its own mutex; instruments stay lock-free relaxed atomics).
+ * Sampling cost is one collect per tick — microseconds of work
+ * against second-scale intervals, and entirely off the request path
+ * (the sampler owns its thread and its own mutex; instruments stay
+ * lock-free relaxed atomics).
  *
  * Histograms are not ringed: they are already cumulative, so the
  * Report computes count/sum/min/max and interpolated p50/p95/p99
@@ -36,9 +37,10 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "telemetry/telemetry.h"
+#include "obs/obs.h"
 
 namespace edb::telemetry {
 
@@ -56,8 +58,8 @@ struct SamplerOptions
 struct ReportSeries
 {
     std::string name;
-    std::vector<Label> labels;
-    Kind kind = Kind::Counter;
+    std::vector<obs::Label> labels;
+    obs::Kind kind = obs::Kind::Counter;
     std::int64_t value = 0; ///< most recent sample
     /** Per-second rate over the ring window; meaningful only when
      *  hasRate (counters with at least two samples). */
@@ -69,7 +71,7 @@ struct ReportSeries
 struct ReportHist
 {
     std::string name;
-    std::vector<Label> labels;
+    std::vector<obs::Label> labels;
     std::uint64_t count = 0;
     std::uint64_t sum = 0;
     std::uint64_t min = 0;
@@ -117,7 +119,9 @@ class Sampler
      */
     void sampleOnce(std::uint64_t now_ns = 0);
 
-    /** Rings + live histograms, series sorted by (name, labels). */
+    /** Every stored series, sorted by (name, labels): a ringed
+     *  series carries its last sample and (counters) its window rate,
+     *  one born after the last tick its live value and no rate. */
     Report makeReport() const;
 
     std::uint64_t samples() const;
@@ -144,22 +148,12 @@ class Sampler
         const Point &at(std::size_t i) const; ///< 0 = oldest
     };
 
-    struct Entry
-    {
-        std::string name;
-        std::vector<Label> labels;
-        Kind kind = Kind::Counter;
-        Ring ring;
-    };
-
     void threadLoop();
-    void recordSample(const std::string &key, const std::string &name,
-                      const std::vector<Label> &labels, Kind kind,
-                      std::int64_t value, std::uint64_t now_ns);
 
     SamplerOptions options_;
     mutable std::mutex mu_;
-    std::map<std::string, Entry> rings_;
+    /** One ring per scalar series identity (name, labels). */
+    std::map<std::pair<std::string, std::vector<obs::Label>>, Ring> rings_;
     std::uint64_t samples_taken_ = 0;
     std::thread thread_;
     std::mutex wake_mu_;

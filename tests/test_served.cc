@@ -25,7 +25,6 @@
 
 #include "obs/obs.h"
 #include "served/client.h"
-#include "telemetry/telemetry.h"
 #include "served/protocol.h"
 #include "served/registry.h"
 #include "served/server.h"
@@ -766,7 +765,7 @@ TEST_F(ServedServerTest, MetricsReportCarriesOpLatencyQuantiles)
     for (const MetricsHistRow &h : r.hists) {
         if (h.name != "served.request_ns")
             continue;
-        for (const telemetry::Label &l : h.labels) {
+        for (const obs::Label &l : h.labels) {
             if (l.key != "op")
                 continue;
             if (l.value == "HELLO")
@@ -790,7 +789,7 @@ TEST_F(ServedServerTest, MetricsReportCarriesOpLatencyQuantiles)
     for (const MetricsSeriesRow &s : r.series) {
         if (s.name != "served.requests")
             continue;
-        for (const telemetry::Label &l : s.labels) {
+        for (const obs::Label &l : s.labels) {
             if (l.key == "op" && l.value == "HELLO" && s.value > 0)
                 hello_counted = true;
         }
@@ -801,73 +800,92 @@ TEST_F(ServedServerTest, MetricsReportCarriesOpLatencyQuantiles)
 
 namespace {
 
-/** Sum of every tenant-labeled series, by instrument name. */
-struct TenantSums
-{
-    std::int64_t runs = 0;
-    std::int64_t queries = 0;
-    std::int64_t installs = 0;
-    std::int64_t removes = 0;
-    std::int64_t resumes = 0;
-    std::int64_t notifications = 0;
-    std::int64_t runWrites = 0;
-    std::int64_t monitors = 0;
-    std::int64_t pendingHits = 0;
-    std::int64_t openTraces = 0;
-    std::int64_t traceBytes = 0;
+/** The per-tenant quantities: stored as `name{tenant=...}` series,
+ *  served by STATS as totals over the name. */
+const char *const kTenantSeries[] = {
+    "served.runs",          "served.queries",   "served.installs",
+    "served.removes",       "served.resumes",   "served.notifications",
+    "served.run_writes",    "served.monitors",  "served.pending_hits",
+    "served.open_traces",   "served.trace_bytes",
 };
 
-TenantSums
-sumTenantSeries()
+/** Value of `"name": N` in a STATS snapshot JSON; 0 when absent. */
+std::int64_t
+statsValue(const std::string &json, const std::string &name)
 {
-    TenantSums t;
-    for (const telemetry::SeriesValue &s : telemetry::collect()) {
-        bool tenant_labeled = false;
-        for (const telemetry::Label &l : s.labels)
-            tenant_labeled |= l.key == "tenant";
-        if (!tenant_labeled)
-            continue;
-        if (s.name == "served.tenant.runs")
-            t.runs += s.value;
-        else if (s.name == "served.tenant.queries")
-            t.queries += s.value;
-        else if (s.name == "served.tenant.installs")
-            t.installs += s.value;
-        else if (s.name == "served.tenant.removes")
-            t.removes += s.value;
-        else if (s.name == "served.tenant.resumes")
-            t.resumes += s.value;
-        else if (s.name == "served.tenant.notifications")
-            t.notifications += s.value;
-        else if (s.name == "served.tenant.run_writes")
-            t.runWrites += s.value;
-        else if (s.name == "served.tenant.monitors")
-            t.monitors += s.value;
-        else if (s.name == "served.tenant.pending_hits")
-            t.pendingHits += s.value;
-        else if (s.name == "served.tenant.open_traces")
-            t.openTraces += s.value;
-        else if (s.name == "served.tenant.trace_bytes")
-            t.traceBytes += s.value;
-    }
-    return t;
+    const std::string key = "\"" + name + "\": ";
+    const std::size_t at = json.find(key);
+    return at == std::string::npos
+               ? 0
+               : std::stoll(json.substr(at + key.size(), 24));
+}
+
+/** Value of the one-label sample `edb_<name>{label} N` in a
+ *  Prometheus exposition; 0 when absent. */
+std::int64_t
+promValue(const std::string &text, const std::string &name,
+          const std::string &label)
+{
+    std::string family = "edb_" + name;
+    std::replace(family.begin(), family.end(), '.', '_');
+    const std::string key = "\n" + family + "{" + label + "} ";
+    const std::size_t at = text.find(key);
+    return at == std::string::npos
+               ? 0
+               : std::stoll(text.substr(at + key.size(), 24));
 }
 
 } // namespace
 
 TEST_F(ServedServerTest, PerTenantTelemetrySumsMatchObsGlobals)
 {
-    // The differential invariant: every obs process-global update in
-    // the registry has a per-tenant telemetry update at the same call
-    // site, so deltas of the tenant-label sums must equal deltas of
-    // the globals across any workload. (Deltas, because both
-    // registries accumulate across the whole test process.)
-    const obs::Snapshot before = obs::takeSnapshot();
-    const TenantSums tb = sumTenantSeries();
+    // Each per-tenant quantity is stored once, as a tenant-labeled
+    // series; the STATS value of the name is the sum over its series,
+    // derived at read time. The series cap is frozen before bob's
+    // HELLO, so bob's series overflow: read over the wire, the STATS
+    // totals must still move by exactly alice's rows plus the overflow
+    // rows of the Prometheus scrape. (Deltas, because the registry
+    // accumulates across the whole test process; tenant names carry
+    // the fixture serial for the same reason.)
+    const std::string tag = std::to_string(socket_serial_);
+    const std::string alice = "tenant=\"alice." + tag + "\"";
+    const std::string bob = "tenant=\"bob." + tag + "\"";
+    const std::string overflow = "overflow=\"true\"";
 
+    Client wire; // a scraper, not a tenant
+    wire.connect(server_->socketPath());
+    struct Read
     {
-        Client a = connected("alice");
-        Client b = connected("bob");
+        std::string stats;
+        std::string prom;
+    };
+    const auto read = [&wire] {
+        return Read{wire.stats().snapshotJson, wire.metricsText()};
+    };
+    const auto rows = [&](const Read &r, const char *name) {
+        return promValue(r.prom, name, alice) +
+               promValue(r.prom, name, overflow);
+    };
+    const auto expectTotalsMatchRows = [&](const Read &before,
+                                           const Read &after) {
+        for (const char *name : kTenantSeries) {
+            EXPECT_EQ(statsValue(after.stats, name) -
+                          statsValue(before.stats, name),
+                      rows(after, name) - rows(before, name))
+                << name;
+        }
+    };
+
+    const Read r0 = read();
+    {
+        Client a = connected("alice." + tag);
+        struct CapGuard
+        {
+            std::size_t prev =
+                obs::setMaxSeriesForTest(obs::seriesCount());
+            ~CapGuard() { obs::setMaxSeriesForTest(prev); }
+        } frozen;
+        Client b = connected("bob." + tag);
         const OpenResult oa = a.openTrace(file_->path());
         const OpenResult ob = b.openTrace(file_->path());
         const std::uint32_t ma = a.install(file_->writeSpan());
@@ -880,39 +898,33 @@ TEST_F(ServedServerTest, PerTenantTelemetrySumsMatchObsGlobals)
         b.query(q);
         a.resume();
         a.remove(ma);
+
+        // Bob is live: his monitor and trace sit in the overflow rows.
+        const Read mid = read();
+        expectTotalsMatchRows(r0, mid);
+        EXPECT_EQ(mid.prom.find(bob), std::string::npos);
+        EXPECT_EQ(promValue(mid.prom, "served.runs", overflow) -
+                      promValue(r0.prom, "served.runs", overflow),
+                  1);
+        EXPECT_EQ(promValue(mid.prom, "served.monitors", overflow) -
+                      promValue(r0.prom, "served.monitors", overflow),
+                  1);
         a.bye();
         b.bye();
     }
 
-    const obs::Snapshot after = obs::takeSnapshot();
-    const TenantSums ta = sumTenantSeries();
-    const auto cd = [&](const char *name) {
-        return after.counter(name) - before.counter(name);
-    };
-    const auto gd = [&](const char *name) {
-        return after.gauge(name) - before.gauge(name);
-    };
-
-    EXPECT_GT(ta.runs - tb.runs, 0); // the workload did something
-    EXPECT_EQ(ta.runs - tb.runs, cd("served.runs"));
-    EXPECT_EQ(ta.queries - tb.queries, cd("served.queries"));
-    EXPECT_EQ(ta.installs - tb.installs, cd("served.installs"));
-    EXPECT_EQ(ta.removes - tb.removes, cd("served.removes"));
-    EXPECT_EQ(ta.resumes - tb.resumes, cd("served.resumes"));
-    EXPECT_EQ(ta.notifications - tb.notifications,
-              cd("served.notifications"));
-    EXPECT_EQ(ta.runWrites - tb.runWrites, cd("served.run_writes"));
-    EXPECT_EQ(ta.monitors - tb.monitors, gd("served.monitors"));
-    EXPECT_EQ(ta.pendingHits - tb.pendingHits,
-              gd("served.pending_hits"));
-    EXPECT_EQ(ta.openTraces - tb.openTraces, gd("served.open_traces"));
-    EXPECT_EQ(ta.traceBytes - tb.traceBytes, gd("served.trace_bytes"));
-    // Both tenants are gone, so the live-resource deltas are zero on
-    // both sides of the equality.
-    EXPECT_EQ(ta.monitors - tb.monitors, 0);
-    EXPECT_EQ(ta.openTraces - tb.openTraces, 0);
-    EXPECT_EQ(ta.pendingHits - tb.pendingHits, 0);
-    EXPECT_EQ(ta.traceBytes - tb.traceBytes, 0);
+    const Read r1 = read();
+    expectTotalsMatchRows(r0, r1);
+    EXPECT_EQ(statsValue(r1.stats, "served.runs") -
+                  statsValue(r0.stats, "served.runs"),
+              3);
+    EXPECT_EQ(rows(r1, "served.queries") - rows(r0, "served.queries"), 1);
+    // Both tenants are gone, so every live-resource total is back.
+    for (const char *name : {"served.monitors", "served.open_traces",
+                             "served.pending_hits", "served.trace_bytes"}) {
+        EXPECT_EQ(statsValue(r1.stats, name), statsValue(r0.stats, name))
+            << name;
+    }
 }
 
 #endif // EDB_OBS_ENABLED

@@ -1,16 +1,17 @@
 /**
  * @file
- * Tests for edb::telemetry — labeled domains, the cardinality cap's
- * overflow behavior, the time-series sampler's rate derivation, the
- * Prometheus exposition, and a TSan-facing concurrency stress. The
- * labeled registry is process-global and accumulates across suites,
- * so every assertion here is delta-based or uses test-unique names.
+ * Tests for labeled obs series and the edb::telemetry exporters —
+ * label domains, the cardinality cap's overflow series, the
+ * time-series sampler's rate derivation, the Prometheus exposition,
+ * and a TSan-facing concurrency stress. The obs registry is
+ * process-global and accumulates across suites, so every assertion
+ * here is delta-based or uses test-unique names.
  */
 
 #include <gtest/gtest.h>
 
+#include "obs/obs.h"
 #include "telemetry/prom.h"
-#include "telemetry/telemetry.h"
 #include "telemetry/timeseries.h"
 
 #if EDB_OBS_ENABLED
@@ -28,6 +29,17 @@
 
 namespace edb::telemetry {
 namespace {
+
+using obs::collect;
+using obs::Domain;
+using obs::HistSeries;
+using obs::Kind;
+using obs::Label;
+using obs::maxLabelValueBytes;
+using obs::Series;
+using obs::SeriesValue;
+using obs::seriesCount;
+using obs::setMaxSeriesForTest;
 
 /** Find one collected series by (name, single label value). */
 const SeriesValue *
@@ -52,21 +64,21 @@ TEST(TelemetryDomain, RejectsTooManyLabels)
     std::vector<Label> five;
     for (int i = 0; i < 5; ++i)
         five.push_back({"k" + std::to_string(i), "v"});
-    EXPECT_THROW(TelemetryDomain{five}, std::invalid_argument);
+    EXPECT_THROW(Domain{five}, std::invalid_argument);
     // Exactly maxLabelsPerDomain is fine...
     five.pop_back();
-    EXPECT_NO_THROW(TelemetryDomain{five});
+    EXPECT_NO_THROW(Domain{five});
     // ...and with() pushing past the cap throws again.
-    TelemetryDomain four{five};
+    Domain four{five};
     EXPECT_THROW(four.with("k9", "v"), std::invalid_argument);
 }
 
 TEST(TelemetryDomain, RejectsEmptyAndDuplicateKeys)
 {
-    EXPECT_THROW(TelemetryDomain({{"", "v"}}), std::invalid_argument);
-    EXPECT_THROW(TelemetryDomain({{"k", "a"}, {"k", "b"}}),
+    EXPECT_THROW(Domain({{"", "v"}}), std::invalid_argument);
+    EXPECT_THROW(Domain({{"k", "a"}, {"k", "b"}}),
                  std::invalid_argument);
-    TelemetryDomain d{{"k", "a"}};
+    Domain d{{"k", "a"}};
     EXPECT_THROW(d.with("k", "b"), std::invalid_argument);
     EXPECT_NO_THROW(d.with("j", "b"));
 }
@@ -76,14 +88,14 @@ TEST(TelemetryDomain, TruncatesLongLabelValues)
     // Values are truncated, never rejected: a tenant's name must not
     // be able to fail its own HELLO.
     const std::string longValue(3 * maxLabelValueBytes, 'x');
-    TelemetryDomain d{{"tenant", longValue}};
+    Domain d{{"tenant", longValue}};
     ASSERT_EQ(d.labels().size(), 1u);
     EXPECT_EQ(d.labels()[0].value.size(), maxLabelValueBytes);
 }
 
 TEST(TelemetrySeries, CounterGaugeHistogramCollect)
 {
-    TelemetryDomain d{{"tenant", "tt-collect"}};
+    Domain d{{"tenant", "tt-collect"}};
     Series c = d.counter("test.telemetry.collect_c");
     Series g = d.gauge("test.telemetry.collect_g");
     HistSeries h = d.histogram("test.telemetry.collect_h");
@@ -123,12 +135,12 @@ TEST(TelemetrySeries, SameIdentitySharesOneCell)
     // Re-interning the identical (name, labels) — e.g. a tenant
     // reconnecting under the same name — resumes the same cell
     // instead of minting a new series.
-    TelemetryDomain a{{"tenant", "tt-shared"}};
+    Domain a{{"tenant", "tt-shared"}};
     Series s1 = a.counter("test.telemetry.shared");
     s1.inc();
     const std::size_t before = seriesCount();
 
-    TelemetryDomain b{{"tenant", "tt-shared"}};
+    Domain b{{"tenant", "tt-shared"}};
     Series s2 = b.counter("test.telemetry.shared");
     s2.add(2);
     EXPECT_EQ(seriesCount(), before);
@@ -142,7 +154,7 @@ TEST(TelemetrySeries, SameIdentitySharesOneCell)
 
 TEST(TelemetrySeries, KindConflictThrows)
 {
-    TelemetryDomain d{{"tenant", "tt-kind"}};
+    Domain d{{"tenant", "tt-kind"}};
     (void)d.counter("test.telemetry.kind_conflict");
     EXPECT_THROW((void)d.gauge("test.telemetry.kind_conflict"),
                  std::invalid_argument);
@@ -152,37 +164,81 @@ TEST(TelemetrySeries, KindConflictThrows)
 
 TEST(TelemetrySeries, CardinalityCapRoutesToOverflowCell)
 {
-    // Freeze the cap at the current population: the very next new
-    // identity must land in the shared overflow cell — attribution
-    // degrades, the process does not abort, and the cell shows up
-    // in collect() under its reserved name.
+    // Freeze the cap at the current population: every new identity
+    // must land in its name's overflow series, {overflow="true"} —
+    // attribution degrades, the process does not abort, each kind
+    // keeps its own series, and the name's total stays exact.
     const std::size_t prev = setMaxSeriesForTest(seriesCount());
     const std::size_t frozen = seriesCount();
 
     const std::vector<SeriesValue> pre = collect();
-    const SeriesValue *ov0 = findSeries(pre, "telemetry.overflow", "");
-    const std::int64_t base = ov0 != nullptr ? ov0->value : 0;
+    const obs::Snapshot snap0 = obs::takeSnapshot();
+    const auto preValue = [&pre](const char *name) -> std::int64_t {
+        const SeriesValue *s = findSeries(pre, name, "true");
+        return s != nullptr ? s->value : 0;
+    };
 
-    TelemetryDomain d{{"tenant", "tt-overflow-newcomer"}};
-    Series s = d.counter("test.telemetry.capped");
-    s.add(41);
-    s.inc();
+    Domain d{{"tenant", "tt-overflow-newcomer"}};
+    Series c = d.counter("test.telemetry.capped");
+    c.add(41);
+    c.inc();
+    // A late tenant's install + open: the gauges overflow too.
+    Series g = d.gauge("test.telemetry.capped_g");
+    g.add(4096);
+    const std::vector<SeriesValue> mid = collect();
+    // ...then its remove + close.
+    g.sub(4095);
+    HistSeries hs = d.histogram("test.telemetry.capped_hist");
+    hs.observe(7);
 
     EXPECT_EQ(seriesCount(), frozen);
     const std::vector<SeriesValue> capped = collect();
-    const SeriesValue *ov = findSeries(capped, "telemetry.overflow", "");
+    EXPECT_EQ(findSeries(capped, "test.telemetry.capped",
+                         "tt-overflow-newcomer"),
+              nullptr);
+    const SeriesValue *ov =
+        findSeries(capped, "test.telemetry.capped", "true");
     ASSERT_NE(ov, nullptr);
-    EXPECT_EQ(ov->labels.size(), 0u);
-    EXPECT_EQ(ov->value, base + 42);
-
-    // Histograms overflow into their own shared cell.
-    HistSeries hs = d.histogram("test.telemetry.capped_hist");
-    hs.observe(7);
-    const std::vector<SeriesValue> afterHist = collect();
+    ASSERT_EQ(ov->labels.size(), 1u);
+    EXPECT_EQ(ov->labels[0].key, "overflow");
+    EXPECT_EQ(ov->kind, Kind::Counter);
+    EXPECT_EQ(ov->value, preValue("test.telemetry.capped") + 42);
+    const SeriesValue *ovg =
+        findSeries(capped, "test.telemetry.capped_g", "true");
+    ASSERT_NE(ovg, nullptr);
+    EXPECT_EQ(ovg->kind, Kind::Gauge);
+    EXPECT_EQ(ovg->value, preValue("test.telemetry.capped_g") + 1);
     const SeriesValue *ovh =
-        findSeries(afterHist, "telemetry.overflow_hist", "");
+        findSeries(capped, "test.telemetry.capped_hist", "true");
     ASSERT_NE(ovh, nullptr);
-    EXPECT_GE(ovh->hist.count, 1u);
+    EXPECT_EQ(ovh->kind, Kind::Histogram);
+    EXPECT_EQ(ovh->value, preValue("test.telemetry.capped_hist") + 1);
+
+    // No counter series decreases between two reads.
+    for (const SeriesValue &a : mid) {
+        if (a.kind != Kind::Counter)
+            continue;
+        for (const SeriesValue &b : capped) {
+            if (b.name == a.name && b.labels == a.labels) {
+                EXPECT_GE(b.value, a.value) << a.name;
+            }
+        }
+    }
+
+    // Each name's derived total includes the overflowed updates.
+    const obs::Snapshot snap = obs::takeSnapshot();
+    EXPECT_EQ(snap.counter("test.telemetry.capped") -
+                  snap0.counter("test.telemetry.capped"),
+              42);
+    EXPECT_EQ(snap.gauge("test.telemetry.capped_g") -
+                  snap0.gauge("test.telemetry.capped_g"),
+              1);
+    const obs::HistogramValue *h0 =
+        snap0.histogram("test.telemetry.capped_hist");
+    const obs::HistogramValue *h =
+        snap.histogram("test.telemetry.capped_hist");
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->count - (h0 != nullptr ? h0->count : 0), 1u);
 
     setMaxSeriesForTest(prev);
 
@@ -197,7 +253,7 @@ TEST(TelemetrySeries, CardinalityCapRoutesToOverflowCell)
 
 TEST(TelemetrySampler, CounterRateFromInjectedTimestamps)
 {
-    TelemetryDomain d{{"tenant", "tt-rate"}};
+    Domain d{{"tenant", "tt-rate"}};
     Series c = d.counter("test.telemetry.rate");
     c.add(0); // intern before the first tick
 
@@ -226,7 +282,7 @@ TEST(TelemetrySampler, CounterRateFromInjectedTimestamps)
 
 TEST(TelemetrySampler, RingWrapNarrowsTheRateWindow)
 {
-    TelemetryDomain d{{"tenant", "tt-wrap"}};
+    Domain d{{"tenant", "tt-wrap"}};
     Series c = d.counter("test.telemetry.wrap");
     c.add(0);
 
@@ -255,7 +311,7 @@ TEST(TelemetrySampler, RingWrapNarrowsTheRateWindow)
 
 TEST(TelemetrySampler, GaugesNeverCarryRates)
 {
-    TelemetryDomain d{{"tenant", "tt-gaugerate"}};
+    Domain d{{"tenant", "tt-gaugerate"}};
     Series g = d.gauge("test.telemetry.gauge_rate");
     g.add(5);
 
@@ -270,7 +326,7 @@ TEST(TelemetrySampler, GaugesNeverCarryRates)
 
 TEST(TelemetrySampler, SnapshotReportHasValuesButNoRates)
 {
-    TelemetryDomain d{{"tenant", "tt-snap"}};
+    Domain d{{"tenant", "tt-snap"}};
     Series c = d.counter("test.telemetry.snap");
     c.add(9);
 
@@ -319,7 +375,7 @@ TEST(TelemetryJson, ReportSchemaAndShape)
 TEST(TelemetryProm, ExpositionIsWellFormed)
 {
     // Populate at least one labeled series of each kind.
-    TelemetryDomain d{{"tenant", "tt-prom"}};
+    Domain d{{"tenant", "tt-prom"}};
     d.counter("test.telemetry.prom_c").add(3);
     d.gauge("test.telemetry.prom_g").add(1);
     HistSeries h = d.histogram("test.telemetry.prom_h");
@@ -397,7 +453,7 @@ TEST(TelemetryStress, ConcurrentDomainsCollectAndSample)
         workers.emplace_back([t] {
             // Four distinct tenants, interned racily from two
             // threads each.
-            TelemetryDomain d{
+            Domain d{
                 {"tenant", "tt-stress-" + std::to_string(t % 4)}};
             Series c = d.counter("test.telemetry.stress");
             HistSeries h = d.histogram("test.telemetry.stress_h");
