@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "obs/obs.h"
+#include "sim/block_planner.h"
 
 namespace edb::served {
 
@@ -145,6 +146,9 @@ Tenant::~Tenant()
 void
 Tenant::installEngine(const AddrRange &r)
 {
+    // Pages first: should either step throw, the tracker is left
+    // over-counting, which only makes a plan skip less.
+    live_pages_.add(r);
     if (adaptive_)
         adaptive_->installMonitor(r);
     else
@@ -158,6 +162,7 @@ Tenant::removeEngine(const AddrRange &r)
         adaptive_->removeMonitor(r);
     else
         software_.removeMonitor(r);
+    live_pages_.remove(r);
 }
 
 OpenResult
@@ -215,9 +220,21 @@ Tenant::install(const AddrRange &r)
                 " bytes; the per-monitor quota is " +
                 std::to_string(owner_.quotas().maxMonitorBytes));
     }
+    // The engine's index works on the word-aligned hull: an empty
+    // range has none, and a range ending in the last word's padding
+    // would wrap it to address 0.
+    if (r.empty() || wordAlignUp(r.end) < r.end) {
+        throw ServedError(ErrCode::MalformedPayload,
+                          "monitor " + r.str() +
+                              (r.empty() ? " is empty"
+                                         : " ends past the last whole "
+                                           "word of the address space"));
+    }
+    // Register only once the engine has accepted the range, so a
+    // throwing install leaves no monitor the engine does not hold.
+    installEngine(r);
     const std::uint32_t id = next_monitor_++;
     monitors_.emplace(id, Monitor{r, true});
-    installEngine(r);
     monitors_stat_.store(monitors_.size(), std::memory_order_relaxed);
     t_installs_.inc();
     t_monitors_.add(1);
@@ -342,6 +359,24 @@ Tenant::traceHandle(std::uint32_t traceId)
     return it->second;
 }
 
+std::uint64_t
+Tenant::screen(const trace::WriteBatch &batch)
+{
+    if (!adaptive_) {
+        return software_.checkWrites(batch.wrBegin.data(),
+                                     batch.wrSize.data(),
+                                     batch.wrAux.data(), batch.writes);
+    }
+    // Every lane passes: the adaptive cost model counts each miss.
+    std::uint64_t hits = 0;
+    for (std::size_t k = 0; k < batch.writes; ++k) {
+        const Addr b = batch.wrBegin[k];
+        hits += adaptive_->checkWrite(AddrRange(b, b + batch.wrSize[k]),
+                                      batch.wrAux[k]);
+    }
+    return hits;
+}
+
 LiveRunResult
 Tenant::runLive(std::uint32_t traceId)
 {
@@ -351,20 +386,27 @@ Tenant::runLive(std::uint32_t traceId)
     const std::uint64_t before =
         notifications_.load(std::memory_order_relaxed);
 
+    // Live mode ignores session installs and removes, so the monitored
+    // set is fixed for the whole walk: a static plan over it skips
+    // every block whose writes cannot reach an enabled monitor.
+    sim::BlockPlanner planner(t->mapped,
+                              adaptive_ ? nullptr : &live_pages_);
+    sim::BlockPlanner::Step step;
+    trace::WriteBatch batch;
     LiveRunResult res;
-    std::vector<trace::Event> buf(t->mapped.largestBlockEvents());
-    for (std::size_t b = 0; b < t->mapped.blockCount(); ++b) {
-        const auto &blk = t->mapped.block(b);
-        t->mapped.decodeBlock(b, buf.data());
-        for (std::uint64_t i = 0; i < blk.events; ++i) {
-            const trace::Event &e = buf[i];
-            if (e.kind != trace::EventKind::Write)
-                continue; // live mode ignores session install/remove
-            ++res.writes;
-            if (checkWrite(e.range(), e.aux))
-                ++res.hits;
-        }
+    while (planner.next(step)) {
+        t->mapped.decodeBlockBatch(step.block, batch);
+        res.writes += batch.writes;
+        res.hits += screen(batch);
+        if (subscribed_ && flush_)
+            flush_();
     }
+    planner.publish();
+    const std::uint64_t skipped = planner.stats().writesSkipped;
+    res.writes += skipped;
+    if (!adaptive_)
+        software_.countMisses(skipped);
+
     res.notifications =
         notifications_.load(std::memory_order_relaxed) - before;
     runs_.fetch_add(1, std::memory_order_relaxed);
@@ -447,11 +489,24 @@ Tenant::query(const WireQuery &q)
 
 void
 Tenant::subscribe(bool on,
-                  std::function<void(const EventOut &)> sink)
+                  std::function<void(const EventOut &)> sink,
+                  std::function<void()> flush)
 {
     std::lock_guard<std::mutex> lk(mu_);
     subscribed_ = on;
     sink_ = on ? std::move(sink) : nullptr;
+    flush_ = on ? std::move(flush) : nullptr;
+}
+
+Tenant::EngineStats
+Tenant::engineStats()
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    EngineStats s;
+    s.software = software_.stats();
+    if (adaptive_)
+        s.adaptive = adaptive_->stats();
+    return s;
 }
 
 // ---- Registry ------------------------------------------------------

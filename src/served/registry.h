@@ -45,6 +45,7 @@
 #include "served/protocol.h"
 #include "session/session.h"
 #include "sim/counters.h"
+#include "sim/relevance.h"
 #include "sim/simulator.h"
 #include "trace/trace_io.h"
 #include "util/thread_pool.h"
@@ -249,7 +250,9 @@ class Tenant
     /** Map a trace (through the shared cache) into this tenant. */
     OpenResult openTrace(const std::string &path);
 
-    /** Install a live monitor over [r.begin, r.end). */
+    /** Install a live monitor over [r.begin, r.end). An empty range,
+     *  or one whose word-aligned hull would run past the end of the
+     *  address space, is ServedError(MalformedPayload). */
     std::uint32_t install(const AddrRange &r);
     void remove(std::uint32_t monitorId);
     /** Disable: keep the registration, stop notifications (mgsim's
@@ -265,6 +268,13 @@ class Tenant
      * monitors. Hits accumulate in the pending set (for RESUME) and
      * stream to the subscriber sink when subscribed. Executes on the
      * caller's thread — the server wraps it in a pool task.
+     *
+     * The walk is a static sim::BlockPlanner plan: blocks whose write
+     * summary misses every enabled monitor are skipped undecoded
+     * (their writes count as engine misses), the rest decode in
+     * column form and screen 64 writes per index probe. The adaptive
+     * engine's plan skips nothing and its screen passes every write,
+     * since its cost model counts every miss (DESIGN.md §13.3).
      */
     LiveRunResult runLive(std::uint32_t traceId);
 
@@ -279,9 +289,21 @@ class Tenant
     /** Answer a wire query over an open trace via edb::query. */
     QueryReply query(const WireQuery &q);
 
-    /** Toggle streaming; the sink receives EventOut from runLive. */
+    /** Toggle streaming; the sink receives EventOut from runLive,
+     *  and `flush`, when given, is called at each block boundary of
+     *  a live RUN so a buffering sink can push its events out. */
     void subscribe(bool on,
-                   std::function<void(const EventOut &)> sink);
+                   std::function<void(const EventOut &)> sink,
+                   std::function<void()> flush = {});
+
+    /** The engine's lifetime counters; the member that matches the
+     *  tenant's Engine is the meaningful one. */
+    struct EngineStats
+    {
+        wms::SoftwareWmsStats software;
+        wms::AdaptiveWmsStats adaptive;
+    };
+    EngineStats engineStats();
 
     /** @name Stats-visible counters (atomic; never block) */
     /// @{
@@ -327,13 +349,11 @@ class Tenant
     std::shared_ptr<const SharedTrace>
     traceHandle(std::uint32_t traceId);
 
-    bool
-    checkWrite(const AddrRange &w, Addr pc)
-    {
-        return adaptive_ ? adaptive_->checkWrite(w, pc)
-                         : software_.checkWrite(w, pc);
-    }
+    /** Check a decoded block's writes against the engine, in stream
+     *  order; returns the hits. */
+    std::uint64_t screen(const trace::WriteBatch &batch);
 
+    /** Arm / disarm a monitor range in the engine and in live_pages_. */
     void installEngine(const AddrRange &r);
     void removeEngine(const AddrRange &r);
 
@@ -344,6 +364,9 @@ class Tenant
     std::mutex mu_;
     wms::SoftwareWms software_;
     std::unique_ptr<wms::AdaptiveWms> adaptive_; ///< when Engine::Adaptive
+    /** Summary pages of the enabled monitors: the static relevance
+     *  set of a live RUN's plan. */
+    sim::SummaryPageTracker live_pages_;
     std::map<std::uint32_t, Monitor> monitors_;
     std::uint32_t next_monitor_ = 1;
     std::map<std::uint32_t, std::shared_ptr<const SharedTrace>>
@@ -355,6 +378,7 @@ class Tenant
     std::uint64_t next_seq_ = 1;
     bool subscribed_ = false;
     std::function<void(const EventOut &)> sink_;
+    std::function<void()> flush_;
 
     std::atomic<std::size_t> monitors_stat_{0};
     std::atomic<std::size_t> traces_stat_{0};

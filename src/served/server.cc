@@ -176,6 +176,10 @@ bindUnixListener(const std::string &path)
 
 } // namespace
 
+/** Buffered EVT bytes at which sendEvent() writes them out without
+ *  waiting for a block boundary or a reply. */
+constexpr std::size_t evtFlushBytes = 32 * 1024;
+
 /** Per-connection state shared between the reader thread, the pool
  *  workers executing its requests, and stop(). */
 struct Server::Conn
@@ -184,6 +188,9 @@ struct Server::Conn
      *  under write_mu. */
     int fd = -1;
     std::mutex write_mu;
+    /** Encoded EVT frames not yet written, under write_mu. Every
+     *  OK/ERR frame goes out behind them, in the same write. */
+    std::vector<std::uint8_t> evts;
     std::shared_ptr<Tenant> tenant;
     std::atomic<bool> dead{false};
     /** Set as the reader thread's last act: joining is then prompt. */
@@ -713,9 +720,9 @@ Server::dispatchRequest(Conn &conn, const Frame &frame)
             rd.requireEnd();
             Conn *raw = &conn;
             tenant->subscribe(
-                on, [this, raw](const EventOut &e) {
-                    sendEvent(*raw, e);
-                });
+                on,
+                [this, raw](const EventOut &e) { sendEvent(*raw, e); },
+                [this, raw] { flushEvents(*raw); });
             return sendOk(conn, op, PayloadWriter{});
           }
           default:
@@ -775,25 +782,45 @@ Server::sendEvent(Conn &conn, const EventOut &event)
     w.putU64(event.written.begin);
     w.putU64(event.written.end);
     w.putU64(event.pc);
-    return sendFrame(conn, Op::Event, w.bytes());
+    std::lock_guard<std::mutex> lk(conn.write_mu);
+    if (conn.dead.load(std::memory_order_acquire))
+        return false;
+    encodeFrame(conn.evts, Op::Event, w.bytes());
+    return conn.evts.size() < evtFlushBytes || writeEventsLocked(conn);
+}
+
+bool
+Server::flushEvents(Conn &conn)
+{
+    std::lock_guard<std::mutex> lk(conn.write_mu);
+    if (conn.dead.load(std::memory_order_acquire))
+        return false;
+    return conn.evts.empty() || writeEventsLocked(conn);
+}
+
+bool
+Server::writeEventsLocked(Conn &conn)
+{
+    const bool ok = writeAll(conn.fd, conn.evts.data(), conn.evts.size());
+    if (ok)
+        EDB_OBS_ADD(obsBytesOut, conn.evts.size());
+    else
+        conn.dead.store(true, std::memory_order_release);
+    conn.evts.clear();
+    return ok;
 }
 
 bool
 Server::sendFrame(Conn &conn, Op op,
                   const std::vector<std::uint8_t> &body)
 {
-    std::vector<std::uint8_t> wire;
-    wire.reserve(frameHeaderBytes + body.size());
-    encodeFrame(wire, op, body);
     std::lock_guard<std::mutex> lk(conn.write_mu);
     if (conn.dead.load(std::memory_order_acquire))
         return false;
-    if (!writeAll(conn.fd, wire.data(), wire.size())) {
-        conn.dead.store(true, std::memory_order_release);
-        return false;
-    }
-    EDB_OBS_ADD(obsBytesOut, wire.size());
-    return true;
+    // Behind any buffered EVTs, in one write: a RUN's events always
+    // reach the client before its reply.
+    encodeFrame(conn.evts, op, body);
+    return writeEventsLocked(conn);
 }
 
 } // namespace edb::served

@@ -137,7 +137,13 @@ class Server
                 const PayloadWriter &payload);
     bool sendErr(Conn &conn, std::uint8_t req_op, ErrCode code,
                  std::uint64_t offset, const std::string &message);
+    /** Buffer one EVT frame; written at the next flushEvents(), the
+     *  next OK/ERR, or once evtFlushBytes accumulate. */
     bool sendEvent(Conn &conn, const EventOut &event);
+    bool flushEvents(Conn &conn);
+    /** Write out (and clear) conn.evts; write_mu held. */
+    bool writeEventsLocked(Conn &conn);
+    /** Send one reply frame behind any buffered EVTs. */
     bool sendFrame(Conn &conn, Op op,
                    const std::vector<std::uint8_t> &body);
 

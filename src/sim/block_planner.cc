@@ -21,8 +21,16 @@ static_assert(trace::summaryPageBytes %
 
 BlockPlanner::BlockPlanner(const trace::MappedTrace &trace,
                            const session::SessionSet &sessions)
-    : trace_(trace), sessions_(sessions), index_(trace.index()),
-      scratch_(trace.largestBlockEvents())
+    : trace_(trace), sessions_(&sessions), index_(trace.index()),
+      monitored_(&pages_), scratch_(trace.largestBlockEvents())
+{
+    stats_.blocksTotal = trace.blockCount();
+}
+
+BlockPlanner::BlockPlanner(const trace::MappedTrace &trace,
+                           const SummaryPageTracker *monitored)
+    : trace_(trace), sessions_(nullptr), index_(trace.index()),
+      monitored_(monitored)
 {
     stats_.blocksTotal = trace.blockCount();
 }
@@ -39,6 +47,10 @@ bool
 BlockPlanner::next(Step &step)
 {
     EDB_ASSERT(!owed_, "a Full step's controls were not advanced");
+    // In static mode the relevance set never changes and controls
+    // never matter: a summary miss alone retires a block, or a whole
+    // superblock, pure or mixed (DESIGN.md §11.2).
+    const bool fixed = sessions_ == nullptr;
     while (next_ < trace_.blockCount()) {
         const std::size_t b = next_;
         // Tree descent (DESIGN.md §16): a superblock with no control
@@ -48,9 +60,8 @@ BlockPlanner::next(Step &step)
         if (index_ != nullptr &&
             (b & (trace::traceIndexSuperSpan - 1)) == 0) {
             const trace::IndexNode &super = index_->superOf(b);
-            if (super.pureWrites() && super.writes > 0 &&
-                !pages_.anyMonitored(super.runs.begin(),
-                                     super.runs.size())) {
+            if ((fixed || (super.pureWrites() && super.writes > 0)) &&
+                misses(super.runs.begin(), super.runs.size())) {
                 retire(super.blocks, super.writes);
                 index_elided_ += super.blocks;
                 continue;
@@ -60,16 +71,16 @@ BlockPlanner::next(Step &step)
         // The writes can matter only if their summary touches a page
         // monitored before the block ...
         const bool writes_miss =
-            blk.writes > 0 &&
-            !pages_.anyMonitored(blk.runs.begin(), blk.runs.size());
-        if (writes_miss && blk.pureWrites()) {
+            (fixed || blk.writes > 0) &&
+            misses(blk.runs.begin(), blk.runs.size());
+        if (writes_miss && (fixed || blk.pureWrites())) {
             retire(1, blk.writes);
             continue;
         }
         ++next_;
         step = Step{b, Action::Full, nullptr,
                     (std::size_t)blk.controls()};
-        owed_ = step.controls > 0;
+        owed_ = !fixed && step.controls > 0;
         if (writes_miss) {
             // ... or one the block itself installs (removes only
             // shrink the set). Decode just the control group to ask,
@@ -119,6 +130,7 @@ BlockPlanner::fold(const trace::Event *ctl, std::size_t n,
 const trace::Event *
 BlockPlanner::controlsOf(Step &step)
 {
+    EDB_ASSERT(sessions_ != nullptr, "static plans carry no controls");
     if (step.ctl == nullptr && step.controls > 0) {
         trace_.decodeBlockControl(step.block, scratch_.data());
         step.ctl = scratch_.data();

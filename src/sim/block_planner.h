@@ -17,6 +17,12 @@
  *  - Full: everything else, decoded and replayed whole.
  *
  * The front ends only execute the plan, inline or sharded.
+ *
+ * Live RUN in edb-served plans in *static mode*: its relevance set is
+ * fixed for the whole walk (the summary pages of the tenant's enabled
+ * monitors) and install/remove events are never relevant, so any
+ * block whose write summary misses the set is Skipped, pure or mixed,
+ * with no control decode.
  */
 
 #ifndef EDB_SIM_BLOCK_PLANNER_H
@@ -58,8 +64,20 @@ class BlockPlanner
         std::size_t controls = 0;
     };
 
+    /** Session mode: the relevance set is the summary pages under
+     *  live session-relevant objects, tracked as the plan folds each
+     *  block's installs and removes. */
     BlockPlanner(const trace::MappedTrace &trace,
                  const session::SessionSet &sessions);
+
+    /**
+     * Static mode: the relevance set is `monitored`, which must not
+     * change while the planner lives, or every page when it is null
+     * (a consumer that must see every write). Steps are always Full
+     * and never owe advance().
+     */
+    BlockPlanner(const trace::MappedTrace &trace,
+                 const SummaryPageTracker *monitored);
 
     /**
      * Retire the skippable blocks up to the next block that needs
@@ -87,7 +105,13 @@ class BlockPlanner
   private:
     bool relevant(trace::ObjectId obj) const
     {
-        return !sessions_.sessionsOf(obj).empty();
+        return !sessions_->sessionsOf(obj).empty();
+    }
+
+    /** True when no page of `runs` is in the relevance set. */
+    bool misses(const trace::PageRun *runs, std::size_t n) const
+    {
+        return monitored_ != nullptr && !monitored_->anyMonitored(runs, n);
     }
 
     /** Count `blocks` blocks holding `writes` writes as Skipped. */
@@ -100,10 +124,15 @@ class BlockPlanner
               const trace::PageRun *runs, std::size_t nruns);
 
     const trace::MappedTrace &trace_;
-    const session::SessionSet &sessions_;
+    /** Null in static mode. */
+    const session::SessionSet *sessions_;
     const trace::TraceIndex *index_;
-    /** Summary page -> live session-relevant objects touching it. */
+    /** Session mode: summary page -> live session-relevant objects
+     *  touching it. */
     SummaryPageTracker pages_;
+    /** The relevance set the skip probes: &pages_ in session mode;
+     *  in static mode the caller's set, null for every page. */
+    const SummaryPageTracker *monitored_;
     /** Control decode buffer for the mixed-block probe. */
     std::vector<trace::Event> scratch_;
     std::size_t next_ = 0;

@@ -48,7 +48,8 @@ SimResult simulate(const trace::Trace &trace,
 struct BlockSkipStats
 {
     std::uint64_t blocksTotal = 0;
-    /** Pure-write blocks skipped without decoding a single byte. */
+    /** Blocks skipped without decoding a single byte: pure-write
+     *  blocks, or any block under a static plan (block_planner.h). */
     std::uint64_t blocksSkipped = 0;
     /** Mixed blocks whose writes were skipped: only the (small)
      *  control column group was decoded and replayed. */

@@ -82,6 +82,29 @@ class SoftwareWms : public WriteMonitorService
         return checkWrite(AddrRange(addr, addr + size), pc);
     }
 
+    /**
+     * The per-write check over writes in column form: write i covers
+     * [begin[i], begin[i] + size[i]) and was made at pc[i]. Screens
+     * 64 writes per MonitorIndex::lookupRangesBatch() probe, then
+     * notifies the hits in stream order from the screen's answer,
+     * without a second lookup. Equivalent to n checkWrite() calls,
+     * stats() included, provided the handler leaves the monitor set
+     * alone.
+     *
+     * @return The number of writes that hit.
+     */
+    std::uint64_t checkWrites(const Addr *begin,
+                              const std::uint32_t *size,
+                              const std::uint32_t *pc, std::size_t n);
+
+    /**
+     * Count n writes as misses without looking them up, for a caller
+     * that has proven none of them can hit (a block summary that
+     * misses every monitored page). Keeps stats() equal to checking
+     * them one by one.
+     */
+    void countMisses(std::uint64_t n) { stats_.misses += n; }
+
     /** Direct access to the underlying address->monitor index. */
     const MonitorIndex &index() const { return index_; }
 

@@ -15,12 +15,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "obs/obs.h"
@@ -30,6 +34,7 @@
 #include "served/server.h"
 #include "session/session.h"
 #include "sim/simulator.h"
+#include "testing/live_oracle.h"
 #include "testing/random_trace.h"
 #include "trace/trace_io.h"
 
@@ -648,6 +653,205 @@ TEST_F(ServedServerTest, NotificationStreamIsOrderedAndComplete)
     c.run(open.traceId);
     EXPECT_TRUE(c.takeEvents().empty());
     c.bye();
+}
+
+/** A bare Unix-socket client that reads the server's byte stream one
+ *  byte per recv(), with no frame decoder in the way. */
+class OneByteClient
+{
+  public:
+    explicit OneByteClient(const std::string &path)
+    {
+        fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        sockaddr_un addr{};
+        addr.sun_family = AF_UNIX;
+        std::strncpy(addr.sun_path, path.c_str(),
+                     sizeof addr.sun_path - 1);
+        EXPECT_EQ(::connect(fd_, (const sockaddr *)&addr, sizeof addr),
+                  0);
+    }
+    ~OneByteClient() { ::close(fd_); }
+
+    void
+    send(Op op, const PayloadWriter &w)
+    {
+        std::vector<std::uint8_t> wire;
+        encodeFrame(wire, op, w.bytes());
+        ASSERT_EQ(::send(fd_, wire.data(), wire.size(), MSG_NOSIGNAL),
+                  (ssize_t)wire.size());
+    }
+
+    /** One whole frame, header included, read a byte at a time. */
+    std::vector<std::uint8_t>
+    frame()
+    {
+        std::vector<std::uint8_t> out = bytes(frameHeaderBytes);
+        std::uint32_t len = 0;
+        for (int i = 0; i < 4; ++i)
+            len |= (std::uint32_t)out[i] << (8 * i);
+        const std::vector<std::uint8_t> body = bytes(len);
+        out.insert(out.end(), body.begin(), body.end());
+        return out;
+    }
+
+    /** The reply to a request: the frame, which must be an OK. */
+    std::vector<std::uint8_t>
+    ok()
+    {
+        std::vector<std::uint8_t> f = frame();
+        EXPECT_EQ((Op)f.at(4), Op::Ok);
+        return f;
+    }
+
+  private:
+    std::vector<std::uint8_t>
+    bytes(std::size_t n)
+    {
+        std::vector<std::uint8_t> out(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            const ssize_t got = ::recv(fd_, &out[i], 1, 0);
+            if (got != 1) {
+                ADD_FAILURE() << "stream ended after " << i << " of "
+                              << n << " bytes";
+                out.resize(i);
+                break;
+            }
+        }
+        return out;
+    }
+
+    int fd_ = -1;
+};
+
+TEST_F(ServedServerTest, EvtFramesByteIdenticalAndBeforeTheRunReply)
+{
+    // Long enough for its EVTs to cross the server's 32 KiB flush
+    // point twice.
+    const ServedTraceFile file(9004, /*steps=*/5000);
+    const AddrRange span = file.writeSpan();
+    const AddrRange head(span.begin, span.begin + 4096);
+
+    // What the wire must carry: the registry's EVT stream, each
+    // encoded as one frame, then the RUN's OK.
+    Quotas quotas;
+    quotas.maxMonitorBytes = 1ull << 40;
+    Registry reg(quotas);
+    std::shared_ptr<Tenant> tn = reg.hello("bytes");
+    const OpenResult open = tn->openTrace(file.path());
+    const std::vector<AddrRange> monitors = {span, head};
+    for (const AddrRange &r : monitors)
+        tn->install(r);
+    std::vector<std::uint8_t> want;
+    tn->subscribe(true, [&](const EventOut &e) {
+        PayloadWriter w;
+        w.putU64(e.seq);
+        w.putU32(e.monitorId);
+        w.putU64(e.written.begin);
+        w.putU64(e.written.end);
+        w.putU64(e.pc);
+        encodeFrame(want, Op::Event, w.bytes());
+    });
+    const LiveRunResult res = tn->runLive(open.traceId);
+    const std::size_t evt_bytes = want.size();
+    PayloadWriter reply;
+    reply.putU8((std::uint8_t)Op::Run);
+    reply.putU8(0);
+    reply.putU64(res.writes);
+    reply.putU64(res.hits);
+    reply.putU64(res.notifications);
+    encodeFrame(want, Op::Ok, reply.bytes());
+    ASSERT_GT(evt_bytes, 64u * 1024);
+
+    OneByteClient c(server_->socketPath());
+    PayloadWriter hello;
+    hello.putU32(protocolVersion);
+    hello.putString("bytes");
+    c.send(Op::Hello, hello);
+    c.ok();
+    PayloadWriter path;
+    path.putString(file.path());
+    c.send(Op::OpenTrace, path);
+    c.ok();
+    for (const AddrRange &r : monitors) {
+        PayloadWriter w;
+        w.putU64(r.begin);
+        w.putU64(r.end);
+        c.send(Op::Install, w);
+        c.ok();
+    }
+    PayloadWriter on;
+    on.putU8(1);
+    c.send(Op::Subscribe, on);
+    c.ok();
+    PayloadWriter run;
+    run.putU32(open.traceId); // the first trace of a fresh tenant
+    run.putU32(0);
+    c.send(Op::Run, run);
+
+    std::vector<std::uint8_t> got;
+    std::size_t evts = 0;
+    for (;;) {
+        const std::vector<std::uint8_t> f = c.frame();
+        ASSERT_GE(f.size(), frameHeaderBytes);
+        got.insert(got.end(), f.begin(), f.end());
+        if ((Op)f[4] != Op::Event)
+            break;
+        ++evts;
+    }
+    EXPECT_EQ(evts, res.notifications);
+    EXPECT_EQ(got.size(), want.size());
+    EXPECT_TRUE(got == want) << "the RUN's frames differ on the wire";
+    reg.bye(tn);
+}
+
+TEST_F(ServedServerTest, DisconnectMidRunLeavesTheServerServing)
+{
+    const AddrRange span = file_->writeSpan();
+    Client steady = connected("steady");
+    const OpenResult open = steady.openTrace(file_->path());
+    trace::MappedTrace mapped(file_->path());
+    testgen::LiveOracle oracle(Engine::Software);
+    steady.install(span);
+    oracle.install(span);
+    steady.subscribe(true);
+
+    // Tenants that ask for a streamed RUN and hang up before reading
+    // a byte of it: the server writes EVTs into a closed socket.
+    for (int i = 0; i < 4; ++i) {
+        Client quitter = connected("quitter-" + std::to_string(i));
+        const OpenResult q = quitter.openTrace(file_->path());
+        quitter.install(span);
+        quitter.subscribe(true);
+        PayloadWriter run;
+        run.putU32(q.traceId);
+        run.putU32(0);
+        quitter.sendFrame(Op::Run, run.bytes());
+        quitter.close();
+    }
+
+    for (int round = 0; round < 2; ++round) {
+        const RunReply got = steady.run(open.traceId);
+        const LiveRunResult want = oracle.run(mapped);
+        EXPECT_EQ(got.writes, want.writes);
+        EXPECT_EQ(got.hits, want.hits);
+        EXPECT_EQ(got.notifications, want.notifications);
+        ASSERT_TRUE(steady.waitForEvents((std::size_t)got.notifications));
+        const std::vector<EventOut> events = steady.takeEvents();
+        testgen::EventLog got_log;
+        for (const EventOut &e : events)
+            got_log.add(e);
+        EXPECT_EQ(got_log.count, oracle.events.count);
+        EXPECT_EQ(got_log.digest, oracle.events.digest);
+        oracle.events = {};
+    }
+    // The quitters' connections wind down on their own.
+    for (int tries = 0; tries < 500; ++tries) {
+        if (server_->registry().stats().tenants == 1)
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_EQ(server_->registry().stats().tenants, 1u);
+    steady.bye();
 }
 
 TEST_F(ServedServerTest, DisableSuppressesEnableRearms)
