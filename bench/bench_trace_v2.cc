@@ -2,22 +2,23 @@
  * @file
  * Acceptance benchmark for the EDBT v2 blocked trace container
  * (docs/FORMAT.md) and the summary-driven block-skip replay path
- * (DESIGN.md §11), in the bench_sim_hot in-binary style: both
- * containers are produced from the same freshly-traced workloads and
- * measured back-to-back, so the reported ratios compare like with
- * like on this machine.
+ * (DESIGN.md §11). Both replay paths start from the same artifact of
+ * the same freshly-traced workload and are measured back-to-back, so
+ * the reported ratios compare like with like on this machine.
  *
  * Three things are measured per paper workload:
  *
- *  - container size: the v1 flat and v2 blocked encodings of the same
- *    trace (v2 must be >= 1.5x smaller on every workload);
- *  - decode bandwidth: full MappedTrace block decode vs loadTrace of
- *    the v1 file, in raw-event MB/s;
+ *  - container size: encoded bytes and bytes per event
+ *    (tools/perf_smoke_check.py holds each program under a
+ *    bytes-per-event ceiling);
+ *  - decode bandwidth: full MappedTrace block decode, in raw-event
+ *    MB/s;
  *  - a sparse-session study: phase 2 of one monitor session, end to
- *    end from the on-disk artifact — the v1 path loads and replays
- *    every event, the v2 path skips every block whose write summary
- *    misses the monitored pages. The v2 result must stay bit-identical
- *    and be >= 1.3x faster on at least 3 of the 5 workloads.
+ *    end from the on-disk artifact — the materialized path loads
+ *    every event (loadTrace) and replays them all, the skip path maps
+ *    the file and skips every block whose write summary misses the
+ *    monitored pages. The skip result must stay bit-identical and be
+ *    >= 1.3x faster on at least 3 of the 5 workloads.
  *
  * All times are medians of `reps` repetitions. Emits
  * BENCH_trace_v2.json into the working directory; a correctness or
@@ -27,8 +28,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -67,13 +66,6 @@ medianOf(int reps, Fn &&fn)
     return times[times.size() / 2];
 }
 
-void
-writeFile(const std::string &path, const std::string &bytes)
-{
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    os.write(bytes.data(), (std::streamsize)bytes.size());
-}
-
 /**
  * The monitor session a sparse study replays: the first OneLocalAuto
  * session (a single short-lived object — the "watch this variable"
@@ -94,14 +86,12 @@ struct Row
 {
     std::string program;
     std::size_t events = 0;
-    std::size_t v1Bytes = 0;
-    std::size_t v2Bytes = 0;
-    double sizeRatio = 0;  ///< v1 / v2, bigger is better
-    double decodeV1Mbps = 0;
-    double decodeV2Mbps = 0;
-    double replayV1Ms = 0; ///< v1 load + full replay, one session
-    double replayV2Ms = 0; ///< v2 map + block-skip replay, same session
-    double speedup = 0;    ///< replayV1Ms / replayV2Ms
+    std::size_t bytes = 0;
+    double bytesPerEvent = 0;
+    double decodeMbps = 0;
+    double replayLoadedMs = 0; ///< loadTrace + full replay, one session
+    double replaySkipMs = 0;   ///< map + block-skip replay, same session
+    double speedup = 0;        ///< replayLoadedMs / replaySkipMs
     std::uint64_t blocks = 0;
     std::uint64_t blocksSkipped = 0;
     std::uint64_t blocksControlOnly = 0;
@@ -129,83 +119,58 @@ main()
         row.program = std::string(name);
         row.events = trace.events.size();
 
-        // ---- Container size, same trace through both writers.
-        std::stringstream s1, s2;
-        trace::WriteOptions v1opts;
-        v1opts.format = trace::TraceFormat::V1Flat;
-        trace::writeTrace(trace, s1, v1opts);
-        trace::writeTrace(trace, s2);
-        const std::string v1_bytes = s1.str();
-        const std::string v2_bytes = s2.str();
-        row.v1Bytes = v1_bytes.size();
-        row.v2Bytes = v2_bytes.size();
-        row.sizeRatio = (double)row.v1Bytes / (double)row.v2Bytes;
-        if (row.sizeRatio < 1.5) {
-            std::fprintf(stderr,
-                         "FAIL: '%s' v2 only %.2fx smaller than v1 "
-                         "(acceptance floor 1.5x)\n",
-                         row.program.c_str(), row.sizeRatio);
-            ok = false;
-        }
-
-        const std::string v1_path =
-            "bench_v2_" + row.program + ".v1.trc";
-        const std::string v2_path =
-            "bench_v2_" + row.program + ".v2.trc";
-        writeFile(v1_path, v1_bytes);
-        writeFile(v2_path, v2_bytes);
+        // ---- Container size.
+        const std::string path = "bench_v2_" + row.program + ".trc";
+        trace::saveTrace(trace, path);
+        trace::MappedTrace mapped(path);
+        row.bytes = (std::size_t)mapped.fileBytes();
+        row.bytesPerEvent = (double)row.bytes / (double)row.events;
+        row.blocks = mapped.blockCount();
 
         // ---- Decode bandwidth in raw-event MB/s (events decoded x
         // sizeof(Event) per second), the unit phase 2 consumes.
         const double raw_mb = (double)(row.events * sizeof(trace::Event)) /
                               (1024.0 * 1024.0);
-        double v1_decode_ms = medianOf(reps, [&] {
-            sink += trace::loadTrace(v1_path).events.size();
-        });
-        trace::MappedTrace mapped(v2_path);
-        row.blocks = mapped.blockCount();
-        double v2_decode_ms = medianOf(reps, [&] {
+        double decode_ms = medianOf(reps, [&] {
             std::vector<trace::Event> buf(mapped.largestBlockEvents());
             for (std::size_t b = 0; b < mapped.blockCount(); ++b) {
                 mapped.decodeBlock(b, buf.data());
                 sink += mapped.block(b).events;
             }
         });
-        row.decodeV1Mbps = raw_mb / (v1_decode_ms / 1000.0);
-        row.decodeV2Mbps = raw_mb / (v2_decode_ms / 1000.0);
+        row.decodeMbps = raw_mb / (decode_ms / 1000.0);
 
         // ---- Sparse-session study, end to end from the artifact.
         const session::SessionId study = sparseStudySession(set);
         session::SessionSet sub = set.subset({study});
 
-        sim::SimResult v1_result, v2_result;
-        row.replayV1Ms = medianOf(reps, [&] {
-            v1_result = sim::simulate(trace::loadTrace(v1_path), sub);
+        sim::SimResult loaded_result, skip_result;
+        row.replayLoadedMs = medianOf(reps, [&] {
+            loaded_result = sim::simulate(trace::loadTrace(path), sub);
         });
         sim::BlockSkipStats skip;
-        row.replayV2Ms = medianOf(reps, [&] {
-            trace::MappedTrace m(v2_path);
-            v2_result = sim::simulate(m, sub, &skip);
+        row.replaySkipMs = medianOf(reps, [&] {
+            trace::MappedTrace m(path);
+            skip_result = sim::simulate(m, sub, &skip);
         });
-        row.speedup = row.replayV1Ms / row.replayV2Ms;
+        row.speedup = row.replayLoadedMs / row.replaySkipMs;
         row.blocksSkipped = skip.blocksSkipped;
         row.blocksControlOnly = skip.blocksControlOnly;
         row.writesSkipped = skip.writesSkipped;
 
-        // Bit-identity: the skip path against the v1 full replay, and
-        // both against the in-memory sweep.
-        row.identical = v1_result == v2_result &&
-                        v2_result == sim::simulate(trace, sub);
+        // Bit-identity: the skip path against the full replay of the
+        // loaded trace, and both against the in-memory sweep.
+        row.identical = loaded_result == skip_result &&
+                        skip_result == sim::simulate(trace, sub);
         if (!row.identical) {
             std::fprintf(stderr,
                          "FAIL: '%s' block-skip counters diverge from "
-                         "v1 full replay\n",
+                         "the full replay\n",
                          row.program.c_str());
             ok = false;
         }
 
-        std::remove(v1_path.c_str());
-        std::remove(v2_path.c_str());
+        std::remove(path.c_str());
         rows.push_back(std::move(row));
     }
 
@@ -221,23 +186,24 @@ main()
     }
 
     report::TextTable table;
-    table.header({"Program", "Events", "v1/v2 size", "v2 MB/s",
-                  "v1 (ms)", "v2 skip (ms)", "Speedup", "Skipped",
+    table.header({"Program", "Events", "B/event", "Decode MB/s",
+                  "Loaded (ms)", "Skip (ms)", "Speedup", "Skipped",
                   "Identical"});
     for (const auto &r : rows) {
         table.row({r.program, std::to_string(r.events),
-                   report::fmt(r.sizeRatio, 2) + "x",
-                   report::fmt(r.decodeV2Mbps, 0),
-                   report::fmt(r.replayV1Ms, 2),
-                   report::fmt(r.replayV2Ms, 2),
+                   report::fmt(r.bytesPerEvent, 2),
+                   report::fmt(r.decodeMbps, 0),
+                   report::fmt(r.replayLoadedMs, 2),
+                   report::fmt(r.replaySkipMs, 2),
                    report::fmt(r.speedup, 2) + "x",
                    std::to_string(r.blocksSkipped + r.blocksControlOnly) +
                        "/" + std::to_string(r.blocks),
                    r.identical ? "yes" : "NO"});
     }
-    std::printf("EDBT v2 vs v1, sparse-session study, median of %d:\n%s"
-                "(Skipped = blocks whose writes never decoded; v1 path "
-                "loads and replays every event)\n\n",
+    std::printf("EDBT v2 block skip vs full replay, sparse-session "
+                "study, median of %d:\n%s"
+                "(Skipped = blocks whose writes never decoded; the "
+                "loaded path materializes and replays every event)\n\n",
                 reps, table.render().c_str());
 
     // ---- JSON (shared BENCH_*.json envelope, bench_json.h).
@@ -257,16 +223,15 @@ main()
         std::fprintf(
             json,
             "      {\"program\": \"%s\", \"events\": %zu, "
-            "\"v1_bytes\": %zu, \"v2_bytes\": %zu, "
-            "\"size_ratio\": %.3f, "
-            "\"decode_v1_mbps\": %.1f, \"decode_v2_mbps\": %.1f, "
-            "\"replay_v1_ms\": %.3f, \"replay_v2_ms\": %.3f, "
+            "\"bytes\": %zu, \"bytes_per_event\": %.3f, "
+            "\"decode_mbps\": %.1f, "
+            "\"replay_loaded_ms\": %.3f, \"replay_skip_ms\": %.3f, "
             "\"skip_speedup\": %.3f, \"blocks\": %llu, "
             "\"blocks_skipped\": %llu, \"blocks_control_only\": %llu, "
             "\"writes_skipped\": %llu, \"identical\": %s}%s\n",
-            r.program.c_str(), r.events, r.v1Bytes, r.v2Bytes,
-            r.sizeRatio, r.decodeV1Mbps, r.decodeV2Mbps, r.replayV1Ms,
-            r.replayV2Ms, r.speedup, (unsigned long long)r.blocks,
+            r.program.c_str(), r.events, r.bytes, r.bytesPerEvent,
+            r.decodeMbps, r.replayLoadedMs, r.replaySkipMs, r.speedup,
+            (unsigned long long)r.blocks,
             (unsigned long long)r.blocksSkipped,
             (unsigned long long)r.blocksControlOnly,
             (unsigned long long)r.writesSkipped,

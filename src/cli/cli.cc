@@ -58,16 +58,6 @@ simulateWithJobs(const trace::Trace &trace,
     return sim::parallelSimulate(trace, sessions, opts);
 }
 
-/** Size of a file in bytes, or 0 if it cannot be opened. */
-std::uint64_t
-fileSizeBytes(const std::string &path)
-{
-    std::ifstream f(path, std::ios::binary | std::ios::ate);
-    if (!f)
-        return 0;
-    return (std::uint64_t)f.tellg();
-}
-
 /** Fixed-point "12.34" without <iomanip> stream state. */
 std::string
 fmtRatio(double v)
@@ -88,14 +78,9 @@ usage()
            "  record <workload> <out.trc>  trace one benchmark "
            "workload (gcc|ctex|spice|qcd|bps)\n"
            "  info <trace.trc>             summarize a trace file "
-           "(incl. v2 block stats)\n"
-           "  convert <in.trc> <out.trc> <v1|v2>\n"
-           "                               rewrite a trace in the "
-           "other container format\n"
-           "                               (verifies the roundtrip "
-           "before reporting success)\n"
+           "(incl. block stats)\n"
            "  index <trace.trc> [out.edbi] build the sidecar planning "
-           "index for a v2 trace\n"
+           "index for a trace\n"
            "                               (auto-discovered next to "
            "the trace on later opens)\n"
            "  sessions <trace.trc> [N]     list the top-N monitor "
@@ -110,8 +95,8 @@ usage()
            "aggregate + top-N detail, default 20)\n"
            "  query <trace.trc> [opts]     count/aggregate events "
            "matching predicates, pruning\n"
-           "                               v2 blocks via the page "
-           "summaries (v1 works, unpruned)\n"
+           "                               blocks via the page "
+           "summaries\n"
            "  connect <socket> [opts] [script]\n"
            "                               drive a running edb-served "
            "daemon as one tenant\n"
@@ -222,195 +207,112 @@ cmdRecord(const std::string &workload, const std::string &path,
 int
 cmdInfo(const std::string &path, std::ostream &out)
 {
-    const trace::TraceFormat format = trace::probeTraceFormat(path);
-    trace::Trace trace = trace::loadTrace(path);
+    // Everything here comes from the mapped header, block index and
+    // control columns: no write payload is decoded.
+    const trace::MappedTrace mapped(path);
+    const trace::ObjectRegistry &registry = mapped.registry();
 
     std::size_t by_kind[4] = {};
-    for (const auto &obj : trace.registry.objects())
+    for (const auto &obj : registry.objects())
         ++by_kind[(std::size_t)obj.kind];
 
-    std::size_t counts[3] = {};
-    for (const auto &e : trace.events)
-        ++counts[(std::size_t)e.kind];
+    std::uint64_t installs = 0;
+    std::uint64_t removes = 0;
+    std::uint64_t pure = 0;
+    std::uint64_t summary_runs = 0;
+    std::uint64_t summary_pages = 0;
+    std::vector<trace::Event> controls;
+    for (std::size_t b = 0; b < mapped.blockCount(); ++b) {
+        const auto &blk = mapped.block(b);
+        if (blk.pureWrites()) {
+            ++pure;
+        } else {
+            controls.resize((std::size_t)blk.controls());
+            mapped.decodeBlockControl(b, controls.data());
+            for (const trace::Event &e : controls) {
+                ++(e.kind == trace::EventKind::InstallMonitor ? installs
+                                                              : removes);
+            }
+        }
+        summary_runs += blk.runs.size();
+        for (const auto &r : blk.runs)
+            summary_pages += r.pages;
+    }
 
-    out << "program:       " << trace.program << "\n"
-        << "format:        " << trace::traceFormatName(format) << "\n"
-        << "events:        " << trace.events.size() << " ("
-        << counts[0] << " installs, " << counts[1] << " removes, "
-        << counts[2] << " writes)\n"
-        << "total writes:  " << trace.totalWrites << "\n"
-        << "est. instrs:   " << trace.estimatedInstructions << "\n"
-        << "functions:     " << trace.registry.functionCount() << "\n"
-        << "write sites:   " << trace.writeSites.size() << "\n"
-        << "objects:       " << trace.registry.objectCount() << " ("
+    out << "program:       " << mapped.program() << "\n"
+        << "events:        " << mapped.eventCount() << " (" << installs
+        << " installs, " << removes << " removes, "
+        << mapped.totalWrites() << " writes)\n"
+        << "total writes:  " << mapped.totalWrites() << "\n"
+        << "est. instrs:   " << mapped.estimatedInstructions() << "\n"
+        << "functions:     " << registry.functionCount() << "\n"
+        << "write sites:   " << mapped.writeSites().size() << "\n"
+        << "objects:       " << registry.objectCount() << " ("
         << by_kind[0] << " local auto, " << by_kind[1]
         << " local static, " << by_kind[2] << " global, " << by_kind[3]
         << " heap)\n";
 
-    if (format == trace::TraceFormat::V2Blocked) {
-        // Block statistics straight from the mapped index — no payload
-        // is decoded here.
-        trace::MappedTrace mapped(path);
-        std::uint64_t pure = 0;
-        std::uint64_t summary_runs = 0;
-        std::uint64_t summary_pages = 0;
-        for (std::size_t b = 0; b < mapped.blockCount(); ++b) {
-            const auto &blk = mapped.block(b);
-            if (blk.pureWrites())
-                ++pure;
-            summary_runs += blk.runs.size();
-            for (const auto &r : blk.runs)
-                summary_pages += r.pages;
-        }
-        const std::uint64_t raw =
-            mapped.eventCount() * (std::uint64_t)sizeof(trace::Event);
-        const std::uint64_t n = mapped.blockCount();
-        out << "blocks:        " << n << " (largest "
-            << mapped.largestBlockEvents() << " events, " << pure
-            << " pure-write)\n"
-            << "file bytes:    " << mapped.fileBytes() << " ("
-            << fmtRatio(n ? (double)mapped.fileBytes() /
-                                (double)mapped.eventCount()
-                          : 0.0)
-            << " B/event, " << fmtRatio(mapped.fileBytes()
-                                            ? (double)raw /
-                                                  (double)mapped
-                                                      .fileBytes()
-                                            : 0.0)
-            << "x vs raw events)\n"
-            << "summary:       "
-            << fmtRatio(n ? (double)summary_runs / (double)n : 0.0)
-            << " runs/block, "
-            << fmtRatio(n ? (double)summary_pages / (double)n : 0.0)
-            << " pages/block ("
-            << (trace::summaryPageBytes / 1024) << " KiB pages)\n";
+    const std::uint64_t n = mapped.blockCount();
+    const std::uint64_t bytes = mapped.fileBytes();
+    const std::uint64_t raw =
+        mapped.eventCount() * (std::uint64_t)sizeof(trace::Event);
+    out << "blocks:        " << n << " (largest "
+        << mapped.largestBlockEvents() << " events, " << pure
+        << " pure-write)\n"
+        << "file bytes:    " << bytes << " ("
+        << fmtRatio(n ? (double)bytes / (double)mapped.eventCount()
+                      : 0.0)
+        << " B/event, "
+        << fmtRatio(bytes ? (double)raw / (double)bytes : 0.0)
+        << "x vs raw events)\n"
+        << "summary:       "
+        << fmtRatio(n ? (double)summary_runs / (double)n : 0.0)
+        << " runs/block, "
+        << fmtRatio(n ? (double)summary_pages / (double)n : 0.0)
+        << " pages/block (" << (trace::summaryPageBytes / 1024)
+        << " KiB pages)\n";
 
-        // Sidecar index report: read the .edbi directly (bypassing
-        // the env pin and auto-discovery) so a stale or corrupt
-        // sidecar is still described rather than silently ignored.
-        const std::string sidecar = trace::traceIndexPathFor(path);
-        if (std::ifstream(sidecar, std::ios::binary).good()) {
-            try {
-                trace::TraceIndex idx =
-                    trace::loadTraceIndex(sidecar);
-                const bool fresh =
-                    idx.traceDigest == mapped.contentDigest() &&
-                    idx.traceBytes == mapped.fileBytes();
-                out << "index:         " << sidecar << " (v"
-                    << idx.version << ", "
-                    << (fresh ? "digest match" : "STALE: digest "
-                                                 "mismatch")
-                    << ")\n"
-                    << "index layout:  " << idx.supers.size()
-                    << " superblocks, " << idx.containers.size()
-                    << " bitmap containers, " << idx.postings.size()
-                    << " postings, " << idx.extents.size()
-                    << " extents\n"
-                    << "index bytes:   " << idx.fileBytes
-                    << " (header " << idx.bytesHeader << ", tree "
-                    << idx.bytesTree << ", bitmap " << idx.bytesBitmap
-                    << ", extents " << idx.bytesExtents << ")\n";
-            } catch (const trace::TraceError &e) {
-                out << "index:         " << sidecar
-                    << " (CORRUPT: " << e.what() << ")\n";
-            }
-        } else {
-            out << "index:         none (run `edb-trace index " << path
-                << "`)\n";
-        }
-    }
-    return 0;
-}
-
-int
-cmdConvert(const std::string &in, const std::string &out_path,
-           const std::string &format, std::ostream &out,
-           std::ostream &err)
-{
-    trace::WriteOptions opts;
-    if (format == "v1") {
-        opts.format = trace::TraceFormat::V1Flat;
-    } else if (format == "v2") {
-        opts.format = trace::TraceFormat::V2Blocked;
-    } else {
-        err << "error: unknown trace format '" << format
-            << "' (expected v1 or v2)\n";
-        return 2;
-    }
-
-    const trace::TraceFormat in_format = trace::probeTraceFormat(in);
-    trace::Trace trace = trace::loadTrace(in);
-    trace::saveTrace(trace, out_path, opts);
-
-    // Roundtrip verification: the rewritten artifact must decode to
-    // exactly the trace we just wrote, event for event.
-    trace::Trace check = trace::loadTrace(out_path);
-    if (check.program != trace.program ||
-        check.events != trace.events ||
-        check.writeSites != trace.writeSites ||
-        check.totalWrites != trace.totalWrites ||
-        check.estimatedInstructions != trace.estimatedInstructions ||
-        check.registry.objectCount() !=
-            trace.registry.objectCount() ||
-        check.registry.functionCount() !=
-            trace.registry.functionCount()) {
-        err << "error: roundtrip verification failed: " << out_path
-            << " does not decode back to the input trace\n";
-        return 1;
-    }
-
-    const std::uint64_t in_bytes = fileSizeBytes(in);
-    const std::uint64_t out_bytes = fileSizeBytes(out_path);
-    out << "converted " << trace::traceFormatName(in_format) << " -> "
-        << trace::traceFormatName(opts.format) << ": "
-        << trace.events.size() << " events, " << in_bytes << " -> "
-        << out_bytes << " bytes ("
-        << fmtRatio(out_bytes ? (double)in_bytes / (double)out_bytes
-                              : 0.0)
-        << "x), roundtrip verified\n";
-
-    // Rewriting over a previously-indexed artifact orphans its
-    // sidecar: the digest no longer matches, so every consumer will
-    // fall back to linear planning until the index is rebuilt.
-    const std::string sidecar = trace::traceIndexPathFor(out_path);
-    if (opts.format == trace::TraceFormat::V2Blocked &&
-        std::ifstream(sidecar, std::ios::binary).good()) {
+    // Sidecar index report: read the .edbi directly (bypassing the env
+    // pin and auto-discovery) so a stale or corrupt sidecar is still
+    // described rather than silently ignored.
+    const std::string sidecar = trace::traceIndexPathFor(path);
+    if (std::ifstream(sidecar, std::ios::binary).good()) {
         try {
-            trace::MappedTrace mapped(out_path);
-            const trace::TraceIndex idx =
-                trace::loadTraceIndex(sidecar);
-            if (idx.traceDigest != mapped.contentDigest() ||
-                idx.traceBytes != mapped.fileBytes()) {
-                err << "warning: " << sidecar
-                    << " is now stale (digest mismatch); rebuild it "
-                       "with `edb-trace index "
-                    << out_path << "`\n";
-            }
-        } catch (const trace::TraceError &) {
-            err << "warning: " << sidecar
-                << " is unreadable; rebuild it with `edb-trace index "
-                << out_path << "`\n";
+            trace::TraceIndex idx = trace::loadTraceIndex(sidecar);
+            const bool fresh = idx.traceDigest == mapped.contentDigest() &&
+                               idx.traceBytes == bytes;
+            out << "index:         " << sidecar << " (v" << idx.version
+                << ", "
+                << (fresh ? "digest match" : "STALE: digest mismatch")
+                << ")\n"
+                << "index layout:  " << idx.supers.size()
+                << " superblocks, " << idx.containers.size()
+                << " bitmap containers, " << idx.postings.size()
+                << " postings, " << idx.extents.size() << " extents\n"
+                << "index bytes:   " << idx.fileBytes << " (header "
+                << idx.bytesHeader << ", tree " << idx.bytesTree
+                << ", bitmap " << idx.bytesBitmap << ", extents "
+                << idx.bytesExtents << ")\n";
+        } catch (const trace::TraceError &e) {
+            out << "index:         " << sidecar
+                << " (CORRUPT: " << e.what() << ")\n";
         }
+    } else {
+        out << "index:         none (run `edb-trace index " << path
+            << "`)\n";
     }
     return 0;
 }
 
 /**
- * Build (or rebuild) the .edbi sidecar index for a v2 trace. The
+ * Build (or rebuild) the .edbi sidecar index for a trace. The
  * sidecar is written next to the trace by default so MappedTrace
  * auto-discovers it on the next open.
  */
 int
 cmdIndex(const std::string &path, const std::string &out_override,
-         std::ostream &out, std::ostream &err)
+         std::ostream &out)
 {
-    if (trace::probeTraceFormat(path) !=
-        trace::TraceFormat::V2Blocked) {
-        err << "error: '" << path
-            << "' is not a v2 blocked trace; convert it first "
-               "(`edb-trace convert " << path << " <out.trc> v2`)\n";
-        return 2;
-    }
     const trace::MappedTrace mapped(path);
     trace::TraceIndex idx = trace::buildTraceIndex(mapped);
     const std::string sidecar = out_override.empty()
@@ -703,7 +605,7 @@ resolveSessionNeedles(const session::SessionSet &sessions,
     return true;
 }
 
-/** Everything the renderers need, whichever executor produced it. */
+/** Everything the renderers need. */
 struct QueryRun
 {
     query::QueryResult result;
@@ -711,7 +613,6 @@ struct QueryRun
     std::string program;
     /** describe() of each spec.sessions entry, positionally. */
     std::vector<std::string> sessionDescs;
-    bool pushdown = false; ///< v2 mapped path (stats meaningful)
 };
 
 void
@@ -721,16 +622,11 @@ renderQueryTable(const query::QuerySpec &spec, const QueryRun &run,
     out << "program: " << run.program << "\n"
         << "matches: " << run.result.matches << " (agg "
         << query::aggName(spec.agg) << ")\n";
-    if (run.pushdown) {
-        const auto &st = run.stats;
-        out << "blocks:  " << st.blocksTotal << " total, "
-            << st.blocksFull << " full, " << st.blocksControlOnly
-            << " control-only, " << st.blocksSkipped << " skipped; "
-            << st.writesPruned << " writes pruned (jobs " << st.jobs
-            << ")\n";
-    } else {
-        out << "blocks:  v1 flat trace (no pushdown)\n";
-    }
+    const auto &st = run.stats;
+    out << "blocks:  " << st.blocksTotal << " total, " << st.blocksFull
+        << " full, " << st.blocksControlOnly << " control-only, "
+        << st.blocksSkipped << " skipped; " << st.writesPruned
+        << " writes pruned (jobs " << st.jobs << ")\n";
 
     if (spec.agg == query::Agg::CountByPage ||
         spec.agg == query::Agg::TopPages) {
@@ -920,52 +816,29 @@ cmdQuery(const std::string &path, const std::vector<std::string> &opts,
     if (kind_mask != 0)
         spec.kindMask = kind_mask;
 
-    QueryRun run;
-    if (trace::probeTraceFormat(path) ==
-        trace::TraceFormat::V2Blocked) {
-        // Pushdown path: plan against the mapped block index without
-        // materializing the events. Sessions enumerate from the
-        // header's registry alone; describe() needs only a registry
-        // shim.
-        trace::MappedTrace mapped(path);
-        auto sessions =
-            session::SessionSet::enumerate(mapped.registry());
-        trace::Trace shim;
-        shim.program = mapped.program();
-        shim.registry = mapped.registry();
-        if (!resolveSessionNeedles(sessions, shim, needles,
-                                   &spec.sessions, err)) {
-            return 1;
-        }
-        const std::string problem =
-            query::validateSpec(spec, sessions.size());
-        if (!problem.empty())
-            return usageError("invalid query: " + problem);
-        query::QueryOptions qopts;
-        qopts.jobs = jobs;
-        run.result = query::runQuery(mapped, sessions, spec, qopts,
-                                     &run.stats);
-        run.program = mapped.program();
-        run.pushdown = true;
-        for (session::SessionId id : spec.sessions)
-            run.sessionDescs.push_back(sessions.describe(id, shim));
-    } else {
-        trace::Trace trace = trace::loadTrace(path);
-        auto sessions = session::SessionSet::enumerate(trace);
-        if (!resolveSessionNeedles(sessions, trace, needles,
-                                   &spec.sessions, err)) {
-            return 1;
-        }
-        const std::string problem =
-            query::validateSpec(spec, sessions.size());
-        if (!problem.empty())
-            return usageError("invalid query: " + problem);
-        run.result = query::runQuery(trace, sessions, spec);
-        run.program = trace.program;
-        run.stats.jobs = 1;
-        for (session::SessionId id : spec.sessions)
-            run.sessionDescs.push_back(sessions.describe(id, trace));
+    // Plan against the mapped block index without materializing the
+    // events. Sessions enumerate from the header's registry alone;
+    // describe() needs only a registry shim.
+    trace::MappedTrace mapped(path);
+    auto sessions = session::SessionSet::enumerate(mapped.registry());
+    trace::Trace shim;
+    shim.program = mapped.program();
+    shim.registry = mapped.registry();
+    if (!resolveSessionNeedles(sessions, shim, needles, &spec.sessions,
+                               err)) {
+        return 1;
     }
+    const std::string problem = query::validateSpec(spec, sessions.size());
+    if (!problem.empty())
+        return usageError("invalid query: " + problem);
+    query::QueryOptions qopts;
+    qopts.jobs = jobs;
+    QueryRun run;
+    run.result =
+        query::runQuery(mapped, sessions, spec, qopts, &run.stats);
+    run.program = mapped.program();
+    for (session::SessionId id : spec.sessions)
+        run.sessionDescs.push_back(sessions.describe(id, shim));
 
     if (format == "json")
         renderQueryJson(spec, run, out);
@@ -1482,8 +1355,8 @@ run(const std::vector<std::string> &args, std::ostream &out,
     const std::string &cmd = rest[0];
     // The global flags configure the phase-2 stage; accepting them on
     // the phase-1 commands would silently do nothing, so reject them.
-    if (cmd == "record" || cmd == "info" || cmd == "convert" ||
-        cmd == "index" || cmd == "connect" || cmd == "top") {
+    if (cmd == "record" || cmd == "info" || cmd == "index" ||
+        cmd == "connect" || cmd == "top") {
         const char *flag = jobs_given ? "--jobs"
                            : !obs_json.empty() ? "--obs-json"
                            : !trace_events.empty() ? "--trace-events"
@@ -1513,13 +1386,11 @@ run(const std::vector<std::string> &args, std::ostream &out,
             rc = cmdRecord(rest[1], rest[2], out);
         } else if (cmd == "info" && rest.size() == 2) {
             rc = cmdInfo(rest[1], out);
-        } else if (cmd == "convert" && rest.size() == 4) {
-            rc = cmdConvert(rest[1], rest[2], rest[3], out, err);
         } else if (cmd == "index" &&
                    (rest.size() == 2 || rest.size() == 3)) {
             rc = cmdIndex(rest[1],
                           rest.size() == 3 ? rest[2] : std::string(),
-                          out, err);
+                          out);
         } else if (cmd == "sessions" &&
                    (rest.size() == 2 || rest.size() == 3)) {
             std::size_t top =

@@ -7,7 +7,6 @@
  *
  *   edb-trace record <workload> <out.trc>    phase 1: generate a trace
  *   edb-trace info <trace.trc>               inspect a trace artifact
- *   edb-trace convert <in> <out> <v1|v2>     rewrite the container format
  *   edb-trace sessions <trace.trc> [N]       enumerate monitor sessions
  *   edb-trace analyze <trace.trc>            phase 2: Table-4 statistics
  *   edb-trace session <trace.trc> <substr>   dissect one session
@@ -21,7 +20,7 @@
  * advise/query) accept a global `--jobs N` (or `-j N`) flag selecting
  * the sharded parallel simulator (for `query`, the pushdown
  * executor's worker count); `--jobs 0` means "one worker per
- * hardware thread". Phase-1 commands (record/info/convert) reject
+ * hardware thread". Phase-1 commands (record/info/index) reject
  * --jobs.
  * `--help`/`-h` prints usage to stdout and exits 0.
  */
@@ -51,9 +50,6 @@ int run(const std::vector<std::string> &args, std::ostream &out,
 int cmdRecord(const std::string &workload, const std::string &path,
               std::ostream &out);
 int cmdInfo(const std::string &path, std::ostream &out);
-int cmdConvert(const std::string &in, const std::string &out_path,
-               const std::string &format, std::ostream &out,
-               std::ostream &err);
 int cmdSessions(const std::string &path, std::size_t top,
                 std::ostream &out, unsigned jobs = 1);
 int cmdAnalyze(const std::string &path, std::ostream &out,

@@ -1,15 +1,14 @@
 /**
  * @file
- * The shared row evaluator behind the in-memory and mapped query
- * executors (internal to src/query).
+ * The row evaluator behind the mapped query executor (internal to
+ * src/query).
  *
- * Both optimized paths funnel every candidate row through the same
- * Evaluator so they cannot disagree with each other; only scanAll()
- * stays independent, as the differential oracle. The evaluator is
- * deliberately tolerant of inconsistent install/remove streams —
- * queries run over untrusted artifacts, so a fuzzed trace must
- * surface a TraceError from the decoder or a wrong-looking answer,
- * never a process abort.
+ * Every candidate row of every block funnels through one Evaluator;
+ * scanAll() stays independent of it, as the differential oracle. The
+ * evaluator is deliberately tolerant of inconsistent install/remove
+ * streams — queries run over untrusted artifacts, so a fuzzed trace
+ * must surface a TraceError from the decoder or a wrong-looking
+ * answer, never a process abort.
  */
 
 #ifndef EDB_QUERY_EVAL_H

@@ -1,12 +1,8 @@
 /**
  * @file
- * Spec validation, partial-result merging and the in-memory query
- * executor.
- *
- * runQuery(Trace) is the semantic anchor of the optimized side: one
- * serial pass through the shared Evaluator with no pruning at all.
- * The mapped executor (executor.cc) must produce bit-identical
- * results; scanAll (scan_all.cc) independently cross-checks both.
+ * Spec validation and partial-result merging, shared by the mapped
+ * executor (executor.cc). scanAll (scan_all.cc) independently
+ * cross-checks it.
  */
 
 #include <algorithm>
@@ -135,25 +131,5 @@ finalizeParts(const QuerySpec &spec, Partial *parts, std::size_t n)
 }
 
 } // namespace detail
-
-QueryResult
-runQuery(const trace::Trace &trace,
-         const session::SessionSet &sessions, const QuerySpec &spec)
-{
-    const std::string problem = validateSpec(spec, sessions.size());
-    if (!problem.empty())
-        throw QueryError("invalid query: " + problem);
-
-    detail::SessionFilter filter(sessions, spec);
-    detail::Partial part;
-    detail::Evaluator eval(spec, filter, part);
-    for (std::size_t i = 0; i < trace.events.size(); ++i) {
-        const trace::Event &e = trace.events[i];
-        eval.row((std::uint64_t)i, e);
-        if (e.kind != trace::EventKind::Write)
-            eval.state(e);
-    }
-    return detail::finalizeParts(spec, &part, 1);
-}
 
 } // namespace edb::query

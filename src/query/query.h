@@ -9,22 +9,19 @@
  * sessions, event kinds, sizes, write sites and event-index windows
  * with an aggregation, and the engine answers it.
  *
- * Three executors answer the same spec:
+ * Two executors answer the same spec:
  *
  *  - scanAll() is the brute-force reference: one linear pass over a
  *    materialized Trace, no pruning, no parallelism, deliberately
- *    simple. Every optimized path is differentially pinned against
- *    it by tests/test_query_differential.cc.
- *  - runQuery(Trace) evaluates in memory through the shared row
- *    evaluator — the semantics the mapped path must reproduce.
- *  - runQuery(MappedTrace) is the pushdown path: the planner prunes
- *    whole blocks against the v2 block index and 8 KiB page-summary
+ *    simple.
+ *  - runQuery() is the pushdown path: the planner prunes whole blocks
+ *    of a MappedTrace against the block index and 8 KiB page-summary
  *    runs (DESIGN.md §12), decodes only the control columns when a
  *    block's writes cannot match, and fans decoded blocks out over a
  *    thread pool.
  *
- * All three return bit-identical QueryResults on the same trace and
- * spec; the differential harness enforces it.
+ * Both return bit-identical QueryResults on the same trace and spec;
+ * tests/test_query_differential.cc enforces it.
  */
 
 #ifndef EDB_QUERY_QUERY_H
@@ -213,14 +210,8 @@ QueryResult scanAll(const trace::Trace &trace,
                     const session::SessionSet &sessions,
                     const QuerySpec &spec);
 
-/** In-memory executor over a materialized Trace (either container
- *  format on disk; no pruning — every row is evaluated). */
-QueryResult runQuery(const trace::Trace &trace,
-                     const session::SessionSet &sessions,
-                     const QuerySpec &spec);
-
 /**
- * Pushdown executor over a mapped v2 trace: prunes blocks whose
+ * Pushdown executor over a mapped trace: prunes blocks whose
  * index entry or page-summary runs prove no row can match, decodes
  * only control columns where the writes are irrelevant, and
  * evaluates surviving blocks on `options.jobs` workers. Fills

@@ -1,16 +1,15 @@
 /**
  * @file
- * On-disk trace format identifiers and the v2 block-format constants
- * shared by the writer, the readers and the phase-2 skip logic.
+ * The v2 block-format constants shared by the writer, the reader and
+ * the phase-2 skip logic.
  *
- * Two generations of the EDBT container exist (docs/FORMAT.md):
- *
- *  - v1 "flat":    magic EDBTRC02; one delta+varint event stream.
- *  - v2 "blocked": magic EDBTRC03; the event stream is cut into
- *    fixed-size blocks, each carrying its own event/write counts, a
- *    touched-page summary and independently decodable RLE-compressed
- *    columns, with a trailing block index and a fixed footer so a
- *    mapped reader can seek to any block without scanning.
+ * The EDBT container (docs/FORMAT.md, magic EDBTRC03) cuts the event
+ * stream into fixed-size blocks, each carrying its own event/write
+ * counts, a touched-page summary and independently decodable
+ * RLE-compressed columns, with a trailing block index and a fixed
+ * footer so a mapped reader can seek to any block without scanning.
+ * The retired v1 flat container (EDBTRC02) is recognized only to be
+ * rejected with a message that names it.
  *
  * The summary granularity (summaryPageBytes) is a format constant: a
  * block's summary lists the pages, at that granularity, touched by its
@@ -29,15 +28,6 @@
 #include "util/addr.h"
 
 namespace edb::trace {
-
-/** The on-disk container generations. */
-enum class TraceFormat : std::uint8_t {
-    V1Flat = 0,
-    V2Blocked = 1,
-};
-
-/** Short name for messages ("v1 flat" / "v2 blocked"). */
-const char *traceFormatName(TraceFormat format);
 
 /**
  * Granularity of a v2 block's touched-page summary, in bytes. Chosen

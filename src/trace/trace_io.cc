@@ -1,10 +1,9 @@
 /**
  * @file
- * Implementation of the binary trace formats: the writers for both
- * generations, the shared file-header parser, and the whole-trace
- * readers. A v2 trace is materialized by decoding every block of a
- * MappedTrace (trace_v2.cc) in order; a v1 trace by the flat event
- * loop. The v2 block codec itself lives in v2_detail.h.
+ * Implementation of the binary trace format: the writer, the file-header
+ * parser, and the whole-trace readers, which materialize a trace by
+ * decoding every block of a MappedTrace (trace_v2.cc) in order. The
+ * block codec itself lives in v2_detail.h.
  */
 
 #include "trace/trace_io.h"
@@ -17,7 +16,6 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
-#include <limits>
 #include <ostream>
 
 #include "obs/obs.h"
@@ -32,8 +30,10 @@ namespace {
 obs::Histogram obsLoadNs{"trace.load_ns"};
 #endif
 
-constexpr char magicV1[8] = {'E', 'D', 'B', 'T', 'R', 'C', '0', '2'};
-constexpr char magicV2[8] = {'E', 'D', 'B', 'T', 'R', 'C', '0', '3'};
+constexpr char magic[8] = {'E', 'D', 'B', 'T', 'R', 'C', '0', '3'};
+/** The retired v1 flat container's magic: recognized only to name it
+ *  in the rejection. */
+constexpr char retiredV1Magic[8] = {'E', 'D', 'B', 'T', 'R', 'C', '0', '2'};
 
 /** Sanity caps: a corrupt varint must not drive a giant allocation
  *  before the input runs dry. */
@@ -59,7 +59,7 @@ parseError(const char *fmt, ...)
 }
 
 /**
- * Output wrapper counting every byte written, so the v2 writer knows
+ * Output wrapper counting every byte written, so the writer knows
  * the index offset for the footer without relying on tellp() (which
  * pipes and some string streams do not support).
  */
@@ -107,13 +107,7 @@ zigzag(std::int64_t v)
     return ((std::uint64_t)v << 1) ^ (std::uint64_t)(v >> 63);
 }
 
-std::int64_t
-unzigzag(std::uint64_t v)
-{
-    return (std::int64_t)(v >> 1) ^ -(std::int64_t)(v & 1);
-}
-
-/** The string/object tables, identical in both container formats. */
+/** The string/object tables of the file header. */
 void
 writeHeaderTables(CountedOut &out, const Trace &trace)
 {
@@ -145,35 +139,11 @@ writeHeaderTables(CountedOut &out, const Trace &trace)
 }
 
 void
-writeTraceV1(const Trace &trace, std::ostream &os)
+writeContainer(const Trace &trace, std::ostream &os,
+               std::size_t block_events)
 {
     CountedOut out{os};
-    out.bytes(magicV1, sizeof(magicV1));
-    writeHeaderTables(out, trace);
-
-    // Event stream, delta-encoded.
-    out.varint(trace.events.size());
-    Addr prev_begin = 0;
-    for (const Event &e : trace.events) {
-        out.varint((std::uint64_t)e.kind);
-        out.varint(zigzag((std::int64_t)(e.begin - prev_begin)));
-        out.varint(e.size);
-        out.varint(e.aux);
-        prev_begin = e.begin;
-    }
-
-    out.varint(trace.totalWrites);
-    out.varint(trace.estimatedInstructions);
-    if (!os)
-        throw TraceError("I/O error while writing trace");
-}
-
-void
-writeTraceV2(const Trace &trace, std::ostream &os,
-             std::size_t block_events)
-{
-    CountedOut out{os};
-    out.bytes(magicV2, sizeof(magicV2));
+    out.bytes(magic, sizeof(magic));
     writeHeaderTables(out, trace);
     out.varint(trace.events.size());
     out.varint(block_events);
@@ -283,19 +253,6 @@ writeTraceV2(const Trace &trace, std::ostream &os,
         throw TraceError("I/O error while writing trace");
 }
 
-/** The container format named by the magic at the start of `data`. */
-TraceFormat
-formatOf(const unsigned char *data, std::size_t n)
-{
-    if (n < sizeof(magicV1))
-        detail::failTraceAt(n, -1, "trace file truncated");
-    if (std::memcmp(data, magicV1, sizeof(magicV1)) == 0)
-        return TraceFormat::V1Flat;
-    if (std::memcmp(data, magicV2, sizeof(magicV2)) == 0)
-        return TraceFormat::V2Blocked;
-    parseError("not an EDB trace file (bad magic)");
-}
-
 std::string
 spanString(detail::SpanIn &in)
 {
@@ -311,63 +268,9 @@ spanString(detail::SpanIn &in)
     return s;
 }
 
-/** The v1 flat event stream and trailer, after the header. */
+/** Every block of a mapped trace, in order, into one Trace. */
 Trace
-decodeV1(detail::SpanIn &in, detail::TraceHeader &&h)
-{
-    Trace trace;
-    trace.program = std::move(h.program);
-    trace.registry = std::move(h.registry);
-    trace.writeSites = std::move(h.writeSites);
-    trace.events.reserve(
-        (std::size_t)std::min(h.eventCount, maxEventReserve));
-
-    const std::uint64_t objects = trace.registry.objectCount();
-    std::uint64_t writes = 0;
-    Addr prev_begin = 0;
-    for (std::uint64_t i = 0; i < h.eventCount; ++i) {
-        Event e;
-        const std::uint64_t kind = in.varint();
-        if (kind > (std::uint64_t)EventKind::Write)
-            in.fail("trace file event kind invalid");
-        e.kind = (EventKind)kind;
-        e.begin = prev_begin + (Addr)unzigzag(in.varint());
-        const std::uint64_t size = in.varint();
-        if (size > std::numeric_limits<std::uint32_t>::max()) {
-            in.fail("trace file event size %llu implausible",
-                    (unsigned long long)size);
-        }
-        e.size = (std::uint32_t)size;
-        const std::uint64_t aux = in.varint();
-        if (aux > std::numeric_limits<std::uint32_t>::max()) {
-            in.fail("trace file event aux %llu implausible",
-                    (unsigned long long)aux);
-        }
-        e.aux = (std::uint32_t)aux;
-        prev_begin = e.begin;
-        if (e.kind == EventKind::Write)
-            ++writes;
-        else if (e.aux >= objects)
-            in.fail("trace file event object id out of range");
-        trace.events.push_back(e);
-    }
-
-    trace.totalWrites = in.varint();
-    trace.estimatedInstructions = in.varint();
-    if (trace.totalWrites != writes) {
-        in.fail("trace file write-count trailer (%llu) disagrees "
-                "with the event stream (%llu)",
-                (unsigned long long)trace.totalWrites,
-                (unsigned long long)writes);
-    }
-    if (!in.empty())
-        in.fail("trace file has trailing bytes after the trailer");
-    return trace;
-}
-
-/** Every block of a v2 trace, in order, into one Trace. */
-Trace
-decodeV2(const MappedTrace &m)
+materialize(const MappedTrace &m)
 {
     Trace trace;
     trace.program = m.program();
@@ -406,17 +309,6 @@ readAll(std::istream &is, const std::string &what)
     return bytes;
 }
 
-/** Materialize a whole trace of either format from its encoding. */
-Trace
-decodeTrace(std::vector<unsigned char> bytes)
-{
-    if (formatOf(bytes.data(), bytes.size()) == TraceFormat::V2Blocked)
-        return decodeV2(MappedTrace(std::move(bytes)));
-    detail::SpanIn in(bytes.data(), bytes.size(), 0, -1);
-    detail::TraceHeader h = detail::parseTraceHeader(in);
-    return decodeV1(in, std::move(h));
-}
-
 } // namespace
 
 namespace detail {
@@ -425,8 +317,16 @@ TraceHeader
 parseTraceHeader(SpanIn &in)
 {
     TraceHeader h;
-    h.format = formatOf(in.p, (std::size_t)(in.end - in.p));
-    in.p += sizeof(magicV1);
+    const std::size_t n = (std::size_t)(in.end - in.p);
+    if (n < sizeof(magic))
+        failTraceAt(n, -1, "trace file truncated");
+    if (std::memcmp(in.p, retiredV1Magic, sizeof(magic)) == 0) {
+        throw TraceError("trace file is a retired v1 flat trace "
+                         "(EDBTRC02); re-record it");
+    }
+    if (std::memcmp(in.p, magic, sizeof(magic)) != 0)
+        parseError("not an EDB trace file (bad magic)");
+    in.p += sizeof(magic);
 
     h.program = spanString(in);
 
@@ -506,12 +406,10 @@ parseTraceHeader(SpanIn &in)
         in.fail("trace file event count %llu implausible",
                 (unsigned long long)h.eventCount);
     }
-    if (h.format == TraceFormat::V2Blocked) {
-        h.blockEvents = in.varint();
-        if (h.blockEvents == 0 || h.blockEvents > maxBlockEvents) {
-            in.fail("trace file block size hint %llu implausible",
-                    (unsigned long long)h.blockEvents);
-        }
+    h.blockEvents = in.varint();
+    if (h.blockEvents == 0 || h.blockEvents > maxBlockEvents) {
+        in.fail("trace file block size hint %llu implausible",
+                (unsigned long long)h.blockEvents);
     }
     return h;
 }
@@ -522,19 +420,15 @@ void
 writeTrace(const Trace &trace, std::ostream &os,
            const WriteOptions &options)
 {
-    if (options.format == TraceFormat::V1Flat) {
-        writeTraceV1(trace, os);
-        return;
-    }
     const std::size_t block_events = std::clamp<std::size_t>(
         options.blockEvents, 1, maxBlockEvents);
-    writeTraceV2(trace, os, block_events);
+    writeContainer(trace, os, block_events);
 }
 
 Trace
 readTrace(std::istream &is)
 {
-    return decodeTrace(readAll(is, "trace stream"));
+    return materialize(MappedTrace(readAll(is, "trace stream")));
 }
 
 void
@@ -551,26 +445,7 @@ Trace
 loadTrace(const std::string &path)
 {
     EDB_OBS_TIMED_SPAN("trace.load", obsLoadNs);
-    // v2 decodes straight out of a mapping; only v1 is read in.
-    if (probeTraceFormat(path) == TraceFormat::V2Blocked)
-        return decodeV2(MappedTrace(path, MappedTrace::Unindexed{}));
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        parseError("cannot open '%s' for reading", path.c_str());
-    return decodeTrace(readAll(is, "'" + path + "'"));
-}
-
-TraceFormat
-probeTraceFormat(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        parseError("cannot open '%s' for reading", path.c_str());
-    unsigned char got[sizeof(magicV1)];
-    is.read((char *)got, sizeof(got));
-    if ((std::size_t)is.gcount() < sizeof(got))
-        parseError("not an EDB trace file (bad magic)");
-    return formatOf(got, sizeof(got));
+    return materialize(MappedTrace(path, MappedTrace::Unindexed{}));
 }
 
 } // namespace edb::trace

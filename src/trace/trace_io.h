@@ -9,17 +9,18 @@
  * Event Trace" box).
  *
  * Format: a magic/version header, the string tables (functions, write
- * sites), object descriptors, then the event stream. Integers are
- * LEB128 varints; event addresses are delta-encoded against the
- * previous event's begin address, which compresses the strong spatial
- * locality of real write streams. docs/FORMAT.md specifies the layout.
+ * sites), object descriptors, then the event stream cut into blocks of
+ * predicted, run-length-coded columns, a block index and a fixed
+ * footer. Integers are LEB128 varints. docs/FORMAT.md specifies the
+ * layout.
  *
- * Every v2 input decodes through one reader, MappedTrace: the query
+ * Every input decodes through one reader, MappedTrace: the query
  * engine, the daemon and block-skip replay map a file and decode
  * blocks on demand, while readTrace/loadTrace materialize a whole
- * Trace by decoding every block in order. v1 files run the flat event
- * loop over the same in-memory bytes with the same header parser, so
- * every reader agrees on what a well-formed trace is.
+ * Trace by decoding every block in order, so every reader agrees on
+ * what a well-formed trace is. A retired v1 flat file (EDBTRC02) is
+ * rejected by the one header parser, with the same message from
+ * every reader.
  *
  * Malformed or truncated input raises TraceError — a recoverable
  * error, never a process abort — and corrupt length fields are capped
@@ -95,20 +96,12 @@ struct WriteBatch
     std::vector<std::uint64_t> scratch;
 };
 
-/** Options for writeTrace/saveTrace. The default emits v2 blocked. */
+/** Options for writeTrace/saveTrace. */
 struct WriteOptions
 {
-    TraceFormat format = TraceFormat::V2Blocked;
-    /** Events per block (v2 only); clamped to [1, maxBlockEvents]. */
+    /** Events per block; clamped to [1, maxBlockEvents]. */
     std::size_t blockEvents = defaultBlockEvents;
 };
-
-/**
- * Read just enough of a trace file to identify its container format.
- * Throws TraceError if the file cannot be opened or carries neither
- * magic.
- */
-TraceFormat probeTraceFormat(const std::string &path);
 
 /** Serialize a trace to a stream. Throws TraceError on I/O error. */
 void writeTrace(const Trace &trace, std::ostream &os,
@@ -119,20 +112,20 @@ void saveTrace(const Trace &trace, const std::string &path,
                const WriteOptions &options = {});
 
 /**
- * Deserialize a whole trace from a stream (either format), which must
- * hold exactly one trace: everything up to end-of-stream is decoded.
- * Throws TraceError on malformed input.
+ * Deserialize a whole trace from a stream, which must hold exactly
+ * one trace: everything up to end-of-stream is decoded. Throws
+ * TraceError on malformed input.
  */
 Trace readTrace(std::istream &is);
 
 /**
- * Deserialize a trace from a file (either format). Never consults a
- * sidecar index. Throws TraceError.
+ * Deserialize a trace from a file, decoding every block of one
+ * mapping. Never consults a sidecar index. Throws TraceError.
  */
 Trace loadTrace(const std::string &path);
 
 /**
- * Zero-copy random-access view of a v2 blocked trace.
+ * Zero-copy random-access view of a blocked trace.
  *
  * The file is mmap'd (falling back to one in-memory copy where mmap is
  * unavailable), or the bytes are handed over already in memory;
@@ -146,8 +139,8 @@ Trace loadTrace(const std::string &path);
  * parallel simulator's shards seek straight to block boundaries, and
  * the replay fast path skip whole blocks on a summary miss.
  *
- * Throws TraceError on any malformed input, including a v1 file (which
- * has no index to map; convert it first).
+ * Throws TraceError on any malformed input, including a retired v1
+ * flat file.
  */
 class MappedTrace
 {

@@ -32,12 +32,6 @@
 
 namespace edb::trace {
 
-const char *
-traceFormatName(TraceFormat format)
-{
-    return format == TraceFormat::V1Flat ? "v1 flat" : "v2 blocked";
-}
-
 void
 obsNoteSkippedBlocks(std::uint64_t blocks, std::uint64_t writes)
 {
@@ -188,12 +182,6 @@ MappedTrace::parse()
 {
     detail::SpanIn in(data_, (std::size_t)size_, 0, -1);
     detail::TraceHeader header = detail::parseTraceHeader(in);
-    if (header.format != TraceFormat::V2Blocked) {
-        throw TraceError((path_.empty() ? std::string("trace")
-                                        : "'" + path_ + "'") +
-                         " is a v1 flat trace; convert it to v2 "
-                         "blocked before mapping");
-    }
     program_ = std::move(header.program);
     registry_ = std::move(header.registry);
     write_sites_ = std::move(header.writeSites);

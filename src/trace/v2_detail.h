@@ -42,8 +42,7 @@
  * follow). Group counts must be >= 1 and sum exactly to the column's
  * value count. Identical values repeat heavily in every column of a
  * real trace (a loop writing one array has constant stride, size and
- * write site), which is where v2's compression over the v1 flat
- * stream comes from.
+ * write site), which is where the container's compactness comes from.
  *
  * Both the block header parser and the payload decoder work on an
  * in-memory span: MappedTrace, the only v2 reader, holds the whole
@@ -176,24 +175,23 @@ struct SpanIn
 };
 
 /**
- * The file header both container formats share: magic, program name,
- * function/write-site/object tables and the declared event count,
- * followed in v2 by the writer's events-per-block.
+ * The file header: magic, program name, function/write-site/object
+ * tables, the declared event count and the writer's events-per-block.
  */
 struct TraceHeader
 {
-    TraceFormat format = TraceFormat::V1Flat;
     std::string program;
     ObjectRegistry registry;
     std::vector<std::string> writeSites;
     std::uint64_t eventCount = 0;
-    std::uint64_t blockEvents = 0; ///< v2 only
+    std::uint64_t blockEvents = 0;
 };
 
 /**
  * Parse and validate a file header from the start of `in`, leaving
- * `in` at the first byte after it (the v1 event stream or the first
- * v2 block). Implemented in trace_io.cc.
+ * `in` at the first byte after it (the first block). The one place a
+ * file's magic is checked: a retired v1 flat trace (EDBTRC02) is
+ * rejected here, for every reader alike. Implemented in trace_io.cc.
  */
 TraceHeader parseTraceHeader(SpanIn &in);
 

@@ -16,6 +16,7 @@
 #include "cli/cli.h"
 #include "obs/obs.h"
 #include "served/server.h"
+#include "trace/trace_io.h"
 
 namespace edb::cli {
 namespace {
@@ -60,52 +61,56 @@ TEST_F(CliTest, InfoSummarizesTrace)
     EXPECT_NE(text.find("program:       bps"), std::string::npos);
     EXPECT_NE(text.find("total writes:"), std::string::npos);
     EXPECT_NE(text.find("heap)"), std::string::npos);
-    // record emits v2 by default, so info reports the block stats.
-    EXPECT_NE(text.find("format:        v2 blocked"), std::string::npos);
+    EXPECT_EQ(text.find("format:"), std::string::npos);
     EXPECT_NE(text.find("blocks:"), std::string::npos);
     EXPECT_NE(text.find("B/event"), std::string::npos);
     EXPECT_NE(text.find("runs/block"), std::string::npos);
 }
 
-TEST_F(CliTest, ConvertRoundTripsBothFormats)
+/** The trace-level lines of `info`, counted from the whole
+ *  materialized trace: the reference the mapped summary must match. */
+std::string
+materializedInfoHead(const std::string &path)
 {
-    const std::string v1_path = ::testing::TempDir() + "/edb_cli_cvt1." +
-                                std::to_string(::getpid()) + ".trc";
-    const std::string v2_path = ::testing::TempDir() + "/edb_cli_cvt2." +
-                                std::to_string(::getpid()) + ".trc";
+    const trace::Trace t = trace::loadTrace(path);
+    std::size_t by_kind[4] = {};
+    for (const auto &obj : t.registry.objects())
+        ++by_kind[(std::size_t)obj.kind];
+    std::size_t counts[3] = {};
+    for (const trace::Event &e : t.events)
+        ++counts[(std::size_t)e.kind];
+    std::ostringstream out;
+    out << "program:       " << t.program << "\n"
+        << "events:        " << t.events.size() << " (" << counts[0]
+        << " installs, " << counts[1] << " removes, " << counts[2]
+        << " writes)\n"
+        << "total writes:  " << t.totalWrites << "\n"
+        << "est. instrs:   " << t.estimatedInstructions << "\n"
+        << "functions:     " << t.registry.functionCount() << "\n"
+        << "write sites:   " << t.writeSites.size() << "\n"
+        << "objects:       " << t.registry.objectCount() << " ("
+        << by_kind[0] << " local auto, " << by_kind[1]
+        << " local static, " << by_kind[2] << " global, " << by_kind[3]
+        << " heap)\n";
+    return out.str();
+}
 
-    std::ostringstream out, err;
-    EXPECT_EQ(cmdConvert(*path_, v1_path, "v1", out, err), 0);
-    EXPECT_NE(out.str().find("v2 blocked -> v1 flat"),
-              std::string::npos);
-    EXPECT_NE(out.str().find("roundtrip verified"), std::string::npos);
-
-    // A v1 artifact carries no block stats in info.
-    out.str("");
-    EXPECT_EQ(cmdInfo(v1_path, out), 0);
-    EXPECT_NE(out.str().find("format:        v1 flat"),
-              std::string::npos);
-    EXPECT_EQ(out.str().find("blocks:"), std::string::npos);
-
-    // And back: v1 -> v2 reproduces a valid blocked container.
-    out.str("");
-    EXPECT_EQ(cmdConvert(v1_path, v2_path, "v2", out, err), 0);
-    EXPECT_NE(out.str().find("v1 flat -> v2 blocked"),
-              std::string::npos);
-    out.str("");
-    EXPECT_EQ(cmdInfo(v2_path, out), 0);
-    EXPECT_NE(out.str().find("format:        v2 blocked"),
-              std::string::npos);
-
-    // Unknown target format is a usage error.
-    out.str("");
-    err.str("");
-    EXPECT_EQ(cmdConvert(*path_, v1_path, "v3", out, err), 2);
-    EXPECT_NE(err.str().find("unknown trace format"),
-              std::string::npos);
-
-    std::remove(v1_path.c_str());
-    std::remove(v2_path.c_str());
+TEST_F(CliTest, InfoCountsMatchTheMaterializedTrace)
+{
+    std::vector<std::string> paths = {*path_};
+    for (const char *name :
+         {"mini_ghost.v2.trc", "mini_mixed.v2.trc", "mini_scatter.v2.trc",
+          "mini_straddle.v2.trc", "mini_writes.v2.trc"}) {
+        paths.push_back(std::string(EDB_CORPUS_DIR) + "/" + name);
+    }
+    for (const std::string &path : paths) {
+        std::ostringstream out;
+        ASSERT_EQ(cmdInfo(path, out), 0) << path;
+        const std::string text = out.str();
+        EXPECT_EQ(text.substr(0, text.find("blocks:")),
+                  materializedInfoHead(path))
+            << path;
+    }
 }
 
 TEST_F(CliTest, SessionsListsTopByHits)
@@ -254,30 +259,6 @@ TEST_F(CliTest, QueryJobsFlagAcceptedWithIdenticalAnswers)
     EXPECT_NE(threaded.str().find("(jobs 4)"), std::string::npos);
 }
 
-TEST_F(CliTest, QueryReadsV1InputWithoutPushdown)
-{
-    const std::string v1_path = ::testing::TempDir() +
-                                "/edb_cli_qv1." +
-                                std::to_string(::getpid()) + ".trc";
-    std::ostringstream out, err;
-    ASSERT_EQ(cmdConvert(*path_, v1_path, "v1", out, err), 0);
-
-    const std::vector<std::string> spec = {"--kind", "write",
-                                           "--agg", "by-page"};
-    std::ostringstream v1_out, v2_out;
-    std::vector<std::string> v1_args = {"query", v1_path};
-    std::vector<std::string> v2_args = {"query", *path_};
-    v1_args.insert(v1_args.end(), spec.begin(), spec.end());
-    v2_args.insert(v2_args.end(), spec.begin(), spec.end());
-    EXPECT_EQ(run(v1_args, v1_out, err), 0) << err.str();
-    EXPECT_EQ(run(v2_args, v2_out, err), 0) << err.str();
-
-    EXPECT_NE(v1_out.str().find("v1 flat trace (no pushdown)"),
-              std::string::npos);
-    EXPECT_EQ(matchesLine(v1_out.str()), matchesLine(v2_out.str()));
-    std::remove(v1_path.c_str());
-}
-
 TEST_F(CliTest, QueryParseErrorsExitTwoWithUsage)
 {
     const std::vector<std::vector<std::string>> bad = {
@@ -332,7 +313,7 @@ TEST(CliRun, JobsRejectedOnPhase1Commands)
 {
     // --jobs selects phase-2 simulation workers; on record/info it
     // would silently do nothing, so it must be an error.
-    for (const char *cmd : {"record", "info", "convert"}) {
+    for (const char *cmd : {"record", "info"}) {
         std::ostringstream out, err;
         EXPECT_EQ(run({cmd, "--jobs", "2", "x"}, out, err), 2) << cmd;
         EXPECT_NE(err.str().find("--jobs does not apply"),
@@ -583,7 +564,7 @@ TEST(CliUsage, MentionsEveryCommand)
 {
     std::string text = usage();
     for (const char *cmd :
-         {"record", "info", "convert", "sessions", "analyze", "session",
+         {"record", "info", "index", "sessions", "analyze", "session",
           "advise", "query", "connect", "top", "metrics", "--interval",
           "--once", "--agg", "--format", "--help", "EDB_PROFILE"}) {
         EXPECT_NE(text.find(cmd), std::string::npos) << cmd;

@@ -2,21 +2,20 @@
  * @file
  * Differential harness for the trace query engine.
  *
- * Three executors answer every QuerySpec:
+ * Two executors answer every QuerySpec:
  *
- *   scanAll()             brute force over the flat event stream —
- *                         the oracle, deliberately naive
- *   runQuery(Trace)       the shared evaluator, serial, no pruning
- *   runQuery(MappedTrace) summary pushdown + thread-pool fan-out
+ *   scanAll()   brute force over the materialized event stream —
+ *               the oracle, deliberately naive
+ *   runQuery()  summary pushdown over a MappedTrace + thread-pool
+ *               fan-out
  *
  * This suite generates seeded random specs — kind masks, address
  * ranges derived from real event addresses, session subsets, index
  * windows, size bounds, aux sets, every aggregation — and pins the
- * optimized executors to the oracle, exactly (operator==, not
- * approximately): on all five workload traces, on every committed
- * corpus artifact (including the adversarial straddle/ghost traces),
- * and on randomized traces, across jobs in {1, 2, 4, 8} and on both
- * container formats.
+ * executor to the oracle, exactly (operator==, not approximately): on
+ * all five workload traces, on every committed corpus artifact
+ * (including the adversarial straddle/ghost traces), and on
+ * randomized traces, across jobs in {1, 2, 4, 8}.
  */
 
 #include <gtest/gtest.h>
@@ -38,19 +37,16 @@ namespace {
 using session::SessionSet;
 using testgen::randomTrace;
 
-/** RAII trace artifact in either container format. */
+/** RAII trace artifact. */
 class Saved
 {
   public:
-    Saved(const trace::Trace &t, trace::TraceFormat format,
-          std::size_t block_events = trace::defaultBlockEvents)
-        : path_(::testing::TempDir() + "/edb_qdiff_" + t.program +
-                (format == trace::TraceFormat::V1Flat ? ".v1." :
-                                                        ".v2.") +
+    explicit Saved(const trace::Trace &t,
+                   std::size_t block_events = trace::defaultBlockEvents)
+        : path_(::testing::TempDir() + "/edb_qdiff_" + t.program + "." +
                 std::to_string(::getpid()) + ".trc")
     {
         trace::WriteOptions opts;
-        opts.format = format;
         opts.blockEvents = block_events;
         trace::saveTrace(t, path_, opts);
     }
@@ -140,23 +136,15 @@ specLabel(const QuerySpec &spec, int i)
 }
 
 /**
- * The core differential check: the in-memory executor, the v1
- * round-trip, and the mapped pushdown executor at every jobs level
- * must equal the scanAll oracle exactly.
+ * The core differential check: the mapped pushdown executor at every
+ * jobs level must equal the scanAll oracle exactly.
  */
 void
 checkSpec(const trace::Trace &t, const SessionSet &set,
-          const trace::MappedTrace &mapped, const trace::Trace *v1,
-          const QuerySpec &spec, int i)
+          const trace::MappedTrace &mapped, const QuerySpec &spec, int i)
 {
     const QueryResult ref = scanAll(t, set, spec);
 
-    ASSERT_TRUE(runQuery(t, set, spec) == ref)
-        << "in-memory diverged: " << specLabel(spec, i);
-    if (v1 != nullptr) {
-        ASSERT_TRUE(runQuery(*v1, set, spec) == ref)
-            << "v1 container diverged: " << specLabel(spec, i);
-    }
     for (unsigned jobs : {1u, 2u, 4u, 8u}) {
         QueryOptions opts;
         opts.jobs = jobs;
@@ -184,16 +172,14 @@ TEST_P(QueryDifferentialWorkload, OptimizedPathsMatchScanAll)
     trace::Trace t = workload::runTraced(*w);
     SessionSet set = SessionSet::enumerate(t);
 
-    Saved v2(t, trace::TraceFormat::V2Blocked);
-    Saved v1file(t, trace::TraceFormat::V1Flat);
-    trace::MappedTrace mapped(v2.path());
-    trace::Trace v1 = trace::loadTrace(v1file.path());
+    Saved saved(t);
+    trace::MappedTrace mapped(saved.path());
 
     Rng rng(0x0E5B0001 ^
             std::hash<std::string_view>{}(GetParam()));
     for (int i = 0; i < 10; ++i) {
         QuerySpec spec = randomSpec(rng, t, set);
-        checkSpec(t, set, mapped, &v1, spec, i);
+        checkSpec(t, set, mapped, spec, i);
         if (::testing::Test::HasFatalFailure())
             return;
     }
@@ -220,7 +206,7 @@ TEST_P(QueryDifferentialCorpus, OptimizedPathsMatchScanAll)
             std::hash<std::string>{}(GetParam()));
     for (int i = 0; i < 40; ++i) {
         QuerySpec spec = randomSpec(rng, t, set);
-        checkSpec(t, set, mapped, nullptr, spec, i);
+        checkSpec(t, set, mapped, spec, i);
         if (::testing::Test::HasFatalFailure())
             return;
     }
@@ -241,15 +227,13 @@ TEST_P(QueryRandom, AllExecutorsAgreeOnRandomTraces)
 {
     trace::Trace t = randomTrace(GetParam(), 600);
     SessionSet set = SessionSet::enumerate(t);
-    Saved v2(t, trace::TraceFormat::V2Blocked, 64);
-    trace::MappedTrace mapped(v2.path());
+    Saved saved(t, 64);
+    trace::MappedTrace mapped(saved.path());
 
     Rng rng(0x0E5B0003 ^ GetParam());
     for (int i = 0; i < 10; ++i) {
         QuerySpec spec = randomSpec(rng, t, set);
         const QueryResult ref = scanAll(t, set, spec);
-        ASSERT_TRUE(runQuery(t, set, spec) == ref)
-            << "in-memory diverged: " << specLabel(spec, i);
         for (unsigned jobs : {1u, 4u}) {
             QueryOptions opts;
             opts.jobs = jobs;

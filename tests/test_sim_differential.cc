@@ -197,6 +197,7 @@ TEST_P(DifferentialWorkload, SequentialMatchesOracleOnWorkloadTrace)
     trace::Trace t = workload::runTraced(*w);
     SessionSet set = SessionSet::enumerate(t);
     SimResult seq = simulate(t, set);
+    ASSERT_EQ(seq.totalWrites, t.totalWrites);
 
     // The per-session oracle walks the whole trace once per session,
     // so pin a geometric spread of sessions (first, last, and powers

@@ -7,17 +7,27 @@
  * committed artifact, so an accidental wire-format change fails here
  * instead of silently orphaning saved traces.
  *
+ * mini_mixed.v1.trc is the mixed trace in the retired v1 flat
+ * container. It is frozen bytes, never regenerated: every front end
+ * must refuse it with one typed error.
+ *
  * EDB_CORPUS_DIR is injected by tests/CMakeLists.txt and points at the
  * checked-in corpus in the source tree.
  */
 
 #include <algorithm>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include "cli/cli.h"
+#include "served/client.h"
+#include "served/server.h"
 #include "session/session.h"
 #include "sim/relevance.h"
 #include "sim/simulator.h"
@@ -64,16 +74,56 @@ TEST(TraceCorpus, MixedV2DecodesWithPinnedContent)
     EXPECT_EQ(eventChecksum(t), 0x2e0f66cefa14dd9aull);
 }
 
-TEST(TraceCorpus, MixedV1DecodesEqualToV2)
+TEST(TraceCorpus, RetiredV1FixtureIsRefusedByEveryFrontEnd)
 {
-    trace::Trace v1 = trace::loadTrace(corpusPath("mini_mixed.v1.trc"));
-    trace::Trace v2 = trace::loadTrace(corpusPath("mini_mixed.v2.trc"));
-    ASSERT_EQ(v1.events.size(), v2.events.size());
-    EXPECT_EQ(eventChecksum(v1), eventChecksum(v2));
-    EXPECT_EQ(v1.totalWrites, v2.totalWrites);
-    EXPECT_EQ(v1.registry.objectCount(), v2.registry.objectCount());
-    EXPECT_EQ(trace::probeTraceFormat(corpusPath("mini_mixed.v1.trc")),
-              trace::TraceFormat::V1Flat);
+    const std::string v1 = corpusPath("mini_mixed.v1.trc");
+    const std::string retired =
+        "is a retired v1 flat trace (EDBTRC02); re-record it";
+
+    // The CLI reports the one message and exits 1.
+    for (const char *cmd : {"info", "query", "analyze"}) {
+        std::ostringstream out, err;
+        EXPECT_EQ(cli::run({cmd, v1}, out, err), 1) << cmd;
+        EXPECT_NE(err.str().find(retired), std::string::npos)
+            << cmd << ": " << err.str();
+    }
+
+    // The daemon answers OPEN_TRACE with a typed ERR and goes on
+    // serving: another tenant's RUN on the v2 twin of the same trace
+    // matches the in-process oracle.
+    served::ServerOptions options;
+    options.socketPath = ::testing::TempDir() + "/edb_corpus_v1." +
+                         std::to_string(::getpid()) + ".sock";
+    served::Server server(options);
+    server.start();
+    served::Client bad;
+    bad.connect(server.socketPath());
+    bad.hello("bad");
+    served::Client good;
+    good.connect(server.socketPath());
+    good.hello("good");
+    const std::string v2 = corpusPath("mini_mixed.v2.trc");
+    const served::OpenResult open = good.openTrace(v2);
+    try {
+        bad.openTrace(v1);
+        ADD_FAILURE() << "OPEN_TRACE accepted a v1 trace";
+    } catch (const served::ClientError &e) {
+        EXPECT_EQ(e.code(), served::ErrCode::TraceLoadFailed);
+        EXPECT_NE(std::string(e.what()).find(retired), std::string::npos)
+            << e.what();
+    }
+    const served::RunReply run = good.run(open.traceId, {0, 1});
+    trace::MappedTrace mapped(v2);
+    const sim::SimResult oracle = sim::simulate(
+        mapped, session::SessionSet::enumerate(mapped.registry()));
+    ASSERT_TRUE(run.sessionMode);
+    EXPECT_EQ(run.totalWrites, oracle.totalWrites);
+    ASSERT_EQ(run.counters.size(), 2u);
+    EXPECT_EQ(run.counters[0], oracle.counters[0]);
+    EXPECT_EQ(run.counters[1], oracle.counters[1]);
+    bad.bye();
+    good.bye();
+    server.stop();
 }
 
 TEST(TraceCorpus, WritesV2KeepsBlockShapeAndSkipsUnderSparseSession)

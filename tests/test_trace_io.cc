@@ -38,14 +38,6 @@ encode(const Trace &t, const WriteOptions &opts = {})
     return ss.str();
 }
 
-WriteOptions
-v1Options()
-{
-    WriteOptions opts;
-    opts.format = TraceFormat::V1Flat;
-    return opts;
-}
-
 /** A temp file unique to this test process (ctest runs under -j). */
 class TempTrace
 {
@@ -150,6 +142,7 @@ TEST(TraceIo, RoundTripStream)
     Trace original = makeSampleTrace();
     std::stringstream ss;
     writeTrace(original, ss);
+    EXPECT_EQ(ss.str().substr(0, 8), "EDBTRC03");
     Trace loaded = readTrace(ss);
     expectTracesEqual(original, loaded);
 }
@@ -262,17 +255,15 @@ TEST(TraceIo, EmptyTraceHasNoEventsAndNoWrites)
     Tracer tracer("empty");
     const Trace original = tracer.finish();
     TempTrace file;
-    for (const WriteOptions &opts : {WriteOptions{}, v1Options()}) {
-        const std::string bytes = encode(original, opts);
-        for (const Trace &t :
-             {readBytes(bytes), loadTrace(file.holding(bytes))}) {
-            EXPECT_TRUE(t.events.empty());
-            EXPECT_EQ(t.totalWrites, 0u);
-            EXPECT_EQ(t.program, "empty");
-        }
+    const std::string bytes = encode(original);
+    for (const Trace &t :
+         {readBytes(bytes), loadTrace(file.holding(bytes))}) {
+        EXPECT_TRUE(t.events.empty());
+        EXPECT_EQ(t.totalWrites, 0u);
+        EXPECT_EQ(t.program, "empty");
     }
-    const std::string v2 = encode(original);
-    MappedTrace mapped(std::vector<unsigned char>(v2.begin(), v2.end()));
+    MappedTrace mapped(
+        std::vector<unsigned char>(bytes.begin(), bytes.end()));
     EXPECT_EQ(mapped.blockCount(), 0u);
     EXPECT_EQ(mapped.eventCount(), 0u);
 }
@@ -300,16 +291,13 @@ TEST(TraceIo, MappedHeaderExposesTablesBeforeDecode)
 TEST(TraceIoErrors, WriteCountMismatchIsAParseError)
 {
     // Tamper with the totalWrites trailer: every reader cross-checks
-    // it against the writes actually decoded (v1) or the block index
-    // (v2).
+    // it against the block index.
     Trace original = randomTrace(123, 100);
     original.totalWrites += 1;
     TempTrace file;
-    for (const WriteOptions &opts : {WriteOptions{}, v1Options()}) {
-        const std::string bytes = encode(original, opts);
-        EXPECT_THROW((void)readBytes(bytes), TraceError);
-        EXPECT_THROW((void)loadTrace(file.holding(bytes)), TraceError);
-    }
+    const std::string bytes = encode(original);
+    EXPECT_THROW((void)readBytes(bytes), TraceError);
+    EXPECT_THROW((void)loadTrace(file.holding(bytes)), TraceError);
 }
 
 class TraceIoRoundTrip : public ::testing::TestWithParam<std::uint64_t>
@@ -321,18 +309,15 @@ TEST_P(TraceIoRoundTrip, EveryTruncationIsACleanParseError)
     Trace original = randomTrace(GetParam() + 5000, 60);
     TempTrace file;
 
-    // Every proper prefix, of either container, must throw TraceError
-    // — never hang, crash, or return a silently wrong trace.
-    for (const WriteOptions &opts : {WriteOptions{}, v1Options()}) {
-        const std::string bytes = encode(original, opts);
-        for (std::size_t len = 0; len < bytes.size(); ++len) {
-            const std::string prefix = bytes.substr(0, len);
-            EXPECT_THROW((void)readBytes(prefix), TraceError)
-                << "prefix length " << len << " of " << bytes.size();
-            EXPECT_THROW((void)loadTrace(file.holding(prefix)),
-                         TraceError)
-                << "prefix length " << len << " of " << bytes.size();
-        }
+    // Every proper prefix must throw TraceError — never hang, crash,
+    // or return a silently wrong trace.
+    const std::string bytes = encode(original);
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+        const std::string prefix = bytes.substr(0, len);
+        EXPECT_THROW((void)readBytes(prefix), TraceError)
+            << "prefix length " << len << " of " << bytes.size();
+        EXPECT_THROW((void)loadTrace(file.holding(prefix)), TraceError)
+            << "prefix length " << len << " of " << bytes.size();
     }
 }
 
@@ -343,7 +328,7 @@ TEST(TraceIoErrors, ErrorIsRecoverable)
 {
     // The recoverable contract: after a failed parse the process is
     // intact and can go on to load a good trace.
-    std::stringstream bad("EDBTRC02\xff\xff\xff\xff garbage");
+    std::stringstream bad("EDBTRC03\xff\xff\xff\xff garbage");
     EXPECT_THROW((void)readTrace(bad), TraceError);
 
     Trace original = makeSampleTrace();
@@ -353,7 +338,8 @@ TEST(TraceIoErrors, ErrorIsRecoverable)
     expectTracesEqual(original, loaded);
 }
 
-/** Each paper workload survives both containers bit for bit. */
+/** Each paper workload survives the container bit for bit. (The name
+ *  predates the retirement of the v1 flat container.) */
 class TraceIoWorkload : public ::testing::TestWithParam<std::string_view>
 {
 };
@@ -363,11 +349,7 @@ TEST_P(TraceIoWorkload, LoadTraceIsBitIdenticalInBothContainers)
     auto w = workload::makeWorkload(GetParam());
     const Trace original = workload::runTraced(*w);
     TempTrace file;
-    for (const WriteOptions &opts : {WriteOptions{}, v1Options()}) {
-        SCOPED_TRACE(traceFormatName(opts.format));
-        expectTracesEqual(loadTrace(file.holding(encode(original, opts))),
-                          original);
-    }
+    expectTracesEqual(loadTrace(file.holding(encode(original))), original);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -457,6 +439,19 @@ attempt(Read &&read)
     }
 }
 
+/** The TraceError message `read` throws, or "" when it succeeds. */
+template <typename Read>
+std::string
+rejectionOf(Read &&read)
+{
+    try {
+        (void)read();
+    } catch (const TraceError &e) {
+        return e.what();
+    }
+    return "";
+}
+
 /** MappedTrace over a file, every block decoded in order. */
 Trace
 decodeMapped(const std::string &path)
@@ -485,8 +480,8 @@ sameTrace(const Trace &a, const Trace &b)
 }
 
 /**
- * One table over every kind of v2 input: readTrace, loadTrace and a
- * full MappedTrace decode must all return the same trace or all throw
+ * One table over every kind of input: readTrace, loadTrace and a full
+ * MappedTrace decode must all return the same trace or all throw
  * TraceError. A reader that accepted bytes another rejects (trailing
  * junk after the footer, say) would let replay, query and the daemon
  * disagree about the same file.
@@ -498,6 +493,8 @@ TEST(TraceIoAgreement, EveryReaderAcceptsAndRejectsTheSameInputs)
         std::string label;
         std::string bytes;
         bool valid;
+        /** When set, every reader must throw, naming this. */
+        const char *rejection = nullptr;
     };
     std::vector<Row> rows;
     auto readFile = [](const std::string &path) {
@@ -511,6 +508,11 @@ TEST(TraceIoAgreement, EveryReaderAcceptsAndRejectsTheSameInputs)
             {name, readFile(std::string(EDB_CORPUS_DIR) + "/" + name),
              true});
     }
+    // The retired v1 flat container, frozen bytes (never regenerated).
+    rows.push_back(
+        {"retired v1 fixture",
+         readFile(std::string(EDB_CORPUS_DIR) + "/mini_mixed.v1.trc"),
+         false, "is a retired v1 flat trace (EDBTRC02); re-record it"});
     const std::string small = encode(randomTrace(7, 60));
     for (std::size_t len = 0; len < small.size(); ++len) {
         rows.push_back({"truncated to " + std::to_string(len),
@@ -548,6 +550,16 @@ TEST(TraceIoAgreement, EveryReaderAcceptsAndRejectsTheSameInputs)
         ASSERT_EQ(read.has_value(), load.has_value());
         ASSERT_EQ(read.has_value(), mapped.has_value());
         ASSERT_TRUE(read.has_value() || !row.valid);
+        if (row.rejection != nullptr) {
+            for (const std::string &what :
+                 {rejectionOf([&] { return readBytes(row.bytes); }),
+                  rejectionOf([&] { return loadTrace(path); }),
+                  rejectionOf(
+                      [&] { return MappedTrace(path).eventCount(); })}) {
+                EXPECT_NE(what.find(row.rejection), std::string::npos)
+                    << what;
+            }
+        }
         if (read.has_value()) {
             ++accepted;
             ASSERT_TRUE(sameTrace(*read, *load));

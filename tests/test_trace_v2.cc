@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests for the v2 blocked trace container: explicit v1/v2 round
- * trips, MappedTrace equivalence with the original trace, the
- * control-only decode path, block summary soundness, the
- * truncation/byte-flip robustness contract extended to the block
- * index and footer, and the offset/block-id error reports.
+ * Tests for the v2 blocked trace container: MappedTrace equivalence
+ * with the original trace, the control-only decode path, block
+ * summary soundness, the truncation/byte-flip robustness contract
+ * extended to the block index and footer, and the offset/block-id
+ * error reports.
  */
 
 #include <gtest/gtest.h>
@@ -68,45 +68,6 @@ class TempFile
   private:
     std::string path_;
 };
-
-void
-expectTracesEqual(const Trace &a, const Trace &b)
-{
-    EXPECT_EQ(a.program, b.program);
-    EXPECT_EQ(a.totalWrites, b.totalWrites);
-    EXPECT_EQ(a.estimatedInstructions, b.estimatedInstructions);
-    EXPECT_EQ(a.writeSites, b.writeSites);
-    ASSERT_EQ(a.events.size(), b.events.size());
-    for (std::size_t i = 0; i < a.events.size(); ++i)
-        EXPECT_EQ(a.events[i], b.events[i]) << "event " << i;
-    ASSERT_EQ(a.registry.objectCount(), b.registry.objectCount());
-    ASSERT_EQ(a.registry.functionCount(), b.registry.functionCount());
-}
-
-TEST(TraceV2Format, ExplicitV1RoundTripAndProbe)
-{
-    Trace original = randomTrace(42);
-
-    WriteOptions v1;
-    v1.format = TraceFormat::V1Flat;
-    std::string v1_bytes = encode(original, v1);
-    std::string v2_bytes = encode(original);
-
-    // The two containers carry different magic and decode to the same
-    // trace.
-    EXPECT_EQ(v1_bytes.substr(0, 8), "EDBTRC02");
-    EXPECT_EQ(v2_bytes.substr(0, 8), "EDBTRC03");
-    std::stringstream s1(v1_bytes), s2(v2_bytes);
-    expectTracesEqual(readTrace(s1), original);
-    expectTracesEqual(readTrace(s2), original);
-
-    TempFile f1("probe1", v1_bytes);
-    TempFile f2("probe2", v2_bytes);
-    EXPECT_EQ(probeTraceFormat(f1.path()), TraceFormat::V1Flat);
-    EXPECT_EQ(probeTraceFormat(f2.path()), TraceFormat::V2Blocked);
-    EXPECT_STREQ(traceFormatName(TraceFormat::V1Flat), "v1 flat");
-    EXPECT_STREQ(traceFormatName(TraceFormat::V2Blocked), "v2 blocked");
-}
 
 /** Seeds x block sizes: mapped decode must equal the original trace. */
 class MappedTraceRoundTrip
@@ -225,15 +186,6 @@ TEST_P(MappedTraceRoundTrip, SummaryCoversEveryWrite)
 INSTANTIATE_TEST_SUITE_P(Seeds, MappedTraceRoundTrip,
                          ::testing::Values(1, 2, 3));
 
-TEST(MappedTraceErrors, V1FileIsRejected)
-{
-    Trace original = randomTrace(7);
-    WriteOptions v1;
-    v1.format = TraceFormat::V1Flat;
-    TempFile f("v1rej", encode(original, v1));
-    EXPECT_THROW(MappedTrace{f.path()}, TraceError);
-}
-
 TEST(MappedTraceErrors, EveryTruncationIsACleanParseError)
 {
     Trace original = randomTrace(5001, 120);
@@ -254,8 +206,8 @@ TEST(MappedTraceErrors, EveryTruncationIsACleanParseError)
 
 /**
  * Byte-flip fuzzing over the v2 container, biased toward the tail of
- * the artifact so the block index and the fixed footer — structures
- * the flat v1 fuzzers never exercised — see most of the corruption.
+ * the artifact so the block index and the fixed footer see most of
+ * the corruption.
  * Decoding must load or throw TraceError; never hang, abort, or reach
  * undefined behaviour.
  */

@@ -2,7 +2,7 @@
  * @file
  * Generator for the committed v2 mini-corpus (bench/corpus/).
  *
- * The corpus pins the on-disk EDBT containers: CI's perf-smoke job and
+ * The corpus pins the on-disk EDBT container: CI's perf-smoke job and
  * the tier-1 corpus test decode the committed bytes, so any change to
  * the wire format that cannot read yesterday's artifacts fails loudly
  * instead of silently orphaning saved traces. The traces here are
@@ -19,8 +19,6 @@
  *                       most blocks carry both column groups
  *   mini_writes.v2.trc  long pure-write phases against few monitored
  *                       objects — the block-skip fast path's shape
- *   mini_mixed.v1.trc   the mixed trace in the flat v1 container, for
- *                       probe/convert coverage
  *   mini_straddle.v2.trc
  *                       writes and objects deliberately straddling
  *                       8 KiB summary-page boundaries — the query
@@ -33,6 +31,10 @@
  *                       sidecar index's page-occupancy bitmap shape;
  *                       the committed artifact is the scattered
  *                       default
+ *
+ * bench/corpus/mini_mixed.v1.trc is not written here: it is the mixed
+ * trace in the retired v1 flat container, kept as frozen bytes so
+ * every reader's rejection of that format stays tested.
  */
 
 #include <cstdio>
@@ -277,12 +279,9 @@ main(int argc, char **argv)
     // Small blocks so even mini traces span many of them.
     trace::WriteOptions v2;
     v2.blockEvents = 128;
-    trace::WriteOptions v1;
-    v1.format = trace::TraceFormat::V1Flat;
 
     trace::saveTrace(mixed, dir + "/mini_mixed.v2.trc", v2);
     trace::saveTrace(writes, dir + "/mini_writes.v2.trc", v2);
-    trace::saveTrace(mixed, dir + "/mini_mixed.v1.trc", v1);
     trace::saveTrace(straddle, dir + "/mini_straddle.v2.trc", v2);
     trace::saveTrace(ghost, dir + "/mini_ghost.v2.trc", v2);
     trace::saveTrace(scatter, dir + "/mini_scatter.v2.trc", v2);
