@@ -17,12 +17,12 @@
  *    end from the on-disk artifact — the materialized path loads
  *    every event (loadTrace) and replays them all, the skip path maps
  *    the file and skips every block whose write summary misses the
- *    monitored pages. The skip result must stay bit-identical and be
- *    >= 1.3x faster on at least 3 of the 5 workloads.
+ *    monitored pages. The skip result must stay bit-identical.
  *
  * All times are medians of `reps` repetitions. Emits
- * BENCH_trace_v2.json into the working directory; a correctness or
- * acceptance failure exits nonzero.
+ * BENCH_trace_v2.json into the working directory and exits nonzero
+ * only when the skip result diverges; the speedup floor lives in one
+ * place, tools/perf_smoke_check.py.
  */
 
 #include <algorithm>
@@ -174,17 +174,6 @@ main()
         rows.push_back(std::move(row));
     }
 
-    int fast_enough = 0;
-    for (const auto &r : rows)
-        fast_enough += r.speedup >= 1.3 ? 1 : 0;
-    if (fast_enough < 3) {
-        std::fprintf(stderr,
-                     "FAIL: block-skip replay >= 1.3x on only %d of "
-                     "%zu workloads (acceptance floor 3)\n",
-                     fast_enough, rows.size());
-        ok = false;
-    }
-
     report::TextTable table;
     table.header({"Program", "Events", "B/event", "Decode MB/s",
                   "Loaded (ms)", "Skip (ms)", "Speedup", "Skipped",
@@ -215,9 +204,8 @@ main()
     std::fprintf(json,
                  "{\n"
                  "    \"identical\": %s,\n"
-                 "    \"speedup_13x_count\": %d,\n"
                  "    \"workloads\": [\n",
-                 ok ? "true" : "false", fast_enough);
+                 ok ? "true" : "false");
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const auto &r = rows[i];
         std::fprintf(
@@ -240,9 +228,7 @@ main()
     }
     std::fprintf(json, "    ]\n  }");
     writer.close();
-    std::printf("Wrote BENCH_trace_v2.json (%d/%zu workloads >= 1.3x "
-                "skip speedup)\n",
-                fast_enough, rows.size());
+    std::printf("Wrote BENCH_trace_v2.json\n");
 
     // The decode sink defeats dead-code elimination of the loops.
     if (sink == 0)

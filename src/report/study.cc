@@ -6,7 +6,6 @@
 #include "report/study.h"
 
 #include "obs/obs.h"
-#include "sim/index_profile.h"
 #include "sim/parallel_sim.h"
 #include "util/logging.h"
 
@@ -42,16 +41,6 @@ studyTrace(const trace::Trace &trace, const model::TimingProfile &timing,
                 sim::parallelSimulate(trace, study.sessions, opts);
         }
     }
-
-#if EDB_OBS_ENABLED
-    {
-        // Exercise the runtime MonitorIndex over the same trace so
-        // every analyze run exports live shadow-directory counters
-        // (wms.index.* / wms.shadow.*) next to the simulator's.
-        EDB_OBS_SPAN("study.index_profile");
-        (void)sim::indexProfile(trace);
-    }
-#endif
 
     // Keep only sessions with at least one hit (Section 8).
     for (session::SessionId id = 0; id < study.sessions.size(); ++id) {

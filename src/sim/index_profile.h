@@ -1,12 +1,14 @@
 /**
  * @file
- * A single-pass MonitorIndex exercise over a trace, run by
- * report::studyTrace when the obs layer is compiled in so that every
- * `edb-trace analyze` produces live shadow-directory counters
- * (wms.index.* / wms.shadow.*) alongside the simulator's replay-cache
- * counters. Mirrors the paper's all-objects-monitored upper bound:
- * every InstallMonitor/RemoveMonitor event is applied and every write
- * is looked up.
+ * A single-pass MonitorIndex exercise over a trace. Mirrors the
+ * paper's all-objects-monitored upper bound: every
+ * InstallMonitor/RemoveMonitor event is applied and every write is
+ * looked up.
+ *
+ * It has no production caller: `edb-trace analyze` no longer replays
+ * the trace a second time through it. It is kept only for the
+ * benchmark's per-layer probe `sim.index_profile_ms`, and goes when
+ * that metric is retired.
  */
 
 #ifndef EDB_SIM_INDEX_PROFILE_H

@@ -16,7 +16,10 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <new>
 #include <ostream>
+
+#include <unistd.h>
 
 #include "obs/obs.h"
 #include "trace/v2_detail.h"
@@ -40,9 +43,6 @@ constexpr char retiredV1Magic[8] = {'E', 'D', 'B', 'T', 'R', 'C', '0', '2'};
 constexpr std::uint64_t maxTableEntries = 1u << 28;
 constexpr std::uint64_t maxStringBytes = 1u << 20;
 constexpr std::uint64_t maxEvents = 1ull << 33;
-/** Initial reserve cap of a materialized event vector: a corrupt
- *  event count must fail on decode, not on allocation. */
-constexpr std::uint64_t maxEventReserve = 1u << 20;
 
 [[noreturn]] void
 parseError(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
@@ -268,6 +268,39 @@ spanString(detail::SpanIn &in)
     return s;
 }
 
+/**
+ * Reserve exactly `count` events, so materializing never regrows the
+ * vector. The count is the header's, already checked against the block
+ * index and every block header. A corrupt count must fail on decode,
+ * not on allocation: one past physical memory is refused here, before
+ * anything is allocated, and below that reserve maps but touches no
+ * pages, so a corrupt later block fails having faulted in only the
+ * blocks decoded before it.
+ */
+void
+reserveEvents(std::vector<Event> &events, std::uint64_t count)
+{
+    const long pages = sysconf(_SC_PHYS_PAGES);
+    const long page_bytes = sysconf(_SC_PAGESIZE);
+    const std::uint64_t phys_bytes =
+        pages > 0 && page_bytes > 0
+            ? (std::uint64_t)pages * (std::uint64_t)page_bytes
+            : UINT64_MAX;
+    const auto tooLarge = [&] {
+        parseError("trace of %llu events is too large to materialize "
+                   "(%llu bytes of physical memory)",
+                   (unsigned long long)count,
+                   (unsigned long long)phys_bytes);
+    };
+    if (count > phys_bytes / sizeof(Event))
+        tooLarge();
+    try {
+        events.reserve((std::size_t)count);
+    } catch (const std::bad_alloc &) {
+        tooLarge();
+    }
+}
+
 /** Every block of a mapped trace, in order, into one Trace. */
 Trace
 materialize(const MappedTrace &m)
@@ -278,8 +311,7 @@ materialize(const MappedTrace &m)
     trace.writeSites = m.writeSites();
     trace.totalWrites = m.totalWrites();
     trace.estimatedInstructions = m.estimatedInstructions();
-    trace.events.reserve(
-        (std::size_t)std::min(m.eventCount(), maxEventReserve));
+    reserveEvents(trace.events, m.eventCount());
     for (std::size_t b = 0; b < m.blockCount(); ++b) {
         const std::size_t at = trace.events.size();
         trace.events.resize(at + (std::size_t)m.block(b).events);

@@ -59,6 +59,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -679,11 +680,26 @@ summarizeWrites(const Event *events, std::size_t n,
                 util::SmallVec<PageRun, maxSummaryRuns> &out)
 {
     out.clear();
-    std::vector<std::pair<Addr, Addr>> spans; // [first, last] inclusive
+    // [first, last] inclusive. Writes cluster on a few pages at a
+    // time, so most repeat a span pushed shortly before; a small
+    // direct-mapped filter of recent spans drops those repeats. The
+    // sort and merge below then see the same set of spans, so the runs
+    // do not change, but they sort a few spans per page touched
+    // instead of one per write.
+    std::vector<std::pair<Addr, Addr>> spans;
+    std::pair<Addr, Addr> recent[16];
+    // first > last: matches no span.
+    std::fill(std::begin(recent), std::end(recent),
+              std::pair<Addr, Addr>{1, 0});
     for (std::size_t i = 0; i < n; ++i) {
         if (events[i].kind != EventKind::Write || events[i].size == 0)
             continue;
-        spans.push_back(pageSpan(events[i].range(), summaryPageBytes));
+        const auto span = pageSpan(events[i].range(), summaryPageBytes);
+        auto &seen = recent[span.first % std::size(recent)];
+        if (seen != span) {
+            seen = span;
+            spans.push_back(span);
+        }
     }
     if (spans.empty())
         return;
@@ -717,17 +733,6 @@ summarizeWrites(const Event *events, std::size_t n,
             separator[gaps[k].second] = 1;
 
         std::vector<std::pair<Addr, Addr>> fitted;
-        for (std::size_t i = 0; i < merged.size(); ++i) {
-            if (fitted.empty()) {
-                fitted.push_back(merged[i]);
-            } else {
-                fitted.back().second = merged[i].second;
-            }
-            if (i + 1 < merged.size() && separator[i])
-                fitted.push_back({merged[i + 1].first, 0});
-        }
-        // The loop above pre-opens the next span; rewrite cleanly.
-        fitted.clear();
         std::pair<Addr, Addr> cur = merged[0];
         for (std::size_t i = 0; i + 1 < merged.size(); ++i) {
             if (separator[i]) {

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -72,6 +73,22 @@ TEST(TraceCorpus, MixedV2DecodesWithPinnedContent)
     EXPECT_EQ(t.totalWrites, 1200u);
     EXPECT_EQ(t.registry.objectCount(), 45u);
     EXPECT_EQ(eventChecksum(t), 0x2e0f66cefa14dd9aull);
+}
+
+TEST(TraceCorpus, MaterializingReservesExactlyTheEventCount)
+{
+    // readTrace and loadTrace reserve the header's event count up
+    // front, so the event vector is never regrown while blocks decode.
+    for (const char *name :
+         {"mini_ghost.v2.trc", "mini_mixed.v2.trc", "mini_scatter.v2.trc",
+          "mini_straddle.v2.trc", "mini_writes.v2.trc"}) {
+        SCOPED_TRACE(name);
+        const std::string path = corpusPath(name);
+        const std::uint64_t events = trace::MappedTrace(path).eventCount();
+        EXPECT_EQ(trace::loadTrace(path).events.capacity(), events);
+        std::ifstream in(path, std::ios::binary);
+        EXPECT_EQ(trace::readTrace(in).events.capacity(), events);
+    }
 }
 
 TEST(TraceCorpus, RetiredV1FixtureIsRefusedByEveryFrontEnd)

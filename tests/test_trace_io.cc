@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <optional>
 #include <sstream>
@@ -17,6 +18,7 @@
 #include <string_view>
 #include <vector>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include "testing/random_trace.h"
@@ -300,6 +302,176 @@ TEST(TraceIoErrors, WriteCountMismatchIsAParseError)
     EXPECT_THROW((void)loadTrace(file.holding(bytes)), TraceError);
 }
 
+/** What one reader made of an input: a trace, or a TraceError. */
+template <typename Read>
+std::optional<Trace>
+attempt(Read &&read)
+{
+    try {
+        return read();
+    } catch (const TraceError &) {
+        return std::nullopt;
+    }
+}
+
+/** The TraceError message `read` throws, or "" when it succeeds. */
+template <typename Read>
+std::string
+rejectionOf(Read &&read)
+{
+    try {
+        (void)read();
+    } catch (const TraceError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** Append `v` as a LEB128 varint, as the container writes it. */
+void
+putVarint(std::string &out, std::uint64_t v)
+{
+    while (v >= 0x80) {
+        out.push_back((char)((v & 0x7f) | 0x80));
+        v >>= 7;
+    }
+    out.push_back((char)v);
+}
+
+/** The LEB128 varint at `pos`, advancing past it. */
+std::uint64_t
+getVarint(const std::string &in, std::size_t &pos)
+{
+    std::uint64_t v = 0;
+    for (int shift = 0;; shift += 7) {
+        const auto byte = (unsigned char)in.at(pos++);
+        v |= (std::uint64_t)(byte & 0x7f) << shift;
+        if ((byte & 0x80) == 0)
+            return v;
+    }
+}
+
+/**
+ * A well-framed trace whose header and block index claim `blocks`
+ * blocks of maxBlockEvents identical writes each. Every block is the
+ * same real record: that many identical writes run-length encode to a
+ * few bytes, so the file stays small whatever event count it claims.
+ * Block `corrupt_block`, if any, has its payload's last byte damaged:
+ * its header still parses when the file is opened, and decoding it
+ * fails.
+ */
+std::string
+forgedEventCount(std::uint64_t blocks,
+                 std::uint64_t corrupt_block = ~std::uint64_t{0})
+{
+    Trace t;
+    t.program = "forged";
+    t.writeSites = {"forged.c:1"};
+    t.events.assign(maxBlockEvents,
+                    Event{0x100000, 4, 0, EventKind::Write});
+    t.totalWrites = maxBlockEvents;
+    WriteOptions opts;
+    opts.blockEvents = maxBlockEvents;
+    const std::string real = encode(t, opts);
+
+    // The footer holds the index offset (8 bytes, little-endian); the
+    // index lists one (record bytes, events, writes) entry.
+    std::uint64_t index_off = 0;
+    for (int i = 0; i < 8; ++i) {
+        index_off |= (std::uint64_t)(unsigned char)real[real.size() - 12 + i]
+                     << (8 * i);
+    }
+    std::size_t pos = (std::size_t)index_off;
+    EXPECT_EQ(getVarint(real, pos), 1u);
+    const std::uint64_t record_bytes = getVarint(real, pos);
+    const std::size_t record_off = (std::size_t)(index_off - record_bytes);
+    const std::string record = real.substr(record_off, record_bytes);
+    // The header tables end where the event count and the block size
+    // (both maxBlockEvents in `real`) begin.
+    std::string counts;
+    putVarint(counts, maxBlockEvents);
+    putVarint(counts, maxBlockEvents);
+    std::string out = real.substr(0, record_off - counts.size());
+
+    const std::uint64_t events = blocks * maxBlockEvents;
+    putVarint(out, events);
+    putVarint(out, maxBlockEvents);
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+        out += record;
+        if (b == corrupt_block)
+            out.back() = (char)0xff;
+    }
+    const std::uint64_t forged_index_off = out.size();
+    putVarint(out, blocks);
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+        putVarint(out, record_bytes);
+        putVarint(out, maxBlockEvents);
+        putVarint(out, maxBlockEvents);
+    }
+    putVarint(out, events); // every event is a write
+    putVarint(out, 0);      // estimated instructions
+    for (int i = 0; i < 8; ++i)
+        out.push_back((char)((forged_index_off >> (8 * i)) & 0xff));
+    out += real.substr(real.size() - 4);
+    return out;
+}
+
+/** Peak resident set of this process so far, in bytes. */
+std::uint64_t
+peakRssBytes()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return (std::uint64_t)ru.ru_maxrss * 1024;
+}
+
+TEST(TraceIoErrors, ForgedEventCountPastMemoryFailsBeforeAllocating)
+{
+    // 2^33 events, 192 GiB of Event: the header's own cap admits the
+    // count, the block index and every block header agree with it,
+    // and MappedTrace, which decodes block by block, opens it. Only
+    // materializing it is impossible, and that must be a TraceError
+    // before any allocation, not an abort or an out-of-memory kill.
+    const std::string bytes = forgedEventCount(std::uint64_t{1} << 12);
+    TempTrace file;
+    const std::string &path = file.holding(bytes);
+    EXPECT_EQ(MappedTrace(path).eventCount(), std::uint64_t{1} << 33);
+    for (const std::string &what :
+         {rejectionOf([&] { return readBytes(bytes); }),
+          rejectionOf([&] { return loadTrace(path); })}) {
+        EXPECT_NE(what.find("too large to materialize"), std::string::npos)
+            << what;
+    }
+}
+
+TEST(TraceIoErrors, ForgedEventCountFailsAtTheCorruptBlock)
+{
+    // 2^24 events (384 MiB of Event) whose block 1 is damaged. The
+    // event vector is reserved whole, but reserving touches no pages:
+    // the load must fail at block 1 having faulted in only the blocks
+    // it decoded.
+    constexpr std::uint64_t blocks = 8;
+    const std::string bytes = forgedEventCount(blocks, 1);
+    TempTrace file;
+    const std::string &path = file.holding(bytes);
+    {
+        MappedTrace m(path);
+        ASSERT_EQ(m.eventCount(), blocks * maxBlockEvents);
+        std::vector<Event> buf(maxBlockEvents);
+        m.decodeBlock(0, buf.data());
+        EXPECT_THROW(m.decodeBlock(1, buf.data()), TraceError);
+    }
+    const std::uint64_t block_bytes = maxBlockEvents * sizeof(Event);
+    const std::function<Trace()> readers[] = {
+        [&] { return readBytes(bytes); }, [&] { return loadTrace(path); }};
+    for (const auto &read : readers) {
+        const std::uint64_t before = peakRssBytes();
+        const std::string what = rejectionOf(read);
+        EXPECT_NE(what.find("block 1"), std::string::npos) << what;
+        EXPECT_LE(peakRssBytes(), before + 4 * block_bytes);
+    }
+}
+
 class TraceIoRoundTrip : public ::testing::TestWithParam<std::uint64_t>
 {
 };
@@ -349,7 +521,10 @@ TEST_P(TraceIoWorkload, LoadTraceIsBitIdenticalInBothContainers)
     auto w = workload::makeWorkload(GetParam());
     const Trace original = workload::runTraced(*w);
     TempTrace file;
-    expectTracesEqual(loadTrace(file.holding(encode(original))), original);
+    const Trace loaded = loadTrace(file.holding(encode(original)));
+    // Materializing reserves the exact event count: never a regrow.
+    EXPECT_EQ(loaded.events.capacity(), original.events.size());
+    expectTracesEqual(loaded, original);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -427,31 +602,6 @@ TEST_P(TraceIoRandomFuzz, CorruptedBytesLoadOrThrow)
 
 INSTANTIATE_TEST_SUITE_P(Flips, TraceIoRandomFuzz, ::testing::Range(0, 8));
 
-/** What one reader made of an input: a trace, or a TraceError. */
-template <typename Read>
-std::optional<Trace>
-attempt(Read &&read)
-{
-    try {
-        return read();
-    } catch (const TraceError &) {
-        return std::nullopt;
-    }
-}
-
-/** The TraceError message `read` throws, or "" when it succeeds. */
-template <typename Read>
-std::string
-rejectionOf(Read &&read)
-{
-    try {
-        (void)read();
-    } catch (const TraceError &e) {
-        return e.what();
-    }
-    return "";
-}
-
 /** MappedTrace over a file, every block decoded in order. */
 Trace
 decodeMapped(const std::string &path)
@@ -495,6 +645,10 @@ TEST(TraceIoAgreement, EveryReaderAcceptsAndRejectsTheSameInputs)
         bool valid;
         /** When set, every reader must throw, naming this. */
         const char *rejection = nullptr;
+        /** MappedTrace opens it (it decodes block by block), but it
+         *  is too large to materialize: readTrace and loadTrace must
+         *  throw the rejection. */
+        bool mapsOnly = false;
     };
     std::vector<Row> rows;
     auto readFile = [](const std::string &path) {
@@ -538,12 +692,25 @@ TEST(TraceIoAgreement, EveryReaderAcceptsAndRejectsTheSameInputs)
         rows.push_back({std::to_string(junk) + " trailing bytes",
                         small + std::string(junk, '\x5a'), false});
     }
+    rows.push_back({"forged 2^33-event count",
+                    forgedEventCount(std::uint64_t{1} << 12), false,
+                    "too large to materialize", true});
 
     TempTrace file;
     std::size_t accepted = 0;
     for (const Row &row : rows) {
         SCOPED_TRACE(row.label);
         const std::string &path = file.holding(row.bytes);
+        if (row.mapsOnly) {
+            EXPECT_NO_THROW((void)MappedTrace(path));
+            for (const std::string &what :
+                 {rejectionOf([&] { return readBytes(row.bytes); }),
+                  rejectionOf([&] { return loadTrace(path); })}) {
+                EXPECT_NE(what.find(row.rejection), std::string::npos)
+                    << what;
+            }
+            continue;
+        }
         const auto read = attempt([&] { return readBytes(row.bytes); });
         const auto load = attempt([&] { return loadTrace(path); });
         const auto mapped = attempt([&] { return decodeMapped(path); });

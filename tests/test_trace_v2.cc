@@ -20,6 +20,7 @@
 #include "sim/simulator.h"
 #include "testing/random_trace.h"
 #include "trace/trace_io.h"
+#include "util/rng.h"
 
 namespace edb::trace {
 namespace {
@@ -185,6 +186,62 @@ TEST_P(MappedTraceRoundTrip, SummaryCoversEveryWrite)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MappedTraceRoundTrip,
                          ::testing::Values(1, 2, 3));
+
+/** The summary runs of a one-block trace of `events`. */
+std::vector<PageRun>
+summaryOf(const std::vector<Event> &events, const char *tag)
+{
+    Trace t;
+    t.program = "summary";
+    t.events = events;
+    for (const Event &e : events)
+        t.totalWrites += e.kind == EventKind::Write;
+    WriteOptions opts;
+    opts.blockEvents = maxBlockEvents;
+    TempFile f(tag, encode(t, opts));
+    MappedTrace mapped(f.path());
+    EXPECT_EQ(mapped.blockCount(), 1u);
+    const auto &runs = mapped.block(0).runs;
+    return std::vector<PageRun>(runs.begin(), runs.end());
+}
+
+TEST(BlockSummary, RepeatedWritesLeaveTheRunsUnchanged)
+{
+    // The writer skips a write whose page span it kept recently. That
+    // is sound only if the runs depend on the set of spans alone:
+    // random blocks, each write repeated 1-8 times in place, or
+    // followed by repeats of earlier writes in random order, must
+    // summarize exactly as the same blocks without repeats. The
+    // blocks mix clustered and scattered writes, so some need the
+    // widest-gap merge past maxSummaryRuns and some do not.
+    Rng rng(0x5EED5);
+    for (int round = 0; round < 200; ++round) {
+        SCOPED_TRACE(round);
+        const std::size_t writes = 1 + rng.below(400);
+        const Addr spread = (Addr)summaryPageBytes << (2 + rng.below(12));
+        std::vector<Event> once, repeated, revisited;
+        for (std::size_t i = 0; i < writes; ++i) {
+            Event e;
+            if (rng.below(10) == 0) {
+                e = Event::install(0, AddrRange(0x40000, 0x40010));
+            } else {
+                e = Event{0x100000 + rng.below(spread),
+                          (std::uint32_t)rng.below(3 * summaryPageBytes),
+                          (std::uint32_t)rng.below(4), EventKind::Write};
+            }
+            once.push_back(e);
+            const std::size_t copies = 1 + rng.below(8);
+            for (std::size_t k = 0; k < copies; ++k)
+                repeated.push_back(e);
+        }
+        revisited = once;
+        for (std::size_t i = 0; i < 2 * writes; ++i)
+            revisited.push_back(once[rng.below(writes)]);
+        const std::vector<PageRun> runs = summaryOf(once, "once");
+        ASSERT_EQ(summaryOf(repeated, "repeat"), runs);
+        ASSERT_EQ(summaryOf(revisited, "revisit"), runs);
+    }
+}
 
 TEST(MappedTraceErrors, EveryTruncationIsACleanParseError)
 {

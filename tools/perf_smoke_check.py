@@ -13,11 +13,18 @@ a fast path fell off a cliff (an accidental O(n) scan, a lost inline,
 a debug-build slip), not scheduler jitter.
 
 With --require-obs the script also checks OBS_*.json snapshots
-(edb::obs, schema edb-obs-snapshot-v1 or -v2) for counter sanity: the
-replay cache and shadow directory must have actually run, and the
-shadow fast/fallback split must add up to the lookup count.
+(edb::obs, schema edb-obs-snapshot-v1 or -v2, taken from `edb-trace
+analyze`) for counter sanity: the replay cache must have actually run.
+
+With --wms-obs it checks one snapshot of a process that monitored live
+writes (the daemon's, after a live RUN): the MonitorIndex shadow
+directory must have actually run, and its fast/fallback split must add
+up to the lookup count. analyze replays through the simulator and
+never probes a MonitorIndex, so these floors cannot sit on its
+snapshots.
 
 Usage: perf_smoke_check.py [--require-obs] [directory-with-json-files]
+       perf_smoke_check.py --wms-obs snapshot.json
 """
 
 import json
@@ -122,17 +129,21 @@ BYTES_PER_EVENT_CEILINGS = {
     "bps": 3.88,
 }
 
+SKIP_SPEEDUP_FLOOR = 1.3
+
 
 def check_trace_v2(path):
     """BENCH_trace_v2.json: bit-identity, size ceilings, skip floors.
 
     Encoded size is deterministic (same encoder, same workloads), so
-    it carries the real per-program bytes-per-event ceiling. Timing-
-    derived numbers get CI-noise headroom: the skip speedup is measured
-    against loading the whole trace and replaying every event, the
-    strong skip workloads measure >5x, so 1.1x on >=3 workloads only
-    trips when skipping stops working, and decode measures ~2000+ MB/s
-    against a 50 MB/s floor.
+    it carries the real per-program bytes-per-event ceiling. This is
+    the only skip-speedup floor: bench_trace_v2 itself fails only on
+    a bit-identity break. The speedup is measured against loading the
+    whole trace and replaying every event; gcc, ctex and qcd skip or
+    control-decode nearly every block and measure 4-100x, spice and
+    bps skip nothing and measure ~1x, so 1.3x on >=3 workloads trips
+    when skipping stops working on any of the three. Decode measures
+    ~1500+ MB/s against a 50 MB/s floor.
     """
     rc, data = load_envelope(path)
     if not data.get("identical", False):
@@ -153,17 +164,18 @@ def check_trace_v2(path):
                 f"{path.name}: {prog} decode {row['decode_mbps']} "
                 f"MB/s below 50 MB/s floor"
             )
-        if row["skip_speedup"] >= 1.1:
+        if row["skip_speedup"] >= SKIP_SPEEDUP_FLOOR:
             fast += 1
     if fast < 3:
         rc |= fail(
-            f"{path.name}: skip replay >= 1.1x on only {fast} workloads "
-            f"(floor 3)"
+            f"{path.name}: skip replay >= {SKIP_SPEEDUP_FLOOR}x on only "
+            f"{fast} workloads (floor 3)"
         )
     if rc == 0:
         print(
             f"  {path.name}: identical, sizes under their B/event "
-            f"ceilings, {fast} workload(s) >= 1.1x skip speedup"
+            f"ceilings, {fast} workload(s) >= {SKIP_SPEEDUP_FLOOR}x "
+            f"skip speedup"
         )
     return rc
 
@@ -353,24 +365,28 @@ def check_decode(path):
     return rc
 
 
+def load_counters(path):
+    """(rc, counters) of an edb::obs snapshot."""
+    data = json.loads(path.read_text())
+    if data.get("schema") not in ("edb-obs-snapshot-v1",
+                                  "edb-obs-snapshot-v2"):
+        return fail(f"{path.name}: unexpected schema "
+                    f"{data.get('schema')!r}"), {}
+    return 0, data.get("counters", {})
+
+
 def check_obs(path):
-    """OBS_*.json snapshot: the instrumented hot paths actually ran.
+    """OBS_*.json analyze snapshot: the replay hot path actually ran.
 
     Floors, not ceilings: every paper workload writes memory and
     installs monitors, so a zero here means the counter wiring (or
     the EDB_OBS build flag) silently fell out.
     """
-    rc = 0
-    data = json.loads(path.read_text())
-    if data.get("schema") not in ("edb-obs-snapshot-v1",
-                                  "edb-obs-snapshot-v2"):
-        return fail(f"{path.name}: unexpected schema {data.get('schema')!r}")
-    c = data.get("counters", {})
+    rc, c = load_counters(path)
+    if rc:
+        return rc
     writes = c.get("sim.replay.writes", 0)
     replays = c.get("sim.replay.cache_replays", 0)
-    lookups = c.get("wms.index.lookups", 0)
-    fast = c.get("wms.shadow.fast", 0)
-    fallback = c.get("wms.shadow.fallback", 0)
     if writes <= 0:
         rc |= fail(f"{path.name}: sim.replay.writes is {writes}")
     if not 0 < replays <= writes:
@@ -378,6 +394,25 @@ def check_obs(path):
             f"{path.name}: sim.replay.cache_replays {replays} not in "
             f"(0, writes={writes}]"
         )
+    if rc == 0:
+        print(f"  {path.name}: writes={writes} cache_replays={replays}")
+    return rc
+
+
+def check_wms(path):
+    """Live-monitoring snapshot: the MonitorIndex shadow directory ran.
+
+    Floors, not ceilings: a live RUN with an installed monitor looks
+    every write up in the tenant's MonitorIndex, which publishes its
+    tallies when it is destroyed, so a zero here means the counter
+    wiring (or the EDB_OBS build flag) silently fell out.
+    """
+    rc, c = load_counters(path)
+    if rc:
+        return rc
+    lookups = c.get("wms.index.lookups", 0)
+    fast = c.get("wms.shadow.fast", 0)
+    fallback = c.get("wms.shadow.fallback", 0)
     if lookups <= 0:
         rc |= fail(f"{path.name}: wms.index.lookups is {lookups}")
     if fast <= 0:
@@ -389,14 +424,20 @@ def check_obs(path):
         )
     if rc == 0:
         print(
-            f"  {path.name}: writes={writes} cache_replays={replays} "
-            f"lookups={lookups} (fast={fast}, fallback={fallback})"
+            f"  {path.name}: lookups={lookups} (fast={fast}, "
+            f"fallback={fallback})"
         )
     return rc
 
 
 def main():
     argv = sys.argv[1:]
+    if argv[:1] == ["--wms-obs"]:
+        if len(argv) != 2:
+            return fail("usage: perf_smoke_check.py --wms-obs snapshot.json")
+        path = pathlib.Path(argv[1])
+        print(f"checking {path}")
+        return check_wms(path)
     require_obs = "--require-obs" in argv
     argv = [a for a in argv if a != "--require-obs"]
     root = pathlib.Path(argv[0] if argv else ".")
