@@ -255,6 +255,32 @@ class Gauge
 };
 
 /**
+ * A histogram tallied in plain fields, for loops where even the
+ * relaxed RMWs of Histogram::observe() cost too much (DESIGN.md
+ * §10.2): observe() here, then Histogram::merge() once. Same bucket
+ * scheme, so merging n observations publishes exactly what n
+ * Histogram::observe() calls would.
+ */
+struct HistTally
+{
+    std::uint64_t count = 0;
+    std::uint64_t sum = 0;
+    std::uint64_t min = ~std::uint64_t{0};
+    std::uint64_t max = 0;
+    std::uint64_t buckets[histBuckets]{};
+
+    void
+    observe(std::uint64_t v) noexcept
+    {
+        ++buckets[Shard::Hist::bucketOf(v)];
+        ++count;
+        sum += v;
+        min = v < min ? v : min;
+        max = v > max ? v : max;
+    }
+};
+
+/**
  * log2-bucketed value distribution with exact count/sum/min/max.
  * observe() is async-signal-safe (Shard::Hist::observe).
  */
@@ -278,6 +304,32 @@ class Histogram
     {
         Shard *s = t_shard;
         (s ? s : fallback_)->hists[id_].observe(v);
+    }
+
+    /** Fold a plain tally in: one RMW per field and nonzero bucket,
+     *  whatever its count. Async-signal-safe. */
+    void
+    merge(const HistTally &t) noexcept
+    {
+        if (t.count == 0)
+            return;
+        Shard *s = t_shard;
+        Shard::Hist &h = (s ? s : fallback_)->hists[id_];
+        for (std::size_t b = 0; b < histBuckets; ++b) {
+            if (t.buckets[b] != 0)
+                h.buckets[b].fetch_add(t.buckets[b],
+                                       std::memory_order_relaxed);
+        }
+        h.count.fetch_add(t.count, std::memory_order_relaxed);
+        h.sum.fetch_add(t.sum, std::memory_order_relaxed);
+        std::uint64_t cur = h.min.load(std::memory_order_relaxed);
+        while (t.min < cur && !h.min.compare_exchange_weak(
+                                  cur, t.min, std::memory_order_relaxed)) {
+        }
+        cur = h.max.load(std::memory_order_relaxed);
+        while (t.max > cur && !h.max.compare_exchange_weak(
+                                  cur, t.max, std::memory_order_relaxed)) {
+        }
     }
 
   private:

@@ -108,9 +108,8 @@ advanceLiveState(LiveMap &live, const Event *events, std::size_t n)
  *  mapped blocks, reused across every shard it replays. */
 struct Worker
 {
-    Worker(const SessionSet &sessions, const SessionMaskTable &masks,
-           std::size_t page_hint)
-        : engine(sessions, masks, page_hint)
+    Worker(const SessionSet &sessions, const SessionMaskTable &masks)
+        : engine(sessions, masks)
     {
     }
 
@@ -129,14 +128,13 @@ class EnginePool
 {
   public:
     EnginePool(const SessionSet &sessions,
-               const SessionMaskTable &masks, unsigned count,
-               std::size_t page_hint)
+               const SessionMaskTable &masks, unsigned count)
     {
         workers_.reserve(count);
         free_.reserve(count);
         for (unsigned i = 0; i < count; ++i) {
-            workers_.push_back(std::make_unique<Worker>(
-                sessions, masks, page_hint));
+            workers_.push_back(
+                std::make_unique<Worker>(sessions, masks));
             free_.push_back(workers_.back().get());
         }
     }
@@ -225,12 +223,9 @@ dispatchShards(const SessionSet &sessions, const ParallelOptions &opts,
     const std::size_t budget = std::max<std::size_t>(opts.shardEvents, 1);
 
     // Shared per-run read-only state plus the workers, all built
-    // before the pool starts. The page-capacity hint comes from the
-    // trace header's object registry (via the session set): live
-    // objects bound monitored pages.
+    // before the pool starts.
     const SessionMaskTable masks(sessions);
-    EnginePool engines(sessions, masks, stats.jobs,
-                       sessions.objectCount());
+    EnginePool engines(sessions, masks, stats.jobs);
 
     // Declared before the pool so workers never outlive them.
     std::deque<SimResult> parts;

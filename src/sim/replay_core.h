@@ -21,10 +21,11 @@
  *    session::SessionMaskTable, so multi-object writes union bitset
  *    chunks rather than deduplicating id-by-id;
  *  - a probe of the finest-grained page table prefilters the
- *    interval-map walk: a write that touches no monitored page of the
- *    finest size cannot hit any live object (checked at construction:
- *    every object belongs to at least one session), so pure misses
- *    never walk the ordered live map at all;
+ *    interval-map walk: resolution only ever counts objects that
+ *    carry a session, and those sit in the page tables, so a write
+ *    that touches no monitored page of the finest size intersects
+ *    nothing resolution would count, and pure misses never walk the
+ *    ordered live map at all — on the full set and on any subset;
  *  - a small *replay cache* captures the dominant pattern of real
  *    traces, long runs of writes into the same object on the same
  *    page(s). A write's counter increments are a pure function of
@@ -32,7 +33,10 @@
  *    the tables' contents); the cache keys on exactly that and
  *    re-applies the recorded increment list directly, skipping
  *    resolution, hashing, masks and scrubbing entirely. Any
- *    install/remove invalidates the recorded signatures.
+ *    install/remove invalidates the recorded signatures. Under a
+ *    subset, a write inside an object with no session records a
+ *    window-only *anchor* instead (page misses only), so writes into
+ *    objects outside the subset keep the cache too.
  *
  * Scratch state (hit/miss masks) is cleared through touched-word
  * lists, so an engine instance is reusable across shards without
@@ -79,7 +83,7 @@ inline obs::Counter replayObjCacheHits{"sim.replay.obj_cache_hits"};
 inline obs::Counter replayRecordings{"sim.replay.recordings"};
 inline obs::Counter replayMapWalks{"sim.replay.map_walks"};
 inline obs::Counter replayScrubWords{"sim.replay.scrub_words"};
-/** Replays settled per CacheEntry::flush() (batch sizes). */
+/** Replays settled per replay-cache flush (batch sizes). */
 inline obs::Histogram replayPendingFlush{"sim.replay.pending_flush"};
 } // namespace obs_instr
 #endif
@@ -254,35 +258,29 @@ class ReplayEngine
 {
   public:
     /**
-     * @param sessions  The session set counters are attributed to.
-     * @param masks     Per-object membership bitsets for `sessions`.
-     * @param page_hint Expected peak monitored-page count per page
-     *                  size (derived from the trace header); page
-     *                  tables pre-reserve to it.
+     * @param sessions The session set counters are attributed to.
+     * @param masks    Per-object membership bitsets for `sessions`.
      */
     ReplayEngine(const SessionSet &sessions,
-                 const SessionMaskTable &masks, std::size_t page_hint)
+                 const SessionMaskTable &masks)
         : sessions_(sessions), masks_(masks)
     {
+        // Only objects with a session enter the page tables, and live
+        // objects bound monitored pages, so reserving for those keeps
+        // the tables from rehashing mid-replay without sizing a
+        // subset's tables to the whole registry.
+        std::size_t relevant = 0;
+        for (std::size_t o = 0; o < sessions.objectCount(); ++o)
+            relevant += masks.chunkCount((ObjectId)o) != 0;
+        anchors_ = relevant < sessions.objectCount();
         result_.counters.resize(sessions.size());
         hit_mask_.assign(masks.maskWords(), 0);
         for (std::size_t i = 0; i < vmPageSizeCount; ++i) {
             miss_mask_[i].assign(masks.maskWords(), 0);
-            pages_[i].reserve(page_hint);
+            pages_[i].reserve(relevant);
             page_filter_[i].assign(filterSlots, 0);
         }
         isa_ = util::simdIsa();
-        // The page prefilter is sound only while every object belongs
-        // to at least one session (true of the paper's five session
-        // types; see sessionsOf()). Verify once instead of trusting
-        // it.
-        prefilter_ = true;
-        for (std::size_t o = 0; o < sessions.objectCount(); ++o) {
-            if (sessions.sessionsOf((ObjectId)o).empty()) {
-                prefilter_ = false;
-                break;
-            }
-        }
     }
 
     /** Forget all replay state, keeping every container's capacity. */
@@ -295,10 +293,8 @@ class ReplayEngine
             std::fill(page_filter_[i].begin(), page_filter_[i].end(),
                       0u);
         }
-        for (CacheEntry &c : cache_)
-            c.invalidate();
-        rlo_.fill(0);
-        rhi_.fill(0);
+        for (std::size_t k = 0; k < cache_.size(); ++k)
+            drop(k);
         rr_ = 0;
         std::fill(result_.counters.begin(), result_.counters.end(),
                   SessionCounters{});
@@ -332,10 +328,7 @@ class ReplayEngine
               case EventKind::Write: write(e); break;
             }
         }
-        // Settle replay-cache debts so result() sees exact counters.
-        for (CacheEntry &c : cache_)
-            c.flush();
-        EDB_OBS_ONLY(publishTally();)
+        settleAll();
     }
 
     /**
@@ -368,9 +361,7 @@ class ReplayEngine
         writeSpan(wb, w, (std::size_t)wb.writes);
         // Same per-call settle points as replay(), so the pending
         // flush histogram sees identical batch boundaries.
-        for (CacheEntry &c : cache_)
-            c.flush();
-        EDB_OBS_ONLY(publishTally();)
+        settleAll();
     }
 
     const SimResult &result() const { return result_; }
@@ -384,7 +375,9 @@ class ReplayEngine
      * object — and (b) touches the same single page of every size
      * while no install/remove has intervened: hit counters depend
      * only on the object's sessions, miss counters only on the
-     * written pages' session sets.
+     * written pages' session sets. A window-only *anchor* caches no
+     * object (begin == end == 0) and replays only through its
+     * window (see write()).
      */
     struct CacheEntry
     {
@@ -397,32 +390,48 @@ class ReplayEngine
         /**
          * Replays not yet applied to the counters. Increments are
          * additive and order-independent, so a replayed write only
-         * bumps this; flush() settles the debt before the entry's
+         * bumps this; settle() pays the debt before the entry's
          * increment list is dropped or rewritten, and at end of
          * replay.
          */
         std::uint64_t pending = 0;
-
-        void
-        flush()
-        {
-            if (pending == 0)
-                return;
-            EDB_OBS_OBSERVE(obs_instr::replayPendingFlush, pending);
-            for (std::uint64_t *p : incs)
-                *p += pending;
-            pending = 0;
-        }
-
-        void
-        invalidate()
-        {
-            flush();
-            begin = 0;
-            end = 0;
-            incs.clear();
-        }
     };
+
+    /** Apply an entry's pending replays to the counters. */
+    void
+    settle(CacheEntry &c)
+    {
+        if (c.pending == 0)
+            return;
+        EDB_OBS_ONLY(tally_.pending_flush.observe(c.pending);)
+        for (std::uint64_t *p : c.incs)
+            *p += c.pending;
+        c.pending = 0;
+    }
+
+    /** Settle entry k, then forget its object, recording and
+     *  window. */
+    void
+    drop(std::size_t k)
+    {
+        CacheEntry &c = cache_[k];
+        settle(c);
+        c.begin = 0;
+        c.end = 0;
+        c.incs.clear();
+        rlo_[k] = 0;
+        rhi_[k] = 0;
+    }
+
+    /** Settle every debt so result() sees exact counters, then
+     *  publish this call's obs tallies. */
+    void
+    settleAll()
+    {
+        for (CacheEntry &c : cache_)
+            settle(c);
+        EDB_OBS_ONLY(publishTally();)
+    }
 
     // The replay window of entry k lives outside the entry, in the
     // compact rlo_/rhi_ arrays the per-write probe scans: a write
@@ -475,10 +484,11 @@ class ReplayEngine
      * installs and protect transitions when `Count` (install()) but
      * not when seeding a shard boundary (seed()). A session-less
      * object (possible under SessionSet::subset) keeps only its live_
-     * entry, for hit resolution: it affects no counter, and remove()
-     * reclaims a page entry once its session counts drain, which
-     * would strand a stale page under a still-live session-less
-     * object.
+     * entry, so install() and remove() still check it against every
+     * other control event. It affects no counter, so resolution never
+     * counts it, and it stays off the page tables: remove() reclaims
+     * a page entry once its session counts drain, which would strand
+     * a stale page under a still-live session-less object.
      */
     template <bool Count>
     void
@@ -498,7 +508,7 @@ class ReplayEngine
                 if (fresh)
                     ++page_filter_[i][p & (filterSlots - 1)];
                 PageSessions &ps = *slot;
-                if (i == 0 && prefilter_)
+                if (i == 0)
                     ps.addObj(r.begin, r.end, obj);
                 for (SessionId s : sess) {
                     if (ps.addSession(s) && Count)
@@ -520,11 +530,8 @@ class ReplayEngine
         live_.erase(it);
 
         for (std::size_t k = 0; k < cache_.size(); ++k) {
-            if (r.begin == cache_[k].begin) {
-                cache_[k].invalidate(); // the cached object died
-                rlo_[k] = 0;
-                rhi_[k] = 0;
-            }
+            if (r.begin == cache_[k].begin)
+                drop(k); // the cached object died
         }
         invalidateWindowsTouching(r);
 
@@ -541,16 +548,16 @@ class ReplayEngine
                 PageSessions *ps = pages_[i].find(p);
                 EDB_ASSERT(ps != nullptr,
                            "page table corrupt on remove");
-                if (i == 0 && prefilter_)
+                if (i == 0)
                     ps->removeObj(r.begin);
                 for (SessionId s : sess) {
                     if (ps->removeSession(s))
                         ++result_.counters[s].vm[i].unprotects;
                 }
                 if (ps->counts.empty()) {
-                    // Every object carries a session here (checked at
-                    // construction), so an empty session set means no
-                    // live object overlaps the page.
+                    // Only objects with a session enter the lists, so
+                    // an empty session set means none of them still
+                    // overlaps the page.
                     EDB_ASSERT(ps->overflow || ps->objs.empty(),
                                "page object list leaked an object");
                     pages_[i].erase(p);
@@ -586,27 +593,33 @@ class ReplayEngine
         }
     }
 
+    /** Installed objects by begin address, on a pooled allocator. */
+    using LiveAlloc =
+        util::PoolAllocator<std::pair<const Addr, LiveObj>>;
+    using LiveMap = std::map<Addr, LiveObj, std::less<Addr>, LiveAlloc>;
+
     /**
      * Resolve the objects a write touches by walking the ordered
      * live map: the predecessor (if it extends into the write) plus
      * every live object starting inside the write. Counts hits and
-     * reports the first object found for the replay cache.
+     * reports the first object found for the replay cache. Objects
+     * with no session are skipped, exactly as the page-object lists
+     * leave them out: the prefilters rely on resolution counting
+     * only objects that sit in the page tables.
+     * @return firstFrom(w.begin), where the walk started.
      */
-    void
+    LiveMap::iterator
     resolveViaMap(const AddrRange &w, std::size_t &nobjs,
                   Addr &obj_begin, Addr &obj_end,
                   const SessionMaskTable::Chunk *&obj_chunks,
                   std::size_t &obj_nchunks)
     {
         EDB_OBS_ONLY(++tally_.map_walks;)
-        auto it = live_.upper_bound(w.begin);
-        if (it != live_.begin()) {
-            auto prev = std::prev(it);
-            if (prev->second.end > w.begin)
-                it = prev;
-        }
-        for (; it != live_.end() && it->first < w.end; ++it) {
-            if (it->second.end <= w.begin)
+        const auto first = firstFrom(w.begin);
+        for (auto it = first; it != live_.end() && it->first < w.end;
+             ++it) {
+            if (it->second.end <= w.begin ||
+                masks_.chunkCount(it->second.obj) == 0)
                 continue;
             if (++nobjs == 1) {
                 obj_begin = it->first;
@@ -617,6 +630,21 @@ class ReplayEngine
             countHits(masks_.chunksOf(it->second.obj),
                       masks_.chunkCount(it->second.obj));
         }
+        return first;
+    }
+
+    /** The first live object that can intersect a range starting at
+     *  a: the one holding a, else the first one after it. */
+    LiveMap::iterator
+    firstFrom(Addr a)
+    {
+        auto it = live_.upper_bound(a);
+        if (it != live_.begin()) {
+            auto prev = std::prev(it);
+            if (prev->second.end > a)
+                return prev;
+        }
+        return it;
     }
 
     /** Count hits for every session of one object not yet hit this
@@ -677,10 +705,11 @@ class ReplayEngine
         EDB_OBS_ONLY(++tally_.writes;)
         const AddrRange w = e.range();
 
-        // Replay probe: a write inside an entry's window hits the
-        // same object on the same page of every size as the recorded
+        // Replay probe: a write inside an entry's window intersects
+        // the same session objects (the cached one, or none for an
+        // anchor) on the same page of every size as the recorded
         // write, so its effect is exactly the recorded one. Settled
-        // lazily by flush().
+        // lazily by settle().
         for (std::size_t k = 0; k < cache_.size(); ++k) {
             if (w.begin >= rlo_[k] && w.end <= rhi_[k]) {
                 ++cache_[k].pending;
@@ -716,6 +745,8 @@ class ReplayEngine
         recording_ = true;
 
         std::size_t nobjs = 0;
+        // Where a map walk started, if one ran (the anchor reuses it).
+        auto walked = live_.end();
         Addr obj_begin = 0, obj_end = 0;
         const SessionMaskTable::Chunk *obj_chunks = nullptr;
         std::size_t obj_nchunks = 0;
@@ -729,13 +760,13 @@ class ReplayEngine
             obj_chunks = hit->chunks;
             obj_nchunks = hit->nchunks;
             countHits(obj_chunks, obj_nchunks);
-        } else if (prefilter_ && pg_first[0] == pg_last[0]) {
+        } else if (pg_first[0] == pg_last[0]) {
             // The write lies inside one finest-size page, so every
             // intersecting object touches that page: no entry means
-            // a pure miss (every object carries a session, so its
-            // pages are in the table), an exact list resolves in a
-            // few compares, and only an overflowed page walks the
-            // live map.
+            // no object with a session (whose pages are all in the
+            // table) intersects it, an exact list resolves in a few
+            // compares, and only an overflowed page walks the live
+            // map.
             if (const PageSessions *ps =
                     pages_[0].find(pg_first[0])) {
                 if (!ps->overflow) {
@@ -753,23 +784,24 @@ class ReplayEngine
                         }
                     }
                 } else {
-                    resolveViaMap(w, nobjs, obj_begin, obj_end,
-                                  obj_chunks, obj_nchunks);
+                    walked = resolveViaMap(w, nobjs, obj_begin, obj_end,
+                                           obj_chunks, obj_nchunks);
                 }
             }
         } else {
             // Prefilter on the finest page table: a write landing on
             // no monitored finest-size page cannot intersect a live
-            // object (any shared byte's page would carry that
-            // object's sessions), so pure misses skip the map walk.
-            bool may_hit = !prefilter_;
+            // object with a session (any shared byte's page would
+            // carry that object's sessions), so pure misses skip the
+            // map walk.
+            bool may_hit = false;
             for (Addr p = pg_first[0]; p <= pg_last[0] && !may_hit;
                  ++p) {
                 may_hit = pages_[0].find(p) != nullptr;
             }
-            if (may_hit && !live_.empty()) {
-                resolveViaMap(w, nobjs, obj_begin, obj_end,
-                              obj_chunks, obj_nchunks);
+            if (may_hit) {
+                walked = resolveViaMap(w, nobjs, obj_begin, obj_end,
+                                       obj_chunks, obj_nchunks);
             }
         }
 
@@ -798,27 +830,63 @@ class ReplayEngine
         }
         recording_ = false;
 
-        // Commit to the cache when the increments are a function of
-        // (single intersected object, one page per size).
-        if (single && nobjs == 1) {
-            EDB_OBS_ONLY(++tally_.recordings;)
+        if (!single)
+            return;
+        const Addr page_lo = pg_first[0] * vmPageSizes[0];
+        if (nobjs == 1) {
+            // Commit to the cache: the increments are a function of
+            // (single intersected object, one page per size).
             // Re-record in place on a window mismatch; otherwise
             // evict round-robin.
             const std::size_t k =
                 hit != nullptr
                     ? (std::size_t)(hit - cache_.data())
                     : rr_++ % cache_.size();
+            record(k, obj_begin, obj_end, page_lo);
             CacheEntry &c = cache_[k];
-            c.flush(); // settle the old increment list first
             c.begin = obj_begin;
             c.end = obj_end;
             c.chunks = obj_chunks;
             c.nchunks = obj_nchunks;
-            c.incs.swap(rec_incs_);
-            const Addr page_lo = pg_first[0] * vmPageSizes[0];
-            rlo_[k] = std::max(obj_begin, page_lo);
-            rhi_[k] = std::min(obj_end, page_lo + vmPageSizes[0]);
+        } else if (nobjs == 0 && anchors_ && !rec_incs_.empty()) {
+            // Window-only anchor: the write missed every object with
+            // a session but counted page misses. If it lies inside a
+            // live object (which then has no session), any write
+            // inside that object clipped to this page also intersects
+            // no session object and touches the same pages, so it
+            // has exactly these increments. No object range is
+            // stored, so the containment probe never matches; the
+            // window dies like any other on an install or remove
+            // touching its page, the object's own remove included.
+            const auto it =
+                walked != live_.end() ? walked : firstFrom(w.begin);
+            if (it == live_.end() || it->first > w.begin ||
+                it->second.end < w.end)
+                return;
+            const std::size_t k = rr_++ % cache_.size();
+            record(k, it->first, it->second.end, page_lo);
+            CacheEntry &c = cache_[k];
+            c.begin = 0;
+            c.end = 0;
+            c.chunks = nullptr;
+            c.nchunks = 0;
         }
+    }
+
+    /**
+     * Store the write just resolved as entry k's recording: its
+     * increment list, and the window [begin, end) clipped to the
+     * finest page at page_lo.
+     */
+    void
+    record(std::size_t k, Addr begin, Addr end, Addr page_lo)
+    {
+        EDB_OBS_ONLY(++tally_.recordings;)
+        CacheEntry &c = cache_[k];
+        settle(c); // pay the old increment list's debt first
+        c.incs.swap(rec_incs_);
+        rlo_[k] = std::max(begin, page_lo);
+        rhi_[k] = std::min(end, page_lo + vmPageSizes[0]);
     }
 
     /** log2 of each simulated page size, for the write screen. */
@@ -836,20 +904,23 @@ class ReplayEngine
     /**
      * True when the write (b, s) is provably *pure* — its complete
      * effect on the engine is ++totalWrites (plus the obs write
-     * tally). Requires prefilter_ (checked by the caller): then every
-     * live object's pages sit in pages_[0], so
+     * tally). Every live object that resolution counts (one with a
+     * session) has its pages in pages_[0], so
      *
      *  - a zero filter slot for every size means no monitored page of
-     *    any size at this address: no hits (no live object shares a
-     *    byte), no active-page misses, and the single-page prefilter
-     *    path of write() would find no page entry — no map walk, no
-     *    tallies, no recording (nobjs == 0);
-     *  - replay windows and cached object ranges only ever cover a
-     *    live session-relevant object clipped to a monitored finest
-     *    page, so a screened write can match neither (its filter
-     *    slots are empty) — no cache_replays, no obj_cache_hits; the
-     *    no-wrap guard also rejects end == 0, which a zeroed window
-     *    [0, 0] would otherwise "contain";
+     *    any size at this address: no hits (no counted object shares
+     *    a byte), no active-page misses, and the single-page
+     *    prefilter path of write() would find no page entry — no map
+     *    walk, no tallies, no recording (nobjs == 0, and no anchor
+     *    either: nothing was incremented);
+     *  - replay windows only ever sit on a page monitored at some
+     *    size (a session object or a window-only anchor clipped to
+     *    a finest page whose increments were not empty), and cached
+     *    object ranges only on session objects, so a screened write
+     *    can match neither (its filter slots are empty) — no
+     *    cache_replays, no obj_cache_hits; the no-wrap guard also
+     *    rejects end == 0, which a zeroed window [0, 0] would
+     *    otherwise "contain";
      *  - staying inside one finest page keeps it on one page of every
      *    size (sizes nest), the exact shape write() short-circuits.
      *
@@ -950,18 +1021,15 @@ class ReplayEngine
             const std::size_t n =
                 std::min<std::size_t>(upto - w, 64);
             std::uint64_t pure = 0;
-            if (prefilter_) {
 #if EDB_SIMD_HAVE_AVX2
-                if (isa_ == util::SimdIsa::Avx2) {
-                    pure = screenWritesAvx2(b + w, sz + w, n);
-                } else
+            if (isa_ == util::SimdIsa::Avx2) {
+                pure = screenWritesAvx2(b + w, sz + w, n);
+            } else
 #endif
-                {
-                    for (std::size_t k = 0; k < n; ++k) {
-                        pure |= (std::uint64_t)screenOne(b[w + k],
-                                                         sz[w + k])
-                                << k;
-                    }
+            {
+                for (std::size_t k = 0; k < n; ++k) {
+                    pure |= (std::uint64_t)screenOne(b[w + k], sz[w + k])
+                            << k;
                 }
             }
             const std::uint64_t all =
@@ -987,9 +1055,10 @@ class ReplayEngine
 
 #if EDB_OBS_ENABLED
     /**
-     * Per-engine counting variables, plain u64s so the write path
-     * performs no atomic ops; published to the process-wide
-     * obs_instr counters at the end of every replay() call.
+     * Per-engine counting variables, plain u64s (and a plain
+     * histogram) so the write path performs no atomic ops; published
+     * to the process-wide obs_instr instruments at the end of every
+     * replay() and replayBlock() call.
      */
     struct ObsTally
     {
@@ -999,6 +1068,7 @@ class ReplayEngine
         std::uint64_t recordings = 0;
         std::uint64_t map_walks = 0;
         std::uint64_t scrub_words = 0;
+        obs::HistTally pending_flush;
     };
 
     void
@@ -1010,6 +1080,7 @@ class ReplayEngine
         obs_instr::replayRecordings.add(tally_.recordings);
         obs_instr::replayMapWalks.add(tally_.map_walks);
         obs_instr::replayScrubWords.add(tally_.scrub_words);
+        obs_instr::replayPendingFlush.merge(tally_.pending_flush);
         tally_ = ObsTally{};
     }
 
@@ -1018,7 +1089,9 @@ class ReplayEngine
 
     const SessionSet &sessions_;
     const SessionMaskTable &masks_;
-    bool prefilter_ = false;
+    /** Some object has no session under this set (a subset), so
+     *  write() looks for window-only anchors. */
+    bool anchors_ = false;
     /** Kernel ISA, cached at construction (one ReplayEngine never
      *  spans a simdOverride()). */
     util::SimdIsa isa_ = util::SimdIsa::Scalar;
@@ -1038,10 +1111,7 @@ class ReplayEngine
     util::ArenaPool live_pool_;
     /** Installed objects by begin address (ordered: the overlap
      *  asserts and predecessor queries need neighbors). */
-    using LiveAlloc =
-        util::PoolAllocator<std::pair<const Addr, LiveObj>>;
-    std::map<Addr, LiveObj, std::less<Addr>, LiveAlloc> live_{
-        LiveAlloc(&live_pool_)};
+    LiveMap live_{LiveAlloc(&live_pool_)};
     std::array<util::FlatMap<Addr, PageSessions>, vmPageSizeCount>
         pages_;
     /** The replay cache, round-robin replacement. */

@@ -35,11 +35,7 @@ SimResult
 simulate(const Trace &trace, const SessionSet &sessions)
 {
     const session::SessionMaskTable masks(sessions);
-    // Peak monitored pages is bounded by live objects, which the
-    // registry size bounds in turn; reserving for it up front keeps
-    // the page tables from rehashing mid-replay.
-    detail::ReplayEngine engine(sessions, masks,
-                                sessions.objectCount());
+    detail::ReplayEngine engine(sessions, masks);
     engine.replay(trace.events.data(), trace.events.size());
 
     SimResult result = engine.result();
@@ -52,8 +48,7 @@ simulate(const trace::MappedTrace &trace, const SessionSet &sessions,
          BlockSkipStats *stats)
 {
     const session::SessionMaskTable masks(sessions);
-    detail::ReplayEngine engine(sessions, masks,
-                                sessions.objectCount());
+    detail::ReplayEngine engine(sessions, masks);
 
     // The planner decides every block; this loop only executes the
     // plan. A Full block's controls fold back into the planner from

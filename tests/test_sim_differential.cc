@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -29,14 +30,19 @@
 #include "obs/obs.h"
 #include "sim/parallel_sim.h"
 #include "sim/simulator.h"
+#include "testing/isa_guard.h"
 #include "testing/random_trace.h"
 #include "trace/trace_io.h"
+#include "trace/tracer.h"
+#include "util/rng.h"
+#include "util/simd.h"
 #include "workload/workload.h"
 
 namespace edb::sim {
 namespace {
 
 using session::SessionSet;
+using testgen::IsaGuard;
 using testgen::randomTrace;
 
 /** Assert two results agree on every counter of every session. */
@@ -62,6 +68,19 @@ expectIdentical(const SimResult &got, const SimResult &want,
                 << set.describe(s, t) << " page size " << vmPageSizes[i];
         }
     }
+}
+
+/** An in-memory v2 encoding of a trace, mapped. */
+trace::MappedTrace
+mappedOf(const trace::Trace &t, std::size_t block_events)
+{
+    trace::WriteOptions wopts;
+    wopts.blockEvents = block_events;
+    std::stringstream ss;
+    trace::writeTrace(t, ss, wopts);
+    const std::string bytes = ss.str();
+    return trace::MappedTrace(
+        std::vector<unsigned char>(bytes.begin(), bytes.end()));
 }
 
 /** (seed, jobs) matrix over randomized traces. */
@@ -106,13 +125,7 @@ TEST_P(DifferentialRandom, StreamingMatchesSequential)
     // decode.
     constexpr std::size_t blockEvents = 16;
     constexpr std::size_t shardEvents = 128;
-    trace::WriteOptions wopts;
-    wopts.blockEvents = blockEvents;
-    std::stringstream ss;
-    trace::writeTrace(t, ss, wopts);
-    const std::string bytes = ss.str();
-    trace::MappedTrace mapped(
-        std::vector<unsigned char>(bytes.begin(), bytes.end()));
+    const trace::MappedTrace mapped = mappedOf(t, blockEvents);
 
     // Sessions enumerated from the mapped header alone must match the
     // ones enumerated from the materialized trace.
@@ -341,7 +354,267 @@ TEST_P(DifferentialWorkload, SparseSubsetSkipMatchesFullRunAndOracle)
         << set.describe(singles.back(), t);
 }
 
+/** The replay kernels this machine can run: scalar, plus AVX2. */
+std::vector<util::SimdIsa>
+replayIsas()
+{
+    std::vector<util::SimdIsa> isas = {util::SimdIsa::Scalar};
+    if (util::simdSupported(util::SimdIsa::Avx2))
+        isas.push_back(util::SimdIsa::Avx2);
+    return isas;
+}
+
+/** A session RUN's subset as the served benchmark draws it: `n`
+ *  draws with replacement, sorted, duplicates dropped. */
+std::vector<session::SessionId>
+drawSubset(std::uint64_t seed, std::size_t n, std::size_t sessions)
+{
+    Rng rng(seed);
+    std::vector<session::SessionId> keep;
+    for (std::size_t i = 0; i < n; ++i)
+        keep.push_back((session::SessionId)rng.below(sessions));
+    std::sort(keep.begin(), keep.end());
+    keep.erase(std::unique(keep.begin(), keep.end()), keep.end());
+    return keep;
+}
+
+/**
+ * Replay the subset `keep` of `set` every way a session RUN can run,
+ * under each replay ISA: mapped, Trace path, and mapped parallel at
+ * jobs 1/2/4/8. Each must equal the full run projected onto keep.
+ */
+void
+expectSubsetMatchesFullRun(const trace::Trace &t,
+                           const trace::MappedTrace &mapped,
+                           const SessionSet &set, const SimResult &full,
+                           const std::vector<session::SessionId> &keep)
+{
+    const SessionSet sub = set.subset(keep);
+    SimResult want;
+    want.totalWrites = full.totalWrites;
+    for (session::SessionId s : keep)
+        want.counters.push_back(full.counters[s]);
+
+    IsaGuard guard;
+    for (util::SimdIsa isa : replayIsas()) {
+        util::simdOverride(isa);
+        const std::string where = std::string(util::simdIsaName(isa)) +
+                                  ", subset of " +
+                                  std::to_string(keep.size());
+        ASSERT_TRUE(simulate(mapped, sub) == want) << where << ", mapped";
+        ASSERT_TRUE(simulate(t, sub) == want) << where << ", Trace";
+        for (unsigned jobs : {1u, 2u, 4u, 8u}) {
+            ParallelOptions opts;
+            opts.jobs = jobs;
+            opts.shardEvents = 16 * 1024;
+            ASSERT_TRUE(parallelSimulate(mapped, sub, opts) == want)
+                << where << ", jobs " << jobs;
+        }
+    }
+}
+
+/** Three seeded 8-session draws (the served RUN's shape) and one
+ *  64-session draw. */
+std::vector<std::vector<session::SessionId>>
+servedSubsets(std::size_t sessions)
+{
+    std::vector<std::vector<session::SessionId>> keeps;
+    for (std::uint64_t seed : {21u, 22u, 23u})
+        keeps.push_back(drawSubset(seed, 8, sessions));
+    keeps.push_back(drawSubset(64, 64, sessions));
+    return keeps;
+}
+
+TEST_P(DifferentialWorkload, ServedShapeSubsetsMatchFullRun)
+{
+    auto w = workload::makeWorkload(GetParam());
+    trace::Trace t = workload::runTraced(*w);
+    SessionSet set = SessionSet::enumerate(t);
+    const SimResult full = simulate(t, set);
+    const trace::MappedTrace mapped =
+        mappedOf(t, trace::WriteOptions{}.blockEvents);
+
+    for (const auto &keep : servedSubsets(set.size()))
+        expectSubsetMatchesFullRun(t, mapped, set, full, keep);
+}
+
+TEST(SubsetReplay, ServedShapeSubsetsMatchFullRunOnRandomTraces)
+{
+    for (std::uint64_t seed : {5u, 6u, 7u}) {
+        trace::Trace t = randomTrace(seed * 131 + 17, 2000);
+        SessionSet set = SessionSet::enumerate(t);
+        const SimResult full = simulate(t, set);
+        // Small blocks, so the plan mixes skipped, control-only and
+        // full blocks.
+        const trace::MappedTrace mapped = mappedOf(t, 32);
+        for (const auto &keep : servedSubsets(set.size()))
+            expectSubsetMatchesFullRun(t, mapped, set, full, keep);
+    }
+}
+
+/** Two one-page globals on one page: `inside` is kept by the subset,
+ *  `outside` is not. */
+struct SharedPageTrace
+{
+    trace::Trace trace;
+    trace::Tracer::Placement inside;
+    trace::Tracer::Placement outside;
+    /** The OneGlobalStatic session of `inside`. */
+    session::SessionId keep = 0;
+};
+
+SharedPageTrace
+sharedPageTrace(int outside_writes)
+{
+    SharedPageTrace out;
+    trace::Tracer tracer("shared_page");
+    out.inside = tracer.declareGlobal("inside", 64);
+    out.outside = tracer.declareGlobal("outside", 64);
+    tracer.enterFunction("main");
+    tracer.write(out.inside.addr, 4, 0);
+    for (int i = 0; i < outside_writes; ++i)
+        tracer.write(out.outside.addr + 4 * (Addr)(i % 16), 4, 0);
+    tracer.write(out.inside.addr + 8, 4, 0);
+    tracer.exitFunction();
+    out.trace = tracer.finish();
+
+    const SessionSet set = SessionSet::enumerate(out.trace);
+    for (const auto &s : set.sessions()) {
+        if (s.type == session::SessionType::OneGlobalStatic &&
+            s.object == out.inside.object)
+            out.keep = s.id;
+    }
+    return out;
+}
+
+TEST(SubsetReplay, WritesIntoAnObjectOutsideTheSubsetMatchFullRun)
+{
+    const SharedPageTrace sp = sharedPageTrace(100);
+    const trace::Trace &t = sp.trace;
+    ASSERT_EQ(sp.inside.addr / vmPageSizes[0],
+              sp.outside.addr / vmPageSizes[0])
+        << "the two globals must share a finest page";
+    const SessionSet set = SessionSet::enumerate(t);
+    const SimResult full = simulate(t, set);
+    const trace::MappedTrace mapped = mappedOf(t, 64);
+
+    // Every write into `outside` is a page miss of the kept session.
+    const SessionCounters oracle = simulateOneSession(t, set, sp.keep);
+    ASSERT_EQ(oracle.hits, 2u);
+    for (std::size_t i = 0; i < vmPageSizeCount; ++i)
+        ASSERT_EQ(oracle.vm[i].activePageMisses, 100u);
+    ASSERT_TRUE(full.counters[sp.keep] == oracle);
+    expectSubsetMatchesFullRun(t, mapped, set, full, {sp.keep});
+
 #if EDB_OBS_ENABLED
+    // The first write into `outside` records its increments as a
+    // window over the object; the other 99 replay them.
+    const SessionSet sub = set.subset({sp.keep});
+    const obs::Snapshot before = obs::takeSnapshot();
+    const SimResult got = simulate(t, sub);
+    const obs::Snapshot after = obs::takeSnapshot();
+    ASSERT_TRUE(got.counters[0] == oracle);
+    auto delta = [&](const char *name) {
+        return after.counter(name) - before.counter(name);
+    };
+    EXPECT_EQ(delta("sim.replay.map_walks"), 0);
+    EXPECT_EQ(delta("sim.replay.cache_replays"), 99 + 1);
+    EXPECT_EQ(delta("sim.replay.recordings"), 2);
+#endif
+}
+
+/**
+ * The shared-page trace with the install of `outside` (an object the
+ * subset leaves out) duplicated in place, or dropped.
+ */
+trace::Trace
+withOutsideInstall(const SharedPageTrace &sp, bool duplicate)
+{
+    trace::Trace t = sp.trace;
+    for (auto it = t.events.begin(); it != t.events.end(); ++it) {
+        if (it->kind == trace::EventKind::InstallMonitor &&
+            it->aux == sp.outside.object) {
+            if (duplicate)
+                t.events.insert(it, *it);
+            else
+                t.events.erase(it);
+            return t;
+        }
+    }
+    ADD_FAILURE() << "no install of the outside object";
+    return t;
+}
+
+/**
+ * Replay a malformed trace through every front end a session RUN can
+ * take, on the subset that keeps only `inside`: each must die with
+ * `message`, the control-event checks still running over objects the
+ * subset leaves out.
+ */
+void
+expectEveryFrontEndDies(const trace::Trace &t, session::SessionId keep,
+                        const char *message)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const SessionSet set = SessionSet::enumerate(t);
+    const SessionSet sub = set.subset({keep});
+    const trace::MappedTrace mapped = mappedOf(t, 64);
+    ParallelOptions opts;
+    opts.jobs = 2;
+    opts.shardEvents = 16;
+    EXPECT_DEATH((void)simulate(t, sub), message);
+    EXPECT_DEATH((void)simulate(mapped, sub), message);
+    EXPECT_DEATH((void)parallelSimulate(t, sub, opts), message);
+    EXPECT_DEATH((void)parallelSimulate(mapped, sub, opts), message);
+}
+
+TEST(SubsetReplayDeathTest, DuplicatedInstallOutsideTheSubsetDies)
+{
+    const SharedPageTrace sp = sharedPageTrace(4);
+    expectEveryFrontEndDies(withOutsideInstall(sp, true), sp.keep,
+                            "overlapping install");
+}
+
+TEST(SubsetReplayDeathTest, UnmatchedRemoveOutsideTheSubsetDies)
+{
+    const SharedPageTrace sp = sharedPageTrace(4);
+    expectEveryFrontEndDies(withOutsideInstall(sp, false), sp.keep,
+                            "does not match a live install");
+}
+
+#if EDB_OBS_ENABLED
+TEST(ReplayObs, PendingFlushHistogramPinnedOnCorpusReplay)
+{
+    // The replay cache tallies its flush sizes in plain fields and
+    // folds them in once per replay call; what it publishes must be
+    // exactly what one observe() per flush published. The figures
+    // are those of the per-flush observe() over this file.
+    const trace::MappedTrace mapped(std::string(EDB_CORPUS_DIR) +
+                                    "/mini_mixed.v2.trc");
+    const SessionSet set = SessionSet::enumerate(mapped.registry());
+    const char *name = "sim.replay.pending_flush";
+    const obs::Snapshot before = obs::takeSnapshot();
+    (void)simulate(mapped, set);
+    const obs::Snapshot after = obs::takeSnapshot();
+
+    const obs::HistogramValue *b = before.histogram(name);
+    const obs::HistogramValue *a = after.histogram(name);
+    ASSERT_NE(a, nullptr);
+    const bool fresh = b == nullptr || b->count == 0;
+    const std::uint64_t pin_min = 1;
+    const std::uint64_t pin_max = 22;
+    EXPECT_EQ(a->count - (fresh ? 0 : b->count), 125u);
+    EXPECT_EQ(a->sum - (fresh ? 0 : b->sum), 1099u);
+    EXPECT_EQ(a->min, fresh ? pin_min : std::min(b->min, pin_min));
+    EXPECT_EQ(a->max, fresh ? pin_max : std::max(b->max, pin_max));
+    const std::vector<std::uint64_t> pin_buckets = {0, 7, 11, 36, 60, 11};
+    for (std::size_t i = 0; i < a->buckets.size(); ++i) {
+        const std::uint64_t want = i < pin_buckets.size() ? pin_buckets[i] : 0;
+        EXPECT_EQ(a->buckets[i] - (fresh ? 0 : b->buckets[i]), want)
+            << "bucket " << i;
+    }
+}
+
 TEST_P(DifferentialWorkload, MappedReplayFullyDecodesOnlyFullBlocks)
 {
     auto w = workload::makeWorkload(GetParam());

@@ -22,6 +22,7 @@
 #include "obs/obs.h"
 #include "session/session.h"
 #include "sim/simulator.h"
+#include "testing/isa_guard.h"
 #include "testing/random_trace.h"
 #include "trace/trace_io.h"
 #include "util/simd.h"
@@ -30,6 +31,7 @@
 namespace {
 
 using namespace edb;
+using testgen::IsaGuard;
 using testgen::randomTrace;
 using trace::Event;
 using trace::MappedTrace;
@@ -38,17 +40,6 @@ using trace::TraceError;
 using trace::WriteBatch;
 using trace::WriteOptions;
 using util::SimdIsa;
-
-/** Restores the pre-test ISA selection no matter how the test exits. */
-class IsaGuard
-{
-  public:
-    IsaGuard() : saved_(util::simdIsa()) {}
-    ~IsaGuard() { util::simdOverride(saved_); }
-
-  private:
-    SimdIsa saved_;
-};
 
 std::string
 encode(const Trace &t, const WriteOptions &opts = {})

@@ -23,8 +23,15 @@ up to the lookup count. analyze replays through the simulator and
 never probes a MonitorIndex, so these floors cannot sit on its
 snapshots.
 
+With --subset-obs it checks one snapshot of a process whose only
+replay was a session RUN on a few sessions (the served CI job's): the
+subset replay must resolve writes through the page prefilter and the
+replay cache, not by walking the ordered live-object map. Its counts
+repeat exactly run to run, so the ceiling is tight.
+
 Usage: perf_smoke_check.py [--require-obs] [directory-with-json-files]
        perf_smoke_check.py --wms-obs snapshot.json
+       perf_smoke_check.py --subset-obs snapshot.json
 """
 
 import json
@@ -430,14 +437,41 @@ def check_wms(path):
     return rc
 
 
+# Ceiling on sim.replay.map_walks as a fraction of sim.replay.writes
+# for a subset replay. ctex sessions {0,1,2} (the served CI job's
+# session RUN) walks the map 0 times in 692,966 writes; before the
+# subset replay kept the page prefilter it walked 357,686 times.
+SUBSET_MAP_WALK_FRACTION = 0.01
+
+
+def check_subset(path):
+    """Session-RUN snapshot: the subset replay kept its fast paths."""
+    rc, c = load_counters(path)
+    if rc:
+        return rc
+    writes = c.get("sim.replay.writes", 0)
+    walks = c.get("sim.replay.map_walks", 0)
+    if writes <= 0:
+        return fail(f"{path.name}: sim.replay.writes is {writes}")
+    if walks > SUBSET_MAP_WALK_FRACTION * writes:
+        rc |= fail(
+            f"{path.name}: sim.replay.map_walks {walks} exceeds "
+            f"{SUBSET_MAP_WALK_FRACTION:.0%} of writes={writes}"
+        )
+    if rc == 0:
+        print(f"  {path.name}: writes={writes} map_walks={walks}")
+    return rc
+
+
 def main():
     argv = sys.argv[1:]
-    if argv[:1] == ["--wms-obs"]:
+    single = {"--wms-obs": check_wms, "--subset-obs": check_subset}
+    if argv[:1] and argv[0] in single:
         if len(argv) != 2:
-            return fail("usage: perf_smoke_check.py --wms-obs snapshot.json")
+            return fail(f"usage: perf_smoke_check.py {argv[0]} snapshot.json")
         path = pathlib.Path(argv[1])
         print(f"checking {path}")
-        return check_wms(path)
+        return single[argv[0]](path)
     require_obs = "--require-obs" in argv
     argv = [a for a in argv if a != "--require-obs"]
     root = pathlib.Path(argv[0] if argv else ".")
