@@ -286,16 +286,14 @@ cmdInfo(const std::string &path, std::ostream &out)
                 << (fresh ? "digest match" : "STALE: digest mismatch")
                 << ")\n"
                 << "index layout:  " << idx.supers.size()
-                << " superblocks, " << idx.containers.size()
-                << " bitmap containers, " << idx.postings.size()
-                << " postings, " << idx.extents.size() << " extents\n"
+                << " superblocks, " << idx.extents.size() << " extents\n"
                 << "index bytes:   " << idx.fileBytes << " (header "
                 << idx.bytesHeader << ", tree " << idx.bytesTree
-                << ", bitmap " << idx.bytesBitmap << ", extents "
-                << idx.bytesExtents << ")\n";
+                << ", extents " << idx.bytesExtents << ")\n";
         } catch (const trace::TraceError &e) {
+            // Corrupt, or written by another sidecar version.
             out << "index:         " << sidecar
-                << " (CORRUPT: " << e.what() << ")\n";
+                << " (REJECTED: " << e.what() << ")\n";
         }
     } else {
         out << "index:         none (run `edb-trace index " << path
@@ -321,13 +319,10 @@ cmdIndex(const std::string &path, const std::string &out_override,
     trace::saveTraceIndex(idx, sidecar);
     out << "indexed " << path << ": " << mapped.blockCount()
         << " blocks -> " << idx.supers.size() << " superblocks, "
-        << idx.containers.size() << " bitmap containers, "
-        << idx.postings.size() << " postings, " << idx.extents.size()
-        << " extents\n"
+        << idx.extents.size() << " extents\n"
         << "wrote " << sidecar << ": " << idx.fileBytes
         << " bytes (header " << idx.bytesHeader << ", tree "
-        << idx.bytesTree << ", bitmap " << idx.bytesBitmap
-        << ", extents " << idx.bytesExtents << ")\n";
+        << idx.bytesTree << ", extents " << idx.bytesExtents << ")\n";
     return 0;
 }
 
@@ -534,6 +529,20 @@ parseU64(const std::string &s, std::uint64_t *out)
     if (end == nullptr || *end != '\0' || errno == ERANGE)
         return false;
     *out = (std::uint64_t)v;
+    return true;
+}
+
+/** Parse the row count N of `sessions` and `advise`: a positive
+ *  integer, else an error on `err`. */
+bool
+parseTop(const std::string &s, std::size_t *top, std::ostream &err)
+{
+    std::uint64_t n = 0;
+    if (!parseU64(s, &n) || n == 0) {
+        err << "error: invalid row count '" << s << "'\n";
+        return false;
+    }
+    *top = (std::size_t)n;
     return true;
 }
 
@@ -1393,22 +1402,20 @@ run(const std::vector<std::string> &args, std::ostream &out,
                           out);
         } else if (cmd == "sessions" &&
                    (rest.size() == 2 || rest.size() == 3)) {
-            std::size_t top =
-                rest.size() == 3 ? (std::size_t)std::strtoul(
-                                       rest[2].c_str(), nullptr, 10)
-                                 : 20;
-            rc = cmdSessions(rest[1], top ? top : 20, out, jobs);
+            std::size_t top = 20;
+            if (rest.size() == 3 && !parseTop(rest[2], &top, err))
+                return 2;
+            rc = cmdSessions(rest[1], top, out, jobs);
         } else if (cmd == "analyze" && rest.size() == 2) {
             rc = cmdAnalyze(rest[1], out, jobs);
         } else if (cmd == "session" && rest.size() == 3) {
             rc = cmdSession(rest[1], rest[2], out, err, jobs);
         } else if (cmd == "advise" &&
                    (rest.size() == 2 || rest.size() == 3)) {
-            std::size_t top =
-                rest.size() == 3 ? (std::size_t)std::strtoul(
-                                       rest[2].c_str(), nullptr, 10)
-                                 : 20;
-            rc = cmdAdvise(rest[1], top ? top : 20, out, jobs);
+            std::size_t top = 20;
+            if (rest.size() == 3 && !parseTop(rest[2], &top, err))
+                return 2;
+            rc = cmdAdvise(rest[1], top, out, jobs);
         } else if (cmd == "query" && rest.size() >= 2) {
             rc = cmdQuery(rest[1],
                           std::vector<std::string>(rest.begin() + 2,

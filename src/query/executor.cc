@@ -2,20 +2,21 @@
  * @file
  * The pushdown query executor over mapped v2 traces.
  *
- * The dispatcher walks the block index in stream order and judges,
- * per block, whether any write row could possibly match — against
- * the event-index window, the spec's address ranges vs the block's
- * 8 KiB page-summary runs, and (when sessions are selected) the
- * monitored-summary-page set maintained via sim::SummaryPageTracker,
- * exactly the §11 replay relevance logic (DESIGN.md §12 argues the
- * soundness). Blocks whose writes cannot match are never fully
- * decoded: their control rows are evaluated straight off the control
- * columns at their exact stream positions, and pure-write blocks are
- * skipped without touching a payload byte. Surviving blocks fan out
- * to a thread pool; workers decode independently from the mapping
- * and evaluate against the dispatcher's boundary snapshot of
- * selected live objects, so results are bit-identical to the serial
- * in-memory pass.
+ * The dispatcher executes one sim::BlockPlanner plan (block_planner.h),
+ * the same planner replay and live RUN run. With a session predicate
+ * the planner tracks the summary pages under live selected objects
+ * and needs only their controls; the spec's own write predicates (the
+ * event-index window and the address ranges against a block's 8 KiB
+ * page-summary runs) tell it which blocks' writes are wanted at all
+ * (DESIGN.md §12 argues the soundness). Without a session predicate
+ * the plan is static over every page and each step is judged here.
+ * Blocks whose writes cannot match are never fully decoded: their
+ * control rows are evaluated straight off the control columns at
+ * their exact stream positions, and the rest are skipped without
+ * touching a payload byte. Surviving blocks fan out to a thread pool;
+ * workers decode independently from the mapping and evaluate against
+ * the planner's boundary snapshot of selected live objects, so
+ * results are bit-identical to the serial in-memory pass.
  */
 
 #include <chrono>
@@ -24,7 +25,7 @@
 #include "obs/obs.h"
 #include "query/eval.h"
 #include "query/query.h"
-#include "trace/index_format.h"
+#include "sim/block_planner.h"
 #include "util/thread_pool.h"
 
 namespace edb::query {
@@ -49,41 +50,35 @@ using detail::Evaluator;
 using detail::LiveSel;
 using detail::Partial;
 using detail::SessionFilter;
+using sim::BlockPlanner;
 using trace::Event;
 using trace::MappedTrace;
 using trace::ObjectId;
 
-/** begin -> (end, object) of live selected objects, dispatcher side. */
-using LiveMap = std::map<Addr, std::pair<Addr, ObjectId>>;
-
-/**
- * Apply one control event to the dispatcher's live map and summary
- * tracker, tolerantly, keeping the tracker an exact multiset of the
- * map's ranges (stored ranges are removed, never the event's own, so
- * the tracker can never underflow on a hostile stream).
- */
-void
-applyState(const Event &e, const SessionFilter &filter, LiveMap &live,
-           sim::SummaryPageTracker &tracker)
+std::uint64_t
+nsSince(std::chrono::steady_clock::time_point start)
 {
-    if (e.kind == trace::EventKind::InstallMonitor) {
-        if (e.size == 0 || !filter.selected((ObjectId)e.aux))
-            return;
-        const Addr end = e.begin + e.size;
-        auto [it, inserted] = live.try_emplace(
-            e.begin, std::make_pair(end, (ObjectId)e.aux));
-        if (!inserted) {
-            tracker.remove(AddrRange{it->first, it->second.first});
-            it->second = {end, (ObjectId)e.aux};
-        }
-        tracker.add(AddrRange{e.begin, end});
-    } else if (e.kind == trace::EventKind::RemoveMonitor) {
-        auto it = live.find(e.begin);
-        if (it != live.end() && it->second.second == e.aux) {
-            tracker.remove(AddrRange{it->first, it->second.first});
-            live.erase(it);
-        }
-    }
+    return (std::uint64_t)std::chrono::duration_cast<
+               std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
+/** Plan the query's blocks: a session predicate tracks the selected
+ *  objects and needs only their controls; without one every write
+ *  may match, so the plan is static over every page. */
+BlockPlanner
+planFor(const MappedTrace &trace, const SessionFilter &filter,
+        std::size_t objects, BlockPlanner::WritesWanted wanted)
+{
+    if (!filter.active())
+        return BlockPlanner(trace, nullptr);
+    std::vector<bool> selected(objects);
+    for (std::size_t o = 0; o < objects; ++o)
+        selected[o] = filter.selected((ObjectId)o);
+    return BlockPlanner(trace, std::move(selected),
+                        BlockPlanner::ControlNeed::Relevant,
+                        std::move(wanted));
 }
 
 } // namespace
@@ -105,7 +100,6 @@ runQuery(const trace::MappedTrace &trace,
         (spec.kindMask & detail::writeKindBit) != 0;
     const bool wantsControls =
         (spec.kindMask & detail::controlKindBits) != 0;
-    const bool addrFilter = !spec.addrRanges.empty();
     const unsigned jobs = options.jobs < 1 ? 1 : options.jobs;
 
     const std::size_t nblocks = trace.blockCount();
@@ -114,226 +108,61 @@ runQuery(const trace::MappedTrace &trace,
     local.jobs = jobs;
     local.actions.resize(nblocks, BlockAction::Skipped);
 
-    std::vector<Partial> parts(nblocks);
-    std::vector<Event> ctlbuf(trace.largestBlockEvents());
-    std::vector<std::uint32_t> posbuf(trace.largestBlockEvents());
-    LiveMap running;
-    sim::SummaryPageTracker tracker;
-    ThreadPool pool(jobs, jobs);
-
-    // Sidecar-index planning structures (DESIGN.md §16). Everything
-    // below is a pure accelerator: each bit answers a question the
-    // per-block scan would have answered identically, so the planner
-    // reaches the same writesMayMatch / state-advance decisions with
-    // or without them.
-    const trace::TraceIndex *idx = trace.index();
-    auto bitTest = [](const std::vector<std::uint64_t> &bits,
-                      std::size_t i) {
-        return ((bits[i >> 6] >> (i & 63)) & 1) != 0;
+    auto inWindow = [&](const MappedTrace::Block &blk) {
+        return blk.firstEvent < spec.lastIndex &&
+               blk.firstEvent + blk.events > spec.firstIndex;
     };
-    // Candidate set: blocks whose summary runs intersect a spec addr
-    // range, straight from the page-occupancy postings — exactly the
-    // per-block rangeTouchesRuns verdicts, precomputed in one pass
-    // over the relevant posting span.
-    std::vector<std::uint64_t> cand;
-    if (idx != nullptr && addrFilter) {
-        cand.assign((nblocks + 63) / 64, 0);
-        idx->candidateBlocks(spec.addrRanges.data(),
-                             spec.addrRanges.size(), cand);
-    }
-    // State blocks: union of the selected objects' control extents. A
-    // block outside it holds no selected-object control event, so its
-    // control decode — live-state advance, install probe, and
-    // session-filtered control rows (eval.h: an active filter matches
-    // a control row only for a selected object) — is elided outright.
-    std::vector<std::uint64_t> stateBlocks;
-    if (idx != nullptr && filter.active()) {
-        stateBlocks.assign((nblocks + 63) / 64, 0);
-        for (std::size_t o = 0; o < sessions.objectCount(); ++o) {
-            if (!filter.selected((ObjectId)o))
-                continue;
-            const trace::IndexExtent *ext =
-                idx->extentOf((std::uint32_t)o);
-            if (ext == nullptr)
-                continue;
-            for (std::uint32_t eb : ext->blocks)
-                stateBlocks[eb >> 6] |= 1ull << (eb & 63);
+    // The spec's own predicates on a block's writes, from its header:
+    // the event-index window and the address ranges against its
+    // page-summary runs. Sessions are the planner's part.
+    auto writesWanted = [&](std::size_t b) {
+        const MappedTrace::Block &blk = trace.block(b);
+        if (!wantsWrites || blk.writes == 0 || !inWindow(blk))
+            return false;
+        if (spec.addrRanges.empty())
+            return true;
+        for (const AddrRange &r : spec.addrRanges) {
+            if (sim::rangeTouchesRuns(r, blk.runs.begin(),
+                                      blk.runs.size())) {
+                return true;
+            }
         }
-    }
-    // Tree-descent probe cache: when a superblock's merged runs (a
-    // superset of every member's) miss the whole monitored set, each
-    // member block's own probe is a proven miss — recomputed lazily
-    // whenever the tracker advances (version bump) or the walk enters
-    // a new superblock.
-    std::uint64_t trackerVersion = 1;
-    std::uint64_t superProbeVersion = 0;
-    std::size_t superProbeId = (std::size_t)-1;
-    bool superAllMiss = false;
-    std::uint64_t idxElided = 0;
+        return false;
+    };
+
+    std::vector<Partial> parts(nblocks);
+    std::uint64_t fullWrites = 0;
     std::uint64_t submitNs = 0;
+    ThreadPool pool(jobs, jobs);
+    BlockPlanner planner =
+        planFor(trace, filter, sessions.objectCount(), writesWanted);
+    BlockPlanner::Step step;
 
     const auto planStart = std::chrono::steady_clock::now();
-    for (std::size_t b = 0; b < nblocks; ++b) {
-        // Aggregate superblock skip: a stateBlocks word covers
-        // exactly one superblock (both span 64 blocks). When the
-        // super's merged runs miss the whole monitored set, every
-        // member block's probe is a proven miss, so members without a
-        // selected control (clear word bits) all take the Skipped
-        // path with zero matches — fold their stats spanwise and jump
-        // straight to the next set bit instead of planning each.
-        static_assert(trace::traceIndexSuperSpan == 64,
-                      "a bitset word must cover exactly one "
-                      "superblock for the aggregate skip");
-        if (idx != nullptr && !stateBlocks.empty()) {
-            const std::size_t superId =
-                b >> trace::traceIndexSuperShift;
-            if (superProbeId != superId ||
-                superProbeVersion != trackerVersion) {
-                const trace::IndexNode &super = idx->superOf(b);
-                superAllMiss = !tracker.anyMonitored(
-                    super.runs.begin(), super.runs.size());
-                superProbeId = superId;
-                superProbeVersion = trackerVersion;
-            }
-            if (superAllMiss) {
-                const std::uint64_t rest =
-                    stateBlocks[superId] &
-                    (~std::uint64_t{0} << (b & 63));
-                const std::size_t superEnd = std::min(
-                    nblocks, (superId + 1) *
-                                 trace::traceIndexSuperSpan);
-                const std::size_t stop =
-                    rest != 0 ? superId * trace::traceIndexSuperSpan +
-                                    (std::size_t)std::countr_zero(rest)
-                              : superEnd;
-                if (stop > b) {
-                    std::uint64_t writes = 0;
-                    if (stop == superEnd && (b & 63) == 0 &&
-                        rest == 0) {
-                        writes = idx->superOf(b).writes;
-                    } else {
-                        for (std::size_t k = b; k < stop; ++k)
-                            writes += trace.block(k).writes;
-                    }
-                    local.writesPruned += writes;
-                    local.blocksSkipped += stop - b;
-                    idxElided += stop - b;
-                    EDB_OBS_ADD(obsWritesPruned, writes);
-                    EDB_OBS_ADD(obsBlocksPruned, stop - b);
-                    if (stop == superEnd) {
-                        b = stop - 1;
-                        continue;
-                    }
-                    // Fall through to plan the selected-control
-                    // block at `stop` this iteration.
-                    b = stop;
-                }
-            }
-        }
+    while (planner.next(step)) {
+        const std::size_t b = step.block;
         const MappedTrace::Block &blk = trace.block(b);
-        const std::size_t ctl = (std::size_t)blk.controls();
         const std::uint64_t blockFirst = blk.firstEvent;
-        const bool inWindow =
-            blockFirst < spec.lastIndex &&
-            blockFirst + blk.events > spec.firstIndex;
-        // Can the block carry a selected-object control event? Only
-        // an attached index can prove it cannot.
-        const bool haveSelCtl =
-            ctl > 0 &&
-            (stateBlocks.empty() || bitTest(stateBlocks, b));
-        // Extent elision: the no-index planner would decode this
-        // block's controls (state advance and/or control rows); the
-        // extent proves none of them is selected.
-        bool blockElided =
-            filter.active() && ctl > 0 && !haveSelCtl;
-
-        // Can any write row of this block match? Judged against the
-        // monitored set *before* this block's own installs advance
-        // it, with the block's installs probed as the last resort —
-        // the same discipline as the replay fast path.
-        bool writesMayMatch =
-            wantsWrites && blk.writes > 0 && inWindow;
-        if (writesMayMatch && addrFilter) {
-            if (!cand.empty()) {
-                writesMayMatch = bitTest(cand, b);
-            } else {
-                bool touches = false;
-                for (const AddrRange &r : spec.addrRanges) {
-                    if (sim::rangeTouchesRuns(r, blk.runs.begin(),
-                                              blk.runs.size())) {
-                        touches = true;
-                        break;
-                    }
-                }
-                writesMayMatch = touches;
-            }
-        }
-        bool haveCtl = false;
-        if (writesMayMatch && filter.active()) {
-            bool monitored;
-            if (idx != nullptr) {
-                const std::size_t superId =
-                    b >> trace::traceIndexSuperShift;
-                if (superProbeId != superId ||
-                    superProbeVersion != trackerVersion) {
-                    const trace::IndexNode &super = idx->superOf(b);
-                    superAllMiss = !tracker.anyMonitored(
-                        super.runs.begin(), super.runs.size());
-                    superProbeId = superId;
-                    superProbeVersion = trackerVersion;
-                }
-                if (superAllMiss) {
-                    monitored = false;
-                    blockElided = true;
-                } else {
-                    monitored = tracker.anyMonitored(
-                        blk.runs.begin(), blk.runs.size());
-                }
-            } else {
-                monitored = tracker.anyMonitored(blk.runs.begin(),
-                                                 blk.runs.size());
-            }
-            if (!monitored) {
-                if (haveSelCtl) {
-                    trace.decodeBlockControl(b, ctlbuf.data(),
-                                             posbuf.data());
-                    haveCtl = true;
-                    writesMayMatch = sim::anyInstallTouchesRuns(
-                        ctlbuf.data(), ctl, blk.runs.begin(),
-                        blk.runs.size(), [&](ObjectId obj) {
-                            return filter.selected(obj);
-                        });
-                } else {
-                    // No control at all, or the extent proves no
-                    // *selected* control: the install probe cannot
-                    // accept, so the writes stay pruned.
-                    writesMayMatch = false;
-                }
-            }
-        }
-
-        if (writesMayMatch) {
+        if (step.action == BlockPlanner::Action::Full &&
+            writesWanted(b)) {
             local.actions[b] = BlockAction::Full;
             ++local.blocksFull;
-            EDB_OBS_INC(obsBlocksDecoded);
+            fullWrites += blk.writes;
 
             std::vector<LiveSel> snap;
-            if (filter.active()) {
-                snap.reserve(running.size());
-                for (const auto &[begin, val] : running)
-                    snap.push_back({begin, val.first, val.second});
-            }
+            snap.reserve(planner.liveCount());
+            planner.forEachLive([&](Addr begin, Addr end, ObjectId obj) {
+                snap.push_back({begin, end, obj});
+            });
             Partial *out = &parts[b];
-            const std::uint64_t events = blk.events;
             // Workers decode their own block straight from the
             // mapping; only the id and the snapshot cross over. The
             // handoff can block on a full worker queue, which is
             // evaluation backpressure, not planning — keep it out of
             // planNs.
             const auto submitStart = std::chrono::steady_clock::now();
-            pool.submit([b, events, blockFirst, out,
-                         snap = std::move(snap), &trace, &spec,
-                         &filter] {
+            pool.submit([b, blockFirst, out, snap = std::move(snap),
+                         &trace, &spec, &filter] {
                 // Batched decode: rows evaluate in stream order from
                 // the struct-of-arrays batch — write Events
                 // materialize on the fly, controls (the only rows
@@ -363,73 +192,41 @@ runQuery(const trace::MappedTrace &trace,
                         ++pos;
                     }
                 }
-                (void)events;
             });
-            submitNs += (std::uint64_t)std::chrono::duration_cast<
-                            std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now() -
-                            submitStart)
-                            .count();
+            submitNs += nsSince(submitStart);
         } else {
-            local.writesPruned += blk.writes;
-            EDB_OBS_ADD(obsWritesPruned, blk.writes);
-            // haveSelCtl folds the extent proof in: without an index
-            // (or without a session filter) it is plain ctl > 0, and
-            // with one an active filter can only match a selected
-            // object's control row anyway.
-            const bool evalCtlRows =
-                wantsControls && inWindow &&
-                (filter.active() ? haveSelCtl : ctl > 0);
-            const bool needCtl =
-                evalCtlRows || (filter.active() && haveSelCtl);
-            if (needCtl && !haveCtl) {
-                trace.decodeBlockControl(b, ctlbuf.data(),
-                                         posbuf.data());
-                haveCtl = true;
-            }
-            if (evalCtlRows) {
-                // Control rows need only session membership, not
-                // live state: evaluate them right here at their
-                // exact stream positions.
-                Evaluator eval(spec, filter, parts[b]);
-                for (std::size_t k = 0; k < ctl; ++k)
-                    eval.row(blockFirst + posbuf[k], ctlbuf[k]);
-            }
-            if (haveCtl) {
+            // Control rows need only session membership, not live
+            // state: evaluate them right here at their exact stream
+            // positions. A session filter matches only a selected
+            // object's control, and the planner's step then carries
+            // none when the sidecar proves the block holds none.
+            const bool rows = wantsControls && inWindow(blk);
+            if (step.controls > 0 && (rows || filter.active())) {
+                const Event *ctl = planner.controlsOf(step);
+                if (rows) {
+                    Evaluator eval(spec, filter, parts[b]);
+                    for (std::size_t k = 0; k < step.controls; ++k)
+                        eval.row(blockFirst + step.pos[k], ctl[k]);
+                }
                 local.actions[b] = BlockAction::ControlOnly;
                 ++local.blocksControlOnly;
-            } else {
-                local.actions[b] = BlockAction::Skipped;
-                ++local.blocksSkipped;
             }
-            EDB_OBS_INC(obsBlocksPruned);
         }
-
-        // Advance the dispatcher's selected live state past this
-        // block (workers saw the pre-block snapshot). A block the
-        // extents exclude cannot change it: applyState only acts on
-        // selected objects.
-        if (filter.active() && haveSelCtl) {
-            if (!haveCtl) {
-                trace.decodeBlockControl(b, ctlbuf.data(),
-                                         posbuf.data());
-            }
-            for (std::size_t k = 0; k < ctl; ++k)
-                applyState(ctlbuf[k], filter, running, tracker);
-            ++trackerVersion;
-        }
-        if (blockElided)
-            ++idxElided;
+        // Advance the planner's selected live state past this block
+        // (workers saw the pre-block snapshot).
+        if (filter.active())
+            planner.advance(planner.controlsOf(step), step.controls);
     }
-    const std::uint64_t loopNs =
-        (std::uint64_t)std::chrono::duration_cast<
-            std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - planStart)
-            .count();
-    local.planNs = loopNs > submitNs ? loopNs - submitNs : 0;
-    local.blocksIndexElided = idxElided;
-    if (idx != nullptr)
-        trace::obsNoteIndexPlan(nblocks - idxElided, idxElided);
+    local.planNs = nsSince(planStart);
+    local.planNs = local.planNs > submitNs ? local.planNs - submitNs : 0;
+    local.blocksSkipped =
+        nblocks - local.blocksFull - local.blocksControlOnly;
+    local.writesPruned = trace.totalWrites() - fullWrites;
+    local.blocksIndexElided = planner.indexElided();
+    planner.publishIndexPlan();
+    EDB_OBS_ADD(obsBlocksDecoded, local.blocksFull);
+    EDB_OBS_ADD(obsBlocksPruned, nblocks - local.blocksFull);
+    EDB_OBS_ADD(obsWritesPruned, local.writesPruned);
     pool.wait(); // rethrows the first worker decode/eval error
 
     QueryResult result = detail::finalizeParts(

@@ -14,9 +14,10 @@
  *  - scanAll() is the brute-force reference: one linear pass over a
  *    materialized Trace, no pruning, no parallelism, deliberately
  *    simple.
- *  - runQuery() is the pushdown path: the planner prunes whole blocks
- *    of a MappedTrace against the block index and 8 KiB page-summary
- *    runs (DESIGN.md §12), decodes only the control columns when a
+ *  - runQuery() is the pushdown path: it executes the one
+ *    sim::BlockPlanner plan, which prunes whole blocks of a
+ *    MappedTrace against the block index and 8 KiB page-summary runs
+ *    (DESIGN.md §12), decodes only the control columns when a
  *    block's writes cannot match, and fans decoded blocks out over a
  *    thread pool.
  *
@@ -163,11 +164,12 @@ struct QueryStats
     std::uint64_t writesPruned = 0;
     unsigned jobs = 1;
     /**
-     * Wall time of the dispatcher's per-block planning loop
-     * (relevance probes, control decodes for live-state advance, and
-     * work handoff — full-block evaluation overlaps on the pool and
-     * is not included). This is the cost the sidecar index attacks;
-     * bench_query reports it indexed vs index-free.
+     * Wall time of the dispatcher's loop over the sim::BlockPlanner
+     * plan (relevance probes, control decodes for live-state advance
+     * and control rows, boundary snapshots — full-block evaluation
+     * overlaps on the pool, and the handoff to it is subtracted).
+     * This is the cost the sidecar index attacks; bench_query
+     * reports it indexed vs index-free.
      */
     std::uint64_t planNs = 0;
     /** Blocks whose planning work the sidecar index elided (probe

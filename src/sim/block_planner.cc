@@ -5,6 +5,9 @@
 
 #include "sim/block_planner.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "sim/counters.h"
 #include "trace/trace_format.h"
 
@@ -19,27 +22,123 @@ static_assert(trace::summaryPageBytes %
                   0,
               "block summaries must nest the coarsest VM page");
 
+// One bitset word of needed_ covers exactly one superblock.
+static_assert(trace::traceIndexSuperSpan == 64,
+              "a needed_ word must cover exactly one superblock");
+
+namespace {
+
+std::vector<bool>
+sessionObjects(const session::SessionSet &sessions)
+{
+    std::vector<bool> relevant(sessions.objectCount());
+    for (std::size_t o = 0; o < relevant.size(); ++o)
+        relevant[o] = !sessions.sessionsOf((trace::ObjectId)o).empty();
+    return relevant;
+}
+
+} // namespace
+
 BlockPlanner::BlockPlanner(const trace::MappedTrace &trace,
                            const session::SessionSet &sessions)
-    : trace_(trace), sessions_(&sessions), index_(trace.index()),
-      monitored_(&pages_), scratch_(trace.largestBlockEvents())
+    : BlockPlanner(trace, sessionObjects(sessions), ControlNeed::All)
+{
+}
+
+BlockPlanner::BlockPlanner(const trace::MappedTrace &trace,
+                           std::vector<bool> tracked, ControlNeed need,
+                           WritesWanted wanted)
+    : trace_(trace), index_(trace.index()), fixed_(false),
+      relevant_(std::move(tracked)), wanted_(std::move(wanted)),
+      monitored_(&pages_), scratch_(trace.largestBlockEvents()),
+      scratch_pos_(trace.largestBlockEvents())
 {
     stats_.blocksTotal = trace.blockCount();
+    if (index_ == nullptr)
+        return;
+    // The aggregate skip stops at the next block holding a needed
+    // control: any control for replay, and for the query a control
+    // of a relevant object, which the extents list.
+    needed_.assign(index_->supers.size(), 0);
+    auto mark = [&](std::size_t b) {
+        needed_[b >> 6] |= std::uint64_t{1} << (b & 63);
+    };
+    if (need == ControlNeed::All) {
+        for (std::size_t b = 0; b < trace.blockCount(); ++b) {
+            if (trace.block(b).controls() > 0)
+                mark(b);
+        }
+        return;
+    }
+    for (const trace::IndexExtent &e : index_->extents) {
+        if (relevant(e.object)) {
+            for (std::uint32_t b : e.blocks)
+                mark(b);
+        }
+    }
 }
 
 BlockPlanner::BlockPlanner(const trace::MappedTrace &trace,
                            const SummaryPageTracker *monitored)
-    : trace_(trace), sessions_(nullptr), index_(trace.index()),
+    : trace_(trace), index_(trace.index()), fixed_(true),
       monitored_(monitored)
 {
     stats_.blocksTotal = trace.blockCount();
 }
 
-void
-BlockPlanner::retire(std::size_t blocks, std::uint64_t writes)
+bool
+BlockPlanner::needs(std::size_t b) const
 {
-    next_ += blocks;
-    stats_.blocksSkipped += blocks;
+    if (fixed_)
+        return false;
+    if (needed_.empty())
+        return trace_.block(b).controls() > 0;
+    return ((needed_[b >> 6] >> (b & 63)) & 1) != 0;
+}
+
+bool
+BlockPlanner::superMisses(std::size_t b)
+{
+    const std::size_t s = b >> trace::traceIndexSuperShift;
+    if (s != probe_super_ || version_ != probe_version_) {
+        const trace::IndexNode &super = index_->supers[s];
+        probe_miss_ = misses(super.runs.begin(), super.runs.size());
+        probe_super_ = s;
+        probe_version_ = version_;
+    }
+    return probe_miss_;
+}
+
+std::size_t
+BlockPlanner::nextNeeded(std::size_t b) const
+{
+    const std::size_t s = b >> trace::traceIndexSuperShift;
+    const std::size_t end =
+        std::min(trace_.blockCount(), (s + 1) * trace::traceIndexSuperSpan);
+    if (fixed_)
+        return end;
+    const std::uint64_t rest = needed_[s] & (~std::uint64_t{0} << (b & 63));
+    return rest != 0 ? s * trace::traceIndexSuperSpan +
+                           (std::size_t)std::countr_zero(rest)
+                     : end;
+}
+
+void
+BlockPlanner::retire(std::size_t first, std::size_t last)
+{
+    const trace::IndexNode *super =
+        index_ != nullptr ? &index_->supers[first >> trace::traceIndexSuperShift]
+                          : nullptr;
+    std::uint64_t writes = 0;
+    if (super != nullptr && first == super->firstBlock &&
+        last - first == super->blocks) {
+        writes = super->writes;
+    } else {
+        for (std::size_t b = first; b < last; ++b)
+            writes += trace_.block(b).writes;
+    }
+    next_ = last;
+    stats_.blocksSkipped += last - first;
     stats_.writesSkipped += writes;
 }
 
@@ -47,48 +146,60 @@ bool
 BlockPlanner::next(Step &step)
 {
     EDB_ASSERT(!owed_, "a Full step's controls were not advanced");
-    // In static mode the relevance set never changes and controls
-    // never matter: a summary miss alone retires a block, or a whole
-    // superblock, pure or mixed (DESIGN.md §11.2).
-    const bool fixed = sessions_ == nullptr;
     while (next_ < trace_.blockCount()) {
         const std::size_t b = next_;
-        // Tree descent (DESIGN.md §16): a superblock with no control
-        // events whose merged runs miss every monitored page proves
-        // each member would skip on its own, and the monitored set
-        // cannot change across it. One probe retires the node.
-        if (index_ != nullptr &&
-            (b & (trace::traceIndexSuperSpan - 1)) == 0) {
-            const trace::IndexNode &super = index_->superOf(b);
-            if ((fixed || (super.pureWrites() && super.writes > 0)) &&
-                misses(super.runs.begin(), super.runs.size())) {
-                retire(super.blocks, super.writes);
-                index_elided_ += super.blocks;
+        // Aggregate skip (DESIGN.md §16): when a superblock's merged
+        // runs miss the whole relevance set, so does every member's
+        // summary, and the set can change only at a block holding a
+        // needed control. One probe retires the members up to it.
+        const bool super_miss = index_ != nullptr && superMisses(b);
+        if (super_miss) {
+            const std::size_t stop = nextNeeded(b);
+            if (stop > b) {
+                retire(b, stop);
+                index_elided_ += stop - b;
                 continue;
             }
         }
         const trace::MappedTrace::Block &blk = trace_.block(b);
-        // The writes can matter only if their summary touches a page
-        // monitored before the block ...
-        const bool writes_miss =
-            (fixed || blk.writes > 0) &&
-            misses(blk.runs.begin(), blk.runs.size());
-        if (writes_miss && (fixed || blk.pureWrites())) {
-            retire(1, blk.writes);
+        const bool needed = needs(b);
+        // The sidecar proves this block holds no control the caller
+        // needs: its control decode is elided.
+        const bool ctl_elided =
+            !fixed_ && !needed && blk.controls() > 0;
+        if (ctl_elided)
+            ++index_elided_;
+        // The writes can matter only if the caller wants them and
+        // their summary touches a page tracked before the block ...
+        bool wanted = true;
+        bool writes_miss = false;
+        if (fixed_ || blk.writes > 0) {
+            wanted = !wanted_ || wanted_(b);
+            if (!wanted) {
+                writes_miss = true;
+            } else if (super_miss) {
+                writes_miss = true;
+                ++index_elided_;
+            } else {
+                writes_miss = misses(blk.runs.begin(), blk.runs.size());
+            }
+        }
+        if (writes_miss && !needed) {
+            retire(b, b + 1);
             continue;
         }
         ++next_;
-        step = Step{b, Action::Full, nullptr,
-                    (std::size_t)blk.controls()};
-        owed_ = !fixed && step.controls > 0;
+        step = Step{b, Action::Full, nullptr, nullptr,
+                    ctl_elided ? 0 : (std::size_t)blk.controls()};
+        owed_ = !fixed_ && step.controls > 0;
         if (writes_miss) {
             // ... or one the block itself installs (removes only
-            // shrink the set). Decode just the control group to ask,
-            // folding it into the tracker on the same pass.
-            trace_.decodeBlockControl(b, scratch_.data());
-            step.ctl = scratch_.data();
-            if (!fold(step.ctl, step.controls, blk.runs.begin(),
-                      blk.runs.size())) {
+            // shrink the set). Decode just the control group to ask.
+            controlsOf(step);
+            if (!wanted || !installTouches(step.ctl, step.controls,
+                                           blk.runs.begin(),
+                                           blk.runs.size())) {
+                fold(step.ctl, step.controls);
                 step.action = Action::ControlOnly;
                 ++stats_.blocksControlOnly;
                 stats_.writesSkipped += blk.writes;
@@ -103,37 +214,63 @@ void
 BlockPlanner::advance(const trace::Event *ctl, std::size_t n)
 {
     if (owed_)
-        fold(ctl, n, nullptr, 0);
+        fold(ctl, n);
 }
 
 bool
-BlockPlanner::fold(const trace::Event *ctl, std::size_t n,
-                   const trace::PageRun *runs, std::size_t nruns)
+BlockPlanner::installTouches(const trace::Event *ctl, std::size_t n,
+                             const trace::PageRun *runs,
+                             std::size_t nruns) const
 {
-    bool touches = false;
+    for (std::size_t i = 0; i < n; ++i) {
+        const trace::Event &e = ctl[i];
+        if (e.kind == trace::EventKind::InstallMonitor && e.size > 0 &&
+            relevant(e.aux) && rangeTouchesRuns(e.range(), runs, nruns)) {
+            return true;
+        }
+    }
+    return false;
+}
+
+void
+BlockPlanner::fold(const trace::Event *ctl, std::size_t n)
+{
     for (std::size_t i = 0; i < n; ++i) {
         const trace::Event &e = ctl[i];
         if (e.kind == trace::EventKind::Write || !relevant(e.aux))
             continue;
-        const AddrRange r = e.range();
-        if (e.kind == trace::EventKind::RemoveMonitor) {
-            pages_.remove(r);
-            continue;
+        if (e.kind == trace::EventKind::InstallMonitor) {
+            if (e.size == 0)
+                continue;
+            auto [o, fresh] = live_.try_emplace(e.begin);
+            if (!fresh)
+                pages_.remove(AddrRange{e.begin, o->end});
+            *o = LiveObj{e.begin + e.size, (trace::ObjectId)e.aux};
+            pages_.add(e.range());
+        } else {
+            const LiveObj *o = live_.find(e.begin);
+            if (o == nullptr || o->obj != e.aux)
+                continue;
+            pages_.remove(AddrRange{e.begin, o->end});
+            live_.erase(e.begin);
         }
-        touches = touches || rangeTouchesRuns(r, runs, nruns);
-        pages_.add(r);
+        ++version_;
     }
     owed_ = false;
-    return touches;
 }
 
 const trace::Event *
 BlockPlanner::controlsOf(Step &step)
 {
-    EDB_ASSERT(sessions_ != nullptr, "static plans carry no controls");
     if (step.ctl == nullptr && step.controls > 0) {
-        trace_.decodeBlockControl(step.block, scratch_.data());
+        if (scratch_.empty()) {
+            scratch_.resize(trace_.largestBlockEvents());
+            scratch_pos_.resize(trace_.largestBlockEvents());
+        }
+        trace_.decodeBlockControl(step.block, scratch_.data(),
+                                  scratch_pos_.data());
         step.ctl = scratch_.data();
+        step.pos = scratch_pos_.data();
     }
     return step.ctl;
 }
@@ -144,6 +281,12 @@ BlockPlanner::publish() const
     trace::obsNoteSkippedBlocks(stats_.blocksSkipped +
                                     stats_.blocksControlOnly,
                                 stats_.writesSkipped);
+    publishIndexPlan();
+}
+
+void
+BlockPlanner::publishIndexPlan() const
+{
     if (index_ != nullptr) {
         trace::obsNoteIndexPlan(trace_.blockCount() - index_elided_,
                                 index_elided_);

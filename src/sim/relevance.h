@@ -1,19 +1,16 @@
 /**
  * @file
- * Summary-page relevance helpers shared by every consumer of the v2
- * block summaries (DESIGN.md §11/§12).
+ * Summary-page relevance helpers of the block planner (DESIGN.md
+ * §11/§12).
  *
- * Two places judge "can this block's writes possibly matter?"
- * against the per-block 8 KiB page-summary runs: replay's
- * BlockPlanner (block_planner.h), which both simulate(MappedTrace)
- * and the parallel simulator execute, and the trace query planner
- * (src/query). A wrong "no" turns a skip into silent data loss, so
- * the refcounted monitored-summary-page set and the
- * range-touches-summary test live here, once, and each planner
- * keeps exactly one tracker. (Replay's planner runs the install test
- * on the same pass that folds a block's controls into its tracker;
- * the query planner, whose live state tolerates malformed streams,
- * uses anyInstallTouchesRuns().)
+ * Every consumer of the v2 block summaries — replay, live RUN and
+ * the trace query — judges "can this block's writes possibly
+ * matter?" through sim::BlockPlanner (block_planner.h), against the
+ * per-block 8 KiB page-summary runs. A wrong "no" turns a skip into
+ * silent data loss, so the refcounted monitored-summary-page set and
+ * the range-touches-summary test live here, once; the planner keeps
+ * the only tracking SummaryPageTracker, and live RUN hands a static
+ * one to it.
  */
 
 #ifndef EDB_SIM_RELEVANCE_H
@@ -57,40 +54,18 @@ rangeTouchesRuns(const AddrRange &r, const trace::PageRun *runs,
 }
 
 /**
- * True when any install among `ctl` that `relevant(object)` accepts
- * lands on a summary page of `runs`. Complements
- * SummaryPageTracker::anyMonitored() for skipping a *mixed* block's
- * writes: the monitored set those writes can see is the pre-block set
- * plus whatever the block itself installs (removes only shrink it).
- */
-template <typename Relevant>
-inline bool
-anyInstallTouchesRuns(const trace::Event *ctl, std::size_t n,
-                      const trace::PageRun *runs, std::size_t nruns,
-                      Relevant &&relevant)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        if (ctl[i].kind != trace::EventKind::InstallMonitor)
-            continue;
-        if (!relevant(ctl[i].aux))
-            continue;
-        if (rangeTouchesRuns(ctl[i].range(), runs, nruns))
-            return true;
-    }
-    return false;
-}
-
-/**
  * Summary page -> count of relevant live objects touching it. What
  * "relevant" means is the caller's policy (session-relevant for
- * replay, query-selected for the query planner); the tracker just
- * refcounts ranges onto trace::summaryPageBytes-sized pages and
- * answers the block-skip probe.
+ * replay, query-selected for the query, enabled monitors for live
+ * RUN); the tracker just refcounts non-empty ranges onto
+ * trace::summaryPageBytes-sized pages and answers the block-skip
+ * probe.
  */
 class SummaryPageTracker
 {
   public:
-    /** Count one relevant object onto the summary pages of `r`. */
+    /** Count one relevant object onto the summary pages of `r`,
+     *  which must not be empty. */
     void
     add(const AddrRange &r)
     {

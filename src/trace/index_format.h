@@ -5,38 +5,32 @@
  * index"; DESIGN.md §16 argues the soundness).
  *
  * The v2 container already carries per-block summaries, but every
- * consumer still walks all of them: replay probes each block's
- * page-summary runs against the monitored set, and the query planner
- * additionally decodes each block's control columns to advance its
- * session live-state — cost linear in trace size even when one
- * session touches three pages, re-paid on every run. The sidecar
- * moves that work to index-build time, once per artifact:
+ * consumer still walks all of them: the block planner probes each
+ * block's page-summary runs against the monitored set, and a query
+ * with a session predicate additionally decodes each block's control
+ * columns to advance its live state — cost linear in trace size even
+ * when one session touches three pages, re-paid on every run. The
+ * sidecar moves that work to index-build time, once per artifact:
  *
  *  - a hierarchical summary tree (superblocks of 64 blocks with
  *    merged page-summary runs, then a root over the superblocks), so
- *    relevance probes descend the tree and touch only subtrees whose
- *    merged runs can match;
- *  - a page-occupancy bitmap (roaring-style array/run hybrid
- *    containers over 8 KiB summary pages) plus a sorted page →
- *    block-id posting list, so sparse addr-range queries jump
- *    straight to candidate blocks;
+ *    one probe of a superblock's runs answers for all its members;
  *  - per-object control extents (first/last block, event count, and
  *    the posting list of blocks carrying the object's installs and
  *    removes), from which a session's extent is the fold over its
- *    objects — this is what lets the query planner skip control
- *    decodes on blocks that provably hold no selected-object control.
+ *    objects — this is what lets the planner skip control decodes on
+ *    blocks that provably hold no selected-object control.
  *
  * The index is strictly an accelerator: every structure is a
  * conservative superset of the per-block truth (tree runs ⊇ member
- * block runs) or an exact mirror of it (postings, occupancy,
- * extents), so consumers reach identical decisions with or without
- * it, and every consumer keeps a mandatory linear fallback. Staleness
- * is detected by an FNV-1a digest of the indexed `.trc`; corruption
- * by a self-digest over the index bytes plus structural
- * cross-checks against the mapped block headers. A sidecar that
- * fails any of it is rejected (TraceError from the explicit loader,
- * silent fallback + `trace.idx.stale` from auto-discovery) — it can
- * never mis-plan.
+ * block runs) or an exact mirror of it (extents), so the planner
+ * reaches identical decisions with or without it, and keeps a
+ * mandatory linear fallback. Staleness is detected by an FNV-1a
+ * digest of the indexed `.trc`; corruption by a self-digest over the
+ * index bytes plus structural cross-checks against the mapped block
+ * headers. A sidecar that fails any of it is rejected (TraceError
+ * from the explicit loader, silent fallback + `trace.idx.stale` from
+ * auto-discovery) — it can never mis-plan.
  */
 
 #ifndef EDB_TRACE_INDEX_FORMAT_H
@@ -57,8 +51,9 @@ class MappedTrace;
 /** Sidecar file magic, first 4 bytes of every `.edbi`. */
 constexpr char traceIndexMagic[4] = {'E', 'D', 'B', 'I'};
 
-/** Current sidecar wire version. */
-constexpr std::uint64_t traceIndexVersion = 1;
+/** Current sidecar wire version. Version 1 also carried a
+ *  page-occupancy bitmap and page postings; its files are stale. */
+constexpr std::uint64_t traceIndexVersion = 2;
 
 /** log2 of blocks per superblock: tree nodes cover 64 blocks. */
 constexpr unsigned traceIndexSuperShift = 6;
@@ -69,9 +64,6 @@ constexpr std::size_t traceIndexSuperSpan =
  *  (8 runs each) must re-coalesce into this many runs; when they do
  *  not fit, the closest runs are fused — coarser, still a superset. */
 constexpr std::size_t maxIndexRuns = 16;
-
-/** Pages per occupancy container (chunk = summary page >> 16). */
-constexpr unsigned traceIndexChunkShift = 16;
 
 /** FNV-1a 64-bit, the digest pinning a sidecar to its `.trc` bytes
  *  (and the index's own bytes to themselves). */
@@ -104,43 +96,14 @@ struct IndexNode
     std::uint64_t writes = 0;
     std::uint64_t controls = 0;
     util::SmallVec<PageRun, maxIndexRuns> runs;
-
-    /** True when every member event is a write — the whole node can
-     *  skip on a summary miss without decoding a byte. */
-    bool pureWrites() const { return controls == 0; }
-};
-
-/**
- * One run/array hybrid occupancy container: the set of occupied
- * summary pages within one 2^16-page chunk, encoded as either a
- * sorted array of low-16 page offsets or a sorted list of
- * (offset, length) runs — whichever is smaller on the wire.
- */
-struct IndexContainer
-{
-    std::uint64_t chunk = 0; ///< summary page >> traceIndexChunkShift
-    bool runEncoded = false;
-    /** Array: sorted low-16 offsets. Runs: flattened sorted
-     *  (offset, length) pairs. */
-    std::vector<std::uint32_t> vals;
-};
-
-/** One posting: a block's page-summary run, keyed for page lookup.
- *  The posting list is exactly the blocks' own runs re-sorted by
- *  (firstPage, block) — no coarsening, so a candidate set computed
- *  from it equals the per-block linear scan's, bit for bit. */
-struct IndexPosting
-{
-    Addr firstPage = 0;
-    Addr pages = 0;
-    std::uint32_t block = 0;
 };
 
 /**
  * Control extent of one object: which blocks carry its installs and
  * removes. A session's extent is the union over its objects; a block
  * outside every selected object's posting list provably holds no
- * selected control, so a query planner may skip its control decode.
+ * selected control, so the block planner may skip its control decode
+ * for a query.
  */
 struct IndexExtent
 {
@@ -178,12 +141,6 @@ class TraceIndex
     IndexNode root;
     /// @}
 
-    /** @name Page-occupancy bitmap + postings */
-    /// @{
-    std::vector<IndexContainer> containers; ///< ascending by chunk
-    std::vector<IndexPosting> postings; ///< ascending (firstPage, block)
-    /// @}
-
     /** Per-object control extents, ascending by object id; objects
      *  with no control event are absent. */
     std::vector<IndexExtent> extents;
@@ -193,34 +150,9 @@ class TraceIndex
     /// @{
     std::uint64_t bytesHeader = 0;
     std::uint64_t bytesTree = 0;
-    std::uint64_t bytesBitmap = 0;
     std::uint64_t bytesExtents = 0;
     std::uint64_t fileBytes = 0;
     /// @}
-
-    /** The superblock covering block `b`. */
-    const IndexNode &
-    superOf(std::size_t b) const
-    {
-        return supers[b >> traceIndexSuperShift];
-    }
-
-    /** Extent of one object, or nullptr when it has no control
-     *  events. Safe on any id, including out-of-range. */
-    const IndexExtent *extentOf(std::uint32_t object) const;
-
-    /** True when any block's write summary covers `page`. */
-    bool pageOccupied(Addr page) const;
-
-    /**
-     * Mark, in `bits` (one bit per block, caller-sized to
-     * blockCount), every block whose page-summary runs intersect any
-     * of `ranges`. Exactly the blocks a per-block
-     * sim::rangeTouchesRuns scan would accept — the bitmap and
-     * postings are exact mirrors of the block summaries.
-     */
-    void candidateBlocks(const AddrRange *ranges, std::size_t n,
-                         std::vector<std::uint64_t> &bits) const;
 };
 
 /** Default sidecar path of a trace artifact: `<path>.edbi`. */
@@ -252,8 +184,7 @@ TraceIndex loadTraceIndex(const std::string &path);
 /**
  * Cross-check a loaded index against the trace it claims to
  * describe: digest/size/counts, tree sums and run-superset
- * containment, posting-vs-block-summary exactness, occupancy
- * exactness, and extent consistency. Throws TraceError (with the
+ * containment, and extent consistency. Throws TraceError (with the
  * sidecar path in the message) on any mismatch — a stale or
  * inconsistent sidecar must never reach a planner.
  */

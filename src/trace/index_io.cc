@@ -85,18 +85,8 @@ traceIndexEnabled()
 
 namespace {
 
-constexpr unsigned pageShift =
-    (unsigned)std::countr_zero(summaryPageBytes);
-
-/** Inclusive summary-page span of a non-empty byte range. */
-std::pair<Addr, Addr>
-pageSpanOf(const AddrRange &r)
-{
-    return {r.begin >> pageShift, (r.end - 1) >> pageShift};
-}
-
-/** Half-open page interval — the unit the merge/coalesce passes and
- *  the occupancy containers trade in. */
+/** Half-open page interval — the unit the merge/coalesce passes
+ *  trade in. */
 struct PageIval
 {
     Addr first;
@@ -233,73 +223,6 @@ readNode(detail::SpanIn &in, std::uint32_t firstBlock,
 
 } // namespace
 
-const IndexExtent *
-TraceIndex::extentOf(std::uint32_t object) const
-{
-    auto it = std::lower_bound(
-        extents.begin(), extents.end(), object,
-        [](const IndexExtent &e, std::uint32_t o) {
-            return e.object < o;
-        });
-    if (it == extents.end() || it->object != object)
-        return nullptr;
-    return &*it;
-}
-
-bool
-TraceIndex::pageOccupied(Addr page) const
-{
-    const std::uint64_t chunk = page >> traceIndexChunkShift;
-    const std::uint32_t off =
-        (std::uint32_t)(page & ((1u << traceIndexChunkShift) - 1));
-    auto it = std::lower_bound(
-        containers.begin(), containers.end(), chunk,
-        [](const IndexContainer &c, std::uint64_t v) {
-            return c.chunk < v;
-        });
-    if (it == containers.end() || it->chunk != chunk)
-        return false;
-    if (!it->runEncoded) {
-        return std::binary_search(it->vals.begin(), it->vals.end(),
-                                  off);
-    }
-    // Runs: flattened (offset, length) pairs, sorted by offset.
-    for (std::size_t i = 0; i + 1 < it->vals.size(); i += 2) {
-        if (off < it->vals[i])
-            return false;
-        if (off < it->vals[i] + it->vals[i + 1])
-            return true;
-    }
-    return false;
-}
-
-void
-TraceIndex::candidateBlocks(const AddrRange *ranges, std::size_t n,
-                            std::vector<std::uint64_t> &bits) const
-{
-    Addr maxPages = 1;
-    for (const IndexPosting &p : postings)
-        maxPages = std::max(maxPages, p.pages);
-    for (std::size_t r = 0; r < n; ++r) {
-        if (ranges[r].begin >= ranges[r].end)
-            continue;
-        const auto [first, last] = pageSpanOf(ranges[r]);
-        // A posting can only cover `first` if it starts within
-        // maxPages before it; everything past `last` cannot overlap.
-        const Addr scanFrom =
-            first >= maxPages - 1 ? first - (maxPages - 1) : 0;
-        auto it = std::lower_bound(
-            postings.begin(), postings.end(), scanFrom,
-            [](const IndexPosting &p, Addr v) {
-                return p.firstPage < v;
-            });
-        for (; it != postings.end() && it->firstPage <= last; ++it) {
-            if (it->firstPage + it->pages > first)
-                bits[it->block >> 6] |= 1ull << (it->block & 63);
-        }
-    }
-}
-
 TraceIndex
 buildTraceIndex(const MappedTrace &trace)
 {
@@ -350,68 +273,6 @@ buildTraceIndex(const MappedTrace &trace)
     coalesce(rootIvals);
     capIntervals(rootIvals, maxIndexRuns);
     nodeRunsFromIntervals(rootIvals, idx.root);
-
-    // --- Postings: every block's summary runs, re-keyed by page.
-    for (std::size_t b = 0; b < nblocks; ++b) {
-        const MappedTrace::Block &blk = trace.block(b);
-        for (std::size_t k = 0; k < blk.runs.size(); ++k) {
-            idx.postings.push_back(IndexPosting{
-                blk.runs[k].firstPage, blk.runs[k].pages,
-                (std::uint32_t)b});
-        }
-    }
-    std::sort(idx.postings.begin(), idx.postings.end(),
-              [](const IndexPosting &a, const IndexPosting &b) {
-                  return a.firstPage < b.firstPage ||
-                         (a.firstPage == b.firstPage &&
-                          a.block < b.block);
-              });
-
-    // --- Occupancy containers from the coalesced posting intervals.
-    std::vector<PageIval> occ;
-    occ.reserve(idx.postings.size());
-    for (const IndexPosting &p : idx.postings)
-        occ.push_back(PageIval{p.firstPage, p.firstPage + p.pages});
-    coalesce(occ);
-    const Addr chunkPages = (Addr)1 << traceIndexChunkShift;
-    for (std::size_t i = 0; i < occ.size();) {
-        const std::uint64_t chunk =
-            occ[i].first >> traceIndexChunkShift;
-        const Addr chunkEnd = (Addr)(chunk + 1)
-                              << traceIndexChunkShift;
-        IndexContainer c;
-        c.chunk = chunk;
-        // Gather this chunk's slice of every interval, run-encoded
-        // first; re-encode as an array when that is smaller.
-        std::vector<std::uint32_t> runs;
-        std::uint64_t setPages = 0;
-        while (i < occ.size() && occ[i].first < chunkEnd) {
-            const Addr first = occ[i].first;
-            const Addr end = std::min(occ[i].end, chunkEnd);
-            runs.push_back((std::uint32_t)(first & (chunkPages - 1)));
-            runs.push_back((std::uint32_t)(end - first));
-            setPages += end - first;
-            if (occ[i].end > chunkEnd) {
-                // The tail spills into the next chunk: trim this
-                // interval and revisit it there.
-                occ[i].first = chunkEnd;
-                break;
-            }
-            ++i;
-        }
-        if (setPages < runs.size()) {
-            // Fewer pages than run words: the array wins the wire.
-            c.runEncoded = false;
-            for (std::size_t k = 0; k + 1 < runs.size(); k += 2) {
-                for (std::uint32_t p = 0; p < runs[k + 1]; ++p)
-                    c.vals.push_back(runs[k] + p);
-            }
-        } else {
-            c.runEncoded = true;
-            c.vals = std::move(runs);
-        }
-        idx.containers.push_back(std::move(c));
-    }
 
     // --- Extents: decode each block's control columns once.
     std::vector<Event> ctlbuf(trace.largestBlockEvents());
@@ -466,41 +327,6 @@ saveTraceIndex(TraceIndex &index, const std::string &path)
     writeNode(out, index.root);
     const std::size_t treeEnd = out.bytes.size();
 
-    // Bitmap: containers, then postings.
-    out.varint(index.containers.size());
-    std::uint64_t prevChunk = 0;
-    for (std::size_t i = 0; i < index.containers.size(); ++i) {
-        const IndexContainer &c = index.containers[i];
-        out.varint(i == 0 ? c.chunk : c.chunk - prevChunk - 1);
-        prevChunk = c.chunk;
-        out.byte(c.runEncoded ? 1 : 0);
-        out.varint(c.vals.size());
-        if (c.runEncoded) {
-            std::uint32_t prevEnd = 0;
-            for (std::size_t k = 0; k + 1 < c.vals.size(); k += 2) {
-                out.varint(c.vals[k] - prevEnd);
-                out.varint(c.vals[k + 1]);
-                prevEnd = c.vals[k] + c.vals[k + 1];
-            }
-        } else {
-            std::uint32_t prev = 0;
-            for (std::size_t k = 0; k < c.vals.size(); ++k) {
-                out.varint(k == 0 ? c.vals[k]
-                                  : c.vals[k] - prev - 1);
-                prev = c.vals[k];
-            }
-        }
-    }
-    out.varint(index.postings.size());
-    Addr prevPage = 0;
-    for (const IndexPosting &p : index.postings) {
-        out.varint(p.firstPage - prevPage);
-        prevPage = p.firstPage;
-        out.varint(p.pages);
-        out.varint(p.block);
-    }
-    const std::size_t bitmapEnd = out.bytes.size();
-
     // Extents.
     out.varint(index.extents.size());
     std::uint32_t prevObj = 0;
@@ -534,8 +360,7 @@ saveTraceIndex(TraceIndex &index, const std::string &path)
     // Mirror the section byte sizes `info` reports after a load.
     index.bytesHeader = headerEnd;
     index.bytesTree = treeEnd - headerEnd;
-    index.bytesBitmap = bitmapEnd - treeEnd;
-    index.bytesExtents = extentsEnd - bitmapEnd;
+    index.bytesExtents = extentsEnd - treeEnd;
     index.fileBytes = out.bytes.size();
 }
 
@@ -631,102 +456,6 @@ loadTraceIndex(const std::string &path)
                         idx.eventCount);
     idx.bytesTree = in.offset() - idx.bytesHeader;
 
-    // Bitmap.
-    const std::uint64_t ncontainers = in.varint();
-    if (ncontainers > idx.eventCount + 1) {
-        in.fail("sidecar index container count %llu implausible",
-                (unsigned long long)ncontainers);
-    }
-    idx.containers.reserve((std::size_t)ncontainers);
-    std::uint64_t prevChunk = 0;
-    for (std::uint64_t i = 0; i < ncontainers; ++i) {
-        IndexContainer c;
-        const std::uint64_t gap = in.varint();
-        c.chunk = i == 0 ? gap : prevChunk + 1 + gap;
-        prevChunk = c.chunk;
-        if (in.p == in.end)
-            in.fail("sidecar index truncated at a container kind");
-        const unsigned char kind = *in.p++;
-        if (kind > 1)
-            in.fail("sidecar index container kind %u invalid", kind);
-        c.runEncoded = kind == 1;
-        const std::uint64_t nvals = in.varint();
-        const std::uint64_t chunkPages = (std::uint64_t)1
-                                         << traceIndexChunkShift;
-        if (nvals > chunkPages ||
-            (c.runEncoded && nvals % 2 != 0)) {
-            in.fail("sidecar index container holds %llu values",
-                    (unsigned long long)nvals);
-        }
-        c.vals.reserve((std::size_t)nvals);
-        if (c.runEncoded) {
-            std::uint64_t prevEnd = 0;
-            for (std::uint64_t k = 0; k < nvals; k += 2) {
-                const std::uint64_t off = prevEnd + in.varint();
-                const std::uint64_t len = in.varint();
-                if (len == 0)
-                    in.fail("sidecar index container run is empty");
-                if (off + len > chunkPages) {
-                    in.fail("sidecar index container run overruns "
-                            "the chunk");
-                }
-                c.vals.push_back((std::uint32_t)off);
-                c.vals.push_back((std::uint32_t)len);
-                prevEnd = off + len;
-            }
-        } else {
-            std::uint64_t prev = 0;
-            for (std::uint64_t k = 0; k < nvals; ++k) {
-                const std::uint64_t v =
-                    k == 0 ? in.varint() : prev + 1 + in.varint();
-                if (v >= chunkPages) {
-                    in.fail("sidecar index container offset overruns "
-                            "the chunk");
-                }
-                c.vals.push_back((std::uint32_t)v);
-                prev = v;
-            }
-        }
-        idx.containers.push_back(std::move(c));
-    }
-    const std::uint64_t npostings = in.varint();
-    if (npostings > idx.blockCount * maxSummaryRuns) {
-        in.fail("sidecar index posting count %llu exceeds %llu "
-                "blocks x %zu runs",
-                (unsigned long long)npostings,
-                (unsigned long long)idx.blockCount, maxSummaryRuns);
-    }
-    idx.postings.reserve((std::size_t)npostings);
-    Addr prevPage = 0;
-    std::uint32_t prevBlockAtPage = 0;
-    for (std::uint64_t i = 0; i < npostings; ++i) {
-        IndexPosting p;
-        const Addr gap = in.varint();
-        p.firstPage = prevPage + gap;
-        p.pages = in.varint();
-        if (p.pages == 0)
-            in.fail("sidecar index posting spans no pages");
-        if (p.firstPage + p.pages < p.firstPage)
-            in.fail("sidecar index posting overflows");
-        const std::uint64_t block = in.varint();
-        if (block >= idx.blockCount) {
-            in.fail("sidecar index posting names block %llu of %llu",
-                    (unsigned long long)block,
-                    (unsigned long long)idx.blockCount);
-        }
-        p.block = (std::uint32_t)block;
-        if (i > 0 && gap == 0 && p.block <= prevBlockAtPage) {
-            in.fail("sidecar index postings out of order at page "
-                    "%llu",
-                    (unsigned long long)p.firstPage);
-        }
-        prevBlockAtPage = p.block;
-        prevPage = p.firstPage;
-        idx.postings.push_back(p);
-    }
-    idx.bytesBitmap =
-        in.offset() - idx.bytesHeader - idx.bytesTree;
-
     // Extents.
     const std::uint64_t nextents = in.varint();
     if (nextents > idx.objectCount) {
@@ -783,8 +512,7 @@ loadTraceIndex(const std::string &path)
     }
     if (!in.empty())
         in.fail("sidecar index has trailing bytes");
-    idx.bytesExtents = in.offset() - idx.bytesHeader -
-                       idx.bytesTree - idx.bytesBitmap;
+    idx.bytesExtents = in.offset() - idx.bytesHeader - idx.bytesTree;
     idx.fileBytes = bytes.size();
     return idx;
 }
@@ -873,80 +601,6 @@ validateTraceIndex(const TraceIndex &index, const MappedTrace &trace,
         index.root.writes != trace.totalWrites() ||
         index.root.controls != totalControls) {
         failValidate(path, "root totals disagree with the trace");
-    }
-
-    // Postings: exactly the block summaries, re-sorted.
-    std::vector<IndexPosting> expect;
-    expect.reserve(index.postings.size());
-    for (std::size_t b = 0; b < trace.blockCount(); ++b) {
-        const MappedTrace::Block &blk = trace.block(b);
-        for (std::size_t k = 0; k < blk.runs.size(); ++k) {
-            expect.push_back(IndexPosting{blk.runs[k].firstPage,
-                                          blk.runs[k].pages,
-                                          (std::uint32_t)b});
-        }
-    }
-    std::sort(expect.begin(), expect.end(),
-              [](const IndexPosting &a, const IndexPosting &b) {
-                  return a.firstPage < b.firstPage ||
-                         (a.firstPage == b.firstPage &&
-                          a.block < b.block);
-              });
-    if (expect.size() != index.postings.size()) {
-        failValidate(path, "posting count disagrees with the block "
-                           "summaries");
-    }
-    for (std::size_t i = 0; i < expect.size(); ++i) {
-        if (expect[i].firstPage != index.postings[i].firstPage ||
-            expect[i].pages != index.postings[i].pages ||
-            expect[i].block != index.postings[i].block) {
-            failValidate(path, "posting " + std::to_string(i) +
-                                   " disagrees with the block "
-                                   "summaries");
-        }
-    }
-
-    // Occupancy: every posting page set, no more, no fewer.
-    std::vector<std::pair<Addr, Addr>> occ;
-    occ.reserve(expect.size());
-    for (const IndexPosting &p : expect)
-        occ.emplace_back(p.firstPage, p.firstPage + p.pages);
-    std::sort(occ.begin(), occ.end());
-    std::vector<std::pair<Addr, Addr>> merged;
-    for (const auto &iv : occ) {
-        if (!merged.empty() && iv.first <= merged.back().second)
-            merged.back().second =
-                std::max(merged.back().second, iv.second);
-        else
-            merged.push_back(iv);
-    }
-    std::vector<std::pair<Addr, Addr>> fromContainers;
-    for (const IndexContainer &c : index.containers) {
-        const Addr base = (Addr)c.chunk << traceIndexChunkShift;
-        if (c.runEncoded) {
-            for (std::size_t k = 0; k + 1 < c.vals.size(); k += 2) {
-                fromContainers.emplace_back(
-                    base + c.vals[k],
-                    base + c.vals[k] + c.vals[k + 1]);
-            }
-        } else {
-            for (std::size_t k = 0; k < c.vals.size(); ++k) {
-                fromContainers.emplace_back(base + c.vals[k],
-                                            base + c.vals[k] + 1);
-            }
-        }
-    }
-    std::vector<std::pair<Addr, Addr>> mergedC;
-    for (const auto &iv : fromContainers) {
-        if (!mergedC.empty() && iv.first <= mergedC.back().second)
-            mergedC.back().second =
-                std::max(mergedC.back().second, iv.second);
-        else
-            mergedC.push_back(iv);
-    }
-    if (merged != mergedC) {
-        failValidate(path, "occupancy containers disagree with the "
-                           "posting pages");
     }
 
     // Extents: every control event accounted for, referenced blocks

@@ -257,9 +257,9 @@ class MappedTrace
      * As decodeBlockControl(), additionally reporting each control
      * event's position within the block into pos (block(i).controls()
      * entries): control event k of the block sits at global stream
-     * index block(i).firstEvent + pos[k]. The trace query planner
-     * pairs this with an event-index window to evaluate control rows
-     * of a write-pruned block at their exact stream positions.
+     * index block(i).firstEvent + pos[k]. The block planner decodes
+     * this way so the trace query can evaluate the control rows of a
+     * write-pruned block at their exact stream positions.
      * Thread-safe.
      */
     void decodeBlockControl(std::size_t i, Event *out,

@@ -16,6 +16,7 @@
 #include "cli/cli.h"
 #include "obs/obs.h"
 #include "served/server.h"
+#include "trace/index_format.h"
 #include "trace/trace_io.h"
 
 namespace edb::cli {
@@ -426,6 +427,46 @@ TEST_F(CliTest, RunDispatchesAndValidates)
     // sessions with explicit N.
     out.str("");
     EXPECT_EQ(run({"sessions", *path_, "3"}, out, err), 0);
+}
+
+TEST_F(CliTest, InfoReportsAnOlderSidecarVersionAsRejected)
+{
+    // A sidecar written before the current version (here version 1,
+    // which also carried page postings) is rejected by the reader;
+    // info says so instead of describing it.
+    const trace::MappedTrace mapped(*path_);
+    trace::TraceIndex idx = trace::buildTraceIndex(mapped);
+    idx.version = trace::traceIndexVersion - 1;
+    const std::string sidecar = trace::traceIndexPathFor(*path_);
+    trace::saveTraceIndex(idx, sidecar);
+    std::ostringstream out;
+    EXPECT_EQ(cmdInfo(*path_, out), 0);
+    std::remove(sidecar.c_str());
+    EXPECT_NE(out.str().find("REJECTED: sidecar index version"),
+              std::string::npos)
+        << out.str();
+}
+
+TEST_F(CliTest, RowCountOfSessionsAndAdviseIsValidated)
+{
+    for (const char *cmd : {"sessions", "advise"}) {
+        for (const char *bad : {"abc", "-1", "5x", "0", "", "+3",
+                                "99999999999999999999999"}) {
+            std::ostringstream out, err;
+            EXPECT_EQ(run({cmd, *path_, bad}, out, err), 2)
+                << cmd << " '" << bad << "'";
+            EXPECT_NE(err.str().find("invalid row count"),
+                      std::string::npos)
+                << cmd << " '" << bad << "': " << err.str();
+            EXPECT_EQ(out.str(), "") << cmd << " '" << bad << "'";
+        }
+    }
+    // "0x3" is hex, as for every other integer argument.
+    std::ostringstream out, err;
+    EXPECT_EQ(run({"sessions", *path_, "0x3"}, out, err), 0);
+    std::ostringstream three;
+    EXPECT_EQ(run({"sessions", *path_, "3"}, three, err), 0);
+    EXPECT_EQ(out.str(), three.str());
 }
 
 // ---- daemon-facing commands: top and connect metrics ---------------

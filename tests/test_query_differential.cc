@@ -15,18 +15,22 @@
  * executor to the oracle, exactly (operator==, not approximately): on
  * all five workload traces, on every committed corpus artifact
  * (including the adversarial straddle/ghost traces), and on
- * randomized traces, across jobs in {1, 2, 4, 8}.
+ * randomized traces, across jobs in {1, 2, 4, 8}; and on traces with
+ * a duplicated, dropped or empty install (QueryMalformed).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <tuple>
 
 #include <unistd.h>
 
 #include "query/query.h"
 #include "testing/random_trace.h"
+#include "trace/index_format.h"
 #include "trace/trace_io.h"
 #include "util/rng.h"
 #include "workload/workload.h"
@@ -246,6 +250,115 @@ TEST_P(QueryRandom, AllExecutorsAgreeOnRandomTraces)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueryRandom,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
+
+/** One semantic mutation of a trace's first install of an object
+ *  some session monitors: the file still parses, but replay would
+ *  abort on it. */
+enum class Mutation { Duplicate, Drop, ZeroSize, ZeroSizeAtZero };
+
+const char *
+mutationName(Mutation m)
+{
+    switch (m) {
+      case Mutation::Duplicate: return "duplicate";
+      case Mutation::Drop: return "drop";
+      case Mutation::ZeroSize: return "zero_size";
+      default: return "zero_size_at_zero";
+    }
+}
+
+class QueryMalformed
+    : public ::testing::TestWithParam<std::tuple<const char *, Mutation>>
+{
+};
+
+/**
+ * Queries answer semantically malformed traces rather than abort
+ * (eval.h): with and without a sidecar, at jobs 1 and 4, a session
+ * spec on the mutated object, an all-rows spec and an address-range
+ * spec around it must each equal scanAll.
+ */
+TEST_P(QueryMalformed, AnswersEqualScanAll)
+{
+    const auto [source, mutation] = GetParam();
+    trace::Trace t =
+        std::string_view(source) == "bps"
+            ? workload::runTraced(*workload::makeWorkload("bps"))
+            : trace::loadTrace(std::string(EDB_CORPUS_DIR) + "/" +
+                               source);
+    t.program += std::string("_") + mutationName(mutation);
+    const SessionSet clean = SessionSet::enumerate(t);
+    auto it = std::find_if(
+        t.events.begin(), t.events.end(), [&](const trace::Event &e) {
+            return e.kind == trace::EventKind::InstallMonitor &&
+                   !clean.sessionsOf(e.aux).empty();
+        });
+    ASSERT_NE(it, t.events.end());
+    const trace::Event install = *it;
+    switch (mutation) {
+      case Mutation::Duplicate:
+        t.events.insert(it, install);
+        break;
+      case Mutation::Drop:
+        t.events.erase(it);
+        break;
+      case Mutation::ZeroSize:
+        it->size = 0;
+        break;
+      case Mutation::ZeroSizeAtZero:
+        it->begin = 0;
+        it->size = 0;
+        break;
+    }
+    const SessionSet set = SessionSet::enumerate(t);
+
+    std::vector<QuerySpec> specs(3);
+    specs[0].sessions = {set.sessionsOf(install.aux).front()};
+    specs[1].agg = Agg::Rows;
+    specs[1].rowLimit = 64;
+    specs[2].addrRanges = {{install.begin > 64 ? install.begin - 64 : 0,
+                            install.begin + install.size + 4096}};
+    std::vector<QueryResult> refs;
+    for (const QuerySpec &spec : specs)
+        refs.push_back(scanAll(t, set, spec));
+
+    Saved saved(t, 64);
+    const std::string sidecar = trace::traceIndexPathFor(saved.path());
+    for (bool indexed : {false, true}) {
+        if (indexed) {
+            trace::TraceIndex idx =
+                trace::buildTraceIndex(trace::MappedTrace(saved.path()));
+            trace::saveTraceIndex(idx, sidecar);
+        }
+        const trace::MappedTrace mapped(saved.path());
+        if (indexed && trace::traceIndexEnabled())
+            ASSERT_NE(mapped.index(), nullptr);
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            for (unsigned jobs : {1u, 4u}) {
+                QueryOptions opts;
+                opts.jobs = jobs;
+                EXPECT_TRUE(runQuery(mapped, set, specs[i], opts) ==
+                            refs[i])
+                    << "spec " << i << " jobs " << jobs
+                    << (indexed ? " indexed" : " linear");
+            }
+        }
+    }
+    std::remove(sidecar.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Mutations, QueryMalformed,
+    ::testing::Combine(::testing::Values("bps", "mini_mixed.v2.trc"),
+                       ::testing::Values(Mutation::Duplicate,
+                                         Mutation::Drop,
+                                         Mutation::ZeroSize,
+                                         Mutation::ZeroSizeAtZero)),
+    [](const auto &info) {
+        std::string src = std::get<0>(info.param);
+        src = src.substr(0, src.find('.'));
+        return src + "_" + mutationName(std::get<1>(info.param));
+    });
 
 } // namespace
 } // namespace edb::query

@@ -582,6 +582,40 @@ TEST(SubsetReplayDeathTest, UnmatchedRemoveOutsideTheSubsetDies)
                             "does not match a live install");
 }
 
+/**
+ * An empty install at address 0 spans no page. The mapped front ends
+ * must die on it in the replay engine, as the Trace path does, for
+ * the full set and for a subset that keeps the object, rather than
+ * walk the 2^51 summary pages of [0, 0) in the block planner.
+ */
+TEST(ReplayDeathTest, EmptyInstallAtAddressZeroDies)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    trace::Trace t = trace::loadTrace(std::string(EDB_CORPUS_DIR) +
+                                      "/mini_mixed.v2.trc");
+    const SessionSet clean = SessionSet::enumerate(t);
+    auto it = std::find_if(
+        t.events.begin(), t.events.end(), [&](const trace::Event &e) {
+            return e.kind == trace::EventKind::InstallMonitor &&
+                   !clean.sessionsOf(e.aux).empty();
+        });
+    ASSERT_NE(it, t.events.end());
+    it->begin = 0;
+    it->size = 0;
+    const SessionSet set = SessionSet::enumerate(t);
+    const SessionSet sub = set.subset({set.sessionsOf(it->aux).front()});
+    const trace::MappedTrace mapped = mappedOf(t, 64);
+    ParallelOptions opts;
+    opts.jobs = 2;
+    opts.shardEvents = 16;
+    for (const SessionSet *s : {&set, &sub}) {
+        EXPECT_DEATH((void)simulate(mapped, *s),
+                     "page span of empty range");
+        EXPECT_DEATH((void)parallelSimulate(mapped, *s, opts),
+                     "page span of empty range");
+    }
+}
+
 #if EDB_OBS_ENABLED
 TEST(ReplayObs, PendingFlushHistogramPinnedOnCorpusReplay)
 {

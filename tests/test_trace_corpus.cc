@@ -30,9 +30,7 @@
 #include "served/client.h"
 #include "served/server.h"
 #include "session/session.h"
-#include "sim/relevance.h"
 #include "sim/simulator.h"
-#include "trace/index_format.h"
 #include "trace/trace_io.h"
 
 namespace {
@@ -266,7 +264,7 @@ TEST(TraceCorpus, GhostV2PinnedWithMatchingSummariesButNoRows)
     EXPECT_EQ(target_rows, 1u); // the single real write at the end
 }
 
-TEST(TraceCorpus, ScatterV2PinnedAndExercisesBitmapPath)
+TEST(TraceCorpus, ScatterV2PinnedWithWideSummaries)
 {
     const std::string path = corpusPath("mini_scatter.v2.trc");
     trace::Trace t = trace::loadTrace(path);
@@ -279,47 +277,12 @@ TEST(TraceCorpus, ScatterV2PinnedAndExercisesBitmapPath)
     trace::MappedTrace mapped(path);
     EXPECT_EQ(mapped.blockCount(), 16u);
 
-    // The scattered sprays must force the occupancy bitmap to carry
-    // both container encodings and a dense posting list — the shape
-    // the sidecar index's candidateBlocks() path is built for.
-    trace::TraceIndex idx = trace::buildTraceIndex(mapped);
-    bool run_encoded = false;
-    bool array_encoded = false;
-    for (const trace::IndexContainer &c : idx.containers)
-        (c.runEncoded ? run_encoded : array_encoded) = true;
-    EXPECT_TRUE(run_encoded);
-    EXPECT_TRUE(array_encoded);
-    EXPECT_GE(idx.postings.size(), 8 * mapped.blockCount());
-
-    // candidateBlocks() must reproduce the per-block
-    // rangeTouchesRuns verdicts exactly, bit for bit, across the
-    // trace's own occupied address span (plus both margins).
-    Addr lo = ~(Addr)0, hi = 0;
-    for (std::size_t b = 0; b < mapped.blockCount(); ++b) {
-        for (const auto &r : mapped.block(b).runs) {
-            lo = std::min(lo, r.firstPage << 13);
-            hi = std::max(hi, (r.firstPage + r.pages) << 13);
-        }
-    }
-    ASSERT_LT(lo, hi);
-    lo = lo > 16384 ? lo - 16384 : 0;
-    for (Addr probe = lo; probe < hi + 16384;
-         probe += 3 * 8192 + 40) {
-        const AddrRange r{probe, probe + 24};
-        std::vector<std::uint64_t> bits(
-            (mapped.blockCount() + 63) / 64, 0);
-        idx.candidateBlocks(&r, 1, bits);
-        for (std::size_t b = 0; b < mapped.blockCount(); ++b) {
-            const auto &blk = mapped.block(b);
-            const bool expect = sim::rangeTouchesRuns(
-                r, blk.runs.begin(), blk.runs.size());
-            const bool got =
-                ((bits[b >> 6] >> (b & 63)) & 1) != 0;
-            EXPECT_EQ(got, expect)
-                << "range [" << r.begin << "," << r.end
-                << ") block " << b;
-        }
-    }
+    // The scattered sprays must give the blocks wide page summaries:
+    // at least eight runs a block on average.
+    std::size_t runs = 0;
+    for (std::size_t b = 0; b < mapped.blockCount(); ++b)
+        runs += mapped.block(b).runs.size();
+    EXPECT_GE(runs, 8 * mapped.blockCount());
 }
 
 } // namespace

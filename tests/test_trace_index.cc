@@ -155,23 +155,6 @@ TEST(TraceIndex, RoundTripPreservesEveryStructure)
     }
     EXPECT_TRUE(nodesEqual(loaded.root, built.root));
 
-    ASSERT_EQ(loaded.containers.size(), built.containers.size());
-    for (std::size_t i = 0; i < built.containers.size(); ++i) {
-        EXPECT_EQ(loaded.containers[i].chunk,
-                  built.containers[i].chunk);
-        EXPECT_EQ(loaded.containers[i].runEncoded,
-                  built.containers[i].runEncoded);
-        EXPECT_EQ(loaded.containers[i].vals, built.containers[i].vals);
-    }
-
-    ASSERT_EQ(loaded.postings.size(), built.postings.size());
-    for (std::size_t i = 0; i < built.postings.size(); ++i) {
-        EXPECT_EQ(loaded.postings[i].firstPage,
-                  built.postings[i].firstPage);
-        EXPECT_EQ(loaded.postings[i].pages, built.postings[i].pages);
-        EXPECT_EQ(loaded.postings[i].block, built.postings[i].block);
-    }
-
     ASSERT_EQ(loaded.extents.size(), built.extents.size());
     for (std::size_t i = 0; i < built.extents.size(); ++i) {
         EXPECT_EQ(loaded.extents[i].object, built.extents[i].object);
@@ -180,10 +163,10 @@ TEST(TraceIndex, RoundTripPreservesEveryStructure)
     }
 
     // The recorded section sizes must tile the file exactly: header,
-    // tree, bitmap, extents, then the 8-byte self-digest.
+    // tree, extents, then the 8-byte self-digest.
     EXPECT_GT(loaded.bytesTree, 0u);
     EXPECT_EQ(loaded.bytesHeader + loaded.bytesTree +
-                  loaded.bytesBitmap + loaded.bytesExtents + 8,
+                  loaded.bytesExtents + 8,
               loaded.fileBytes);
     EXPECT_EQ(loaded.fileBytes, readFile(f.sidecar()).size());
 }
@@ -369,9 +352,9 @@ checkAllStates(const Trace &t, const char *tag)
     const MappedTrace plain(f.path());
     ASSERT_EQ(plain.index(), nullptr);
 
-    // Specs covering the three index structures: a session predicate
-    // (extents), an address predicate (bitmap/postings), a bare
-    // aggregation (tree), and a control-rows query.
+    // Specs covering the index structures: a session predicate
+    // (extents and tree), an address predicate, a bare aggregation,
+    // and a control-rows query.
     std::vector<query::QuerySpec> specs;
     {
         query::QuerySpec s;

@@ -27,10 +27,9 @@
  *                       predicate while containing zero matching
  *                       rows — a summary may only ever over-approximate
  *   mini_scatter.v2.trc writes sprayed (or, with --write-locality
- *                       clustered, packed) across a wide arena — the
- *                       sidecar index's page-occupancy bitmap shape;
- *                       the committed artifact is the scattered
- *                       default
+ *                       clustered, packed) across a wide arena — wide
+ *                       page summaries for the address pushdown; the
+ *                       committed artifact is the scattered default
  *
  * bench/corpus/mini_mixed.v1.trc is not written here: it is the mixed
  * trace in the retired v1 flat container, kept as frozen bytes so
@@ -204,12 +203,11 @@ ghostTrace()
 }
 
 /**
- * Page-occupancy shapes for the sidecar trace index
- * (trace/index_format.h). Scattered sprays single writes across a
- * 4 MiB arena — hundreds of distinct summary pages, one posting per
- * (page, block) pair, array-style bitmap containers. Clustered packs
- * each phase's writes into one page pair — long occupancy runs, few
- * postings. Both interleave short-lived heap objects so the
+ * Page-locality shapes for the block summaries and the sidecar trace
+ * index (trace/index_format.h). Scattered sprays single writes across
+ * a 4 MiB arena — hundreds of distinct summary pages, wide per-block
+ * summaries. Clustered packs each phase's writes into one page pair —
+ * long summary runs. Both interleave short-lived heap objects so the
  * per-object session extents stay non-trivial.
  */
 trace::Trace
