@@ -30,9 +30,13 @@
  * two control blocks). The metric is QueryStats::planNs (relevance
  * probes + live-state control decodes + handoff; pool execution
  * excluded), min over repetitions since the planner loop is
- * microseconds-scale. Acceptance: results bit-identical, and the gcc
- * planner >= 5x faster with the index. The phase is skipped (and the
- * JSON says so) when EDB_TRACE_INDEX pins indexing off.
+ * microseconds-scale. Both sides skip by the trace's own superblocks;
+ * what the sidecar adds is the extents, which elide the control
+ * decodes of blocks holding no selected control. Acceptance: results
+ * bit-identical, the planner >= 5x faster with the index on at least
+ * 3 of the 5 workloads, and never slower with it on any. The phase is
+ * skipped (and the JSON says so) when EDB_TRACE_INDEX pins indexing
+ * off.
  */
 
 #include <algorithm>
@@ -216,8 +220,8 @@ main()
 
         // ---- Planner-index phase: the same sparse-session ask on
         // the sparsest session instance, indexed vs index-free.
-        // `mapped` predates the sidecar, so it plans linearly even
-        // after the index exists on disk.
+        // `mapped` predates the sidecar, so it plans without extents
+        // even after the index exists on disk.
         if (index_enabled) {
             query::QuerySpec plan_spec;
             plan_spec.kindMask =
@@ -284,17 +288,30 @@ main()
         ok = false;
     }
 
-    // The sidecar index's acceptance floor: >= 5x planner speedup on
-    // gcc's sparse session (the ISSUE 10 target; measured ~10x).
+    // The sidecar index's acceptance floors: >= 5x planner speedup on
+    // at least 3 of the 5 workloads, and no workload planning slower
+    // with the sidecar than without it.
+    int plan_fast_enough = 0;
     if (index_enabled) {
         for (const auto &r : rows) {
-            if (r.program == "gcc" && r.planSpeedup < 5.0) {
+            plan_fast_enough += r.planSpeedup >= 5.0 ? 1 : 0;
+            if (r.planIndexedNs > r.planLinearNs) {
                 std::fprintf(stderr,
-                             "FAIL: gcc planner only %.2fx faster "
-                             "with the sidecar index (floor 5x)\n",
-                             r.planSpeedup);
+                             "FAIL: '%s' planner slower with the "
+                             "sidecar index (%llu ns vs %llu ns)\n",
+                             r.program.c_str(),
+                             (unsigned long long)r.planIndexedNs,
+                             (unsigned long long)r.planLinearNs);
                 ok = false;
             }
+        }
+        if (plan_fast_enough < 3) {
+            std::fprintf(stderr,
+                         "FAIL: planner >= 5x faster with the sidecar "
+                         "index on only %d of %zu workloads "
+                         "(acceptance floor 3)\n",
+                         plan_fast_enough, rows.size());
+            ok = false;
         }
     }
 
@@ -332,8 +349,8 @@ main()
         }
         std::printf("Planner loop with the .edbi sidecar index, "
                     "sparsest session, min of %d:\n%s(Elided = "
-                    "blocks whose planning the index short-circuited; "
-                    "gcc floor 5x)\n\n",
+                    "control decodes the extents proved unneeded; "
+                    "floor 5x on >= 3 workloads, never slower)\n\n",
                     plan_reps, idx_table.render().c_str());
     } else {
         std::printf("Planner-index phase skipped: EDB_TRACE_INDEX "
@@ -385,9 +402,10 @@ main()
                      "      \"enabled\": true,\n"
                      "      \"identical\": %s,\n"
                      "      \"gcc_plan_speedup\": %.3f,\n"
+                     "      \"plan_speedup_5x_count\": %d,\n"
                      "      \"workloads\": [\n",
                      idx_identical ? "true" : "false",
-                     gcc_plan_speedup);
+                     gcc_plan_speedup, plan_fast_enough);
         for (std::size_t i = 0; i < rows.size(); ++i) {
             const auto &r = rows[i];
             std::fprintf(

@@ -285,11 +285,10 @@ cmdInfo(const std::string &path, std::ostream &out)
                 << ", "
                 << (fresh ? "digest match" : "STALE: digest mismatch")
                 << ")\n"
-                << "index layout:  " << idx.supers.size()
-                << " superblocks, " << idx.extents.size() << " extents\n"
+                << "index layout:  " << idx.extents.size() << " extents\n"
                 << "index bytes:   " << idx.fileBytes << " (header "
-                << idx.bytesHeader << ", tree " << idx.bytesTree
-                << ", extents " << idx.bytesExtents << ")\n";
+                << idx.bytesHeader << ", extents " << idx.bytesExtents
+                << ")\n";
         } catch (const trace::TraceError &e) {
             // Corrupt, or written by another sidecar version.
             out << "index:         " << sidecar
@@ -318,11 +317,10 @@ cmdIndex(const std::string &path, const std::string &out_override,
                                     : out_override;
     trace::saveTraceIndex(idx, sidecar);
     out << "indexed " << path << ": " << mapped.blockCount()
-        << " blocks -> " << idx.supers.size() << " superblocks, "
-        << idx.extents.size() << " extents\n"
+        << " blocks -> " << idx.extents.size() << " extents\n"
         << "wrote " << sidecar << ": " << idx.fileBytes
-        << " bytes (header " << idx.bytesHeader << ", tree "
-        << idx.bytesTree << ", extents " << idx.bytesExtents << ")\n";
+        << " bytes (header " << idx.bytesHeader << ", extents "
+        << idx.bytesExtents << ")\n";
     return 0;
 }
 

@@ -9,6 +9,7 @@
 #include <bit>
 
 #include "sim/counters.h"
+#include "trace/index_format.h"
 #include "trace/trace_format.h"
 
 namespace edb::sim {
@@ -23,7 +24,7 @@ static_assert(trace::summaryPageBytes %
               "block summaries must nest the coarsest VM page");
 
 // One bitset word of needed_ covers exactly one superblock.
-static_assert(trace::traceIndexSuperSpan == 64,
+static_assert(trace::superBlockSpan == 64,
               "a needed_ word must cover exactly one superblock");
 
 namespace {
@@ -37,6 +38,15 @@ sessionObjects(const session::SessionSet &sessions)
     return relevant;
 }
 
+/** One zeroed needed_ word per superblock of `trace`. */
+std::vector<std::uint64_t>
+neededWords(const trace::MappedTrace &trace)
+{
+    return std::vector<std::uint64_t>(
+        (trace.blockCount() + trace::superBlockSpan - 1) >>
+        trace::superBlockShift);
+}
+
 } // namespace
 
 BlockPlanner::BlockPlanner(const trace::MappedTrace &trace,
@@ -48,39 +58,45 @@ BlockPlanner::BlockPlanner(const trace::MappedTrace &trace,
 BlockPlanner::BlockPlanner(const trace::MappedTrace &trace,
                            std::vector<bool> tracked, ControlNeed need,
                            WritesWanted wanted)
-    : trace_(trace), index_(trace.index()), fixed_(false),
-      relevant_(std::move(tracked)), wanted_(std::move(wanted)),
-      monitored_(&pages_), scratch_(trace.largestBlockEvents()),
+    : trace_(trace), fixed_(false), relevant_(std::move(tracked)),
+      wanted_(std::move(wanted)), needed_(neededWords(trace)),
+      supers_(&trace.superBlocks()), monitored_(&pages_),
+      scratch_(trace.largestBlockEvents()),
       scratch_pos_(trace.largestBlockEvents())
 {
     stats_.blocksTotal = trace.blockCount();
-    if (index_ == nullptr)
-        return;
     // The aggregate skip stops at the next block holding a needed
     // control: any control for replay, and for the query a control
-    // of a relevant object, which the extents list.
-    needed_.assign(index_->supers.size(), 0);
+    // of a relevant object, which the sidecar's extents list.
     auto mark = [&](std::size_t b) {
         needed_[b >> 6] |= std::uint64_t{1} << (b & 63);
     };
-    if (need == ControlNeed::All) {
-        for (std::size_t b = 0; b < trace.blockCount(); ++b) {
-            if (trace.block(b).controls() > 0)
-                mark(b);
+    const trace::TraceIndex *index = trace.index();
+    if (need == ControlNeed::Relevant && index != nullptr) {
+        for (const trace::IndexExtent &e : index->extents) {
+            if (relevant(e.object)) {
+                for (std::uint32_t b : e.blocks)
+                    mark(b);
+            }
         }
-        return;
+        extents_ = true;
     }
-    for (const trace::IndexExtent &e : index_->extents) {
-        if (relevant(e.object)) {
-            for (std::uint32_t b : e.blocks)
-                mark(b);
-        }
+    for (std::size_t b = 0; b < trace.blockCount(); ++b) {
+        if (trace.block(b).controls() == 0)
+            continue;
+        if (!extents_)
+            mark(b);
+        else if (!needs(b))
+            ++index_elided_;
     }
 }
 
 BlockPlanner::BlockPlanner(const trace::MappedTrace &trace,
                            const SummaryPageTracker *monitored)
-    : trace_(trace), index_(trace.index()), fixed_(true),
+    : trace_(trace), fixed_(true), needed_(neededWords(trace)),
+      // A plan over every page misses nothing: it never probes a
+      // superblock, so it never builds them.
+      supers_(monitored != nullptr ? &trace.superBlocks() : nullptr),
       monitored_(monitored)
 {
     stats_.blocksTotal = trace.blockCount();
@@ -89,20 +105,17 @@ BlockPlanner::BlockPlanner(const trace::MappedTrace &trace,
 bool
 BlockPlanner::needs(std::size_t b) const
 {
-    if (fixed_)
-        return false;
-    if (needed_.empty())
-        return trace_.block(b).controls() > 0;
     return ((needed_[b >> 6] >> (b & 63)) & 1) != 0;
 }
 
 bool
 BlockPlanner::superMisses(std::size_t b)
 {
-    const std::size_t s = b >> trace::traceIndexSuperShift;
+    const std::size_t s = b >> trace::superBlockShift;
     if (s != probe_super_ || version_ != probe_version_) {
-        const trace::IndexNode &super = index_->supers[s];
-        probe_miss_ = misses(super.runs.begin(), super.runs.size());
+        probe_miss_ = supers_ != nullptr &&
+                      misses((*supers_)[s].runs.begin(),
+                             (*supers_)[s].runs.size());
         probe_super_ = s;
         probe_version_ = version_;
     }
@@ -112,27 +125,20 @@ BlockPlanner::superMisses(std::size_t b)
 std::size_t
 BlockPlanner::nextNeeded(std::size_t b) const
 {
-    const std::size_t s = b >> trace::traceIndexSuperShift;
-    const std::size_t end =
-        std::min(trace_.blockCount(), (s + 1) * trace::traceIndexSuperSpan);
-    if (fixed_)
-        return end;
+    const std::size_t s = b >> trace::superBlockShift;
     const std::uint64_t rest = needed_[s] & (~std::uint64_t{0} << (b & 63));
-    return rest != 0 ? s * trace::traceIndexSuperSpan +
+    return rest != 0 ? s * trace::superBlockSpan +
                            (std::size_t)std::countr_zero(rest)
-                     : end;
+                     : std::min(trace_.blockCount(),
+                                (s + 1) * trace::superBlockSpan);
 }
 
 void
 BlockPlanner::retire(std::size_t first, std::size_t last)
 {
-    const trace::IndexNode *super =
-        index_ != nullptr ? &index_->supers[first >> trace::traceIndexSuperShift]
-                          : nullptr;
     std::uint64_t writes = 0;
-    if (super != nullptr && first == super->firstBlock &&
-        last - first == super->blocks) {
-        writes = super->writes;
+    if (last - first == trace::superBlockSpan) {
+        writes = (*supers_)[first >> trace::superBlockShift].writes;
     } else {
         for (std::size_t b = first; b < last; ++b)
             writes += trace_.block(b).writes;
@@ -152,12 +158,11 @@ BlockPlanner::next(Step &step)
         // runs miss the whole relevance set, so does every member's
         // summary, and the set can change only at a block holding a
         // needed control. One probe retires the members up to it.
-        const bool super_miss = index_ != nullptr && superMisses(b);
+        const bool super_miss = superMisses(b);
         if (super_miss) {
             const std::size_t stop = nextNeeded(b);
             if (stop > b) {
                 retire(b, stop);
-                index_elided_ += stop - b;
                 continue;
             }
         }
@@ -167,22 +172,14 @@ BlockPlanner::next(Step &step)
         // needs: its control decode is elided.
         const bool ctl_elided =
             !fixed_ && !needed && blk.controls() > 0;
-        if (ctl_elided)
-            ++index_elided_;
         // The writes can matter only if the caller wants them and
         // their summary touches a page tracked before the block ...
         bool wanted = true;
         bool writes_miss = false;
         if (fixed_ || blk.writes > 0) {
             wanted = !wanted_ || wanted_(b);
-            if (!wanted) {
-                writes_miss = true;
-            } else if (super_miss) {
-                writes_miss = true;
-                ++index_elided_;
-            } else {
-                writes_miss = misses(blk.runs.begin(), blk.runs.size());
-            }
+            writes_miss = !wanted || super_miss ||
+                          misses(blk.runs.begin(), blk.runs.size());
         }
         if (writes_miss && !needed) {
             retire(b, b + 1);
@@ -287,7 +284,7 @@ BlockPlanner::publish() const
 void
 BlockPlanner::publishIndexPlan() const
 {
-    if (index_ != nullptr) {
+    if (extents_) {
         trace::obsNoteIndexPlan(trace_.blockCount() - index_elided_,
                                 index_elided_);
     }

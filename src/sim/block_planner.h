@@ -11,9 +11,9 @@
  *
  *  - Skipped: a block whose write summary misses every tracked page
  *    and that holds no control the caller needs. Nothing is decoded;
- *    its writes fold into writesSkipped. With a sidecar index one
- *    probe of a superblock's merged runs retires all its members up
- *    to the next block holding a needed control;
+ *    its writes fold into writesSkipped. One probe of a superblock's
+ *    merged runs (MappedTrace::superBlocks()) retires all its members
+ *    up to the next block holding a needed control;
  *  - ControlOnly: a block holding needed controls whose writes miss
  *    both the tracked pages and every relevant install inside the
  *    block. Only its control group is decoded; its writes fold;
@@ -50,7 +50,6 @@
 #include "session/session.h"
 #include "sim/relevance.h"
 #include "sim/simulator.h"
-#include "trace/index_format.h"
 #include "trace/trace_io.h"
 #include "util/flat_map.h"
 
@@ -155,15 +154,15 @@ class BlockPlanner
      *  it replayed. */
     const BlockSkipStats &stats() const { return stats_; }
 
-    /** Blocks whose summary probe or control decode the sidecar
-     *  index elided; 0 without one. */
+    /** Control-bearing blocks whose control decode the sidecar's
+     *  extents prove unneeded, over the whole plan; 0 without them. */
     std::uint64_t indexElided() const { return index_elided_; }
 
     /** Publish the finished plan to the obs registry, once. */
     void publish() const;
 
     /** Publish only the sidecar's share of the plan (the query's
-     *  part of publish()); a no-op without a sidecar. */
+     *  part of publish()); a no-op unless the extents planned it. */
     void publishIndexPlan() const;
 
   private:
@@ -209,15 +208,18 @@ class BlockPlanner
     void fold(const trace::Event *ctl, std::size_t n);
 
     const trace::MappedTrace &trace_;
-    const trace::TraceIndex *index_;
     /** Static mode: the relevance set never changes. */
     bool fixed_;
     /** Tracking mode: object id -> tracked. */
     std::vector<bool> relevant_;
     WritesWanted wanted_;
-    /** Tracking mode with a sidecar: one bit per block holding a
-     *  needed control, one word per superblock. */
+    /** One bit per block holding a needed control, one word per
+     *  superblock; all clear in static mode. */
     std::vector<std::uint64_t> needed_;
+    /** True when the sidecar's extents marked needed_. */
+    bool extents_ = false;
+    /** The trace's superblocks; null for a plan over every page. */
+    const std::vector<trace::MappedTrace::SuperBlock> *supers_;
     /** Tracking mode: begin -> live relevant object. */
     util::FlatMap<Addr, LiveObj> live_;
     /** Tracking mode: summary page -> live relevant objects

@@ -1,48 +1,39 @@
 /**
  * @file
  * The persistent sidecar trace index (`<trace>.edbi`) — precomputed
- * planning structure over a v2 blocked trace (docs/FORMAT.md, "Sidecar
- * index"; DESIGN.md §16 argues the soundness).
+ * per-object control extents over a v2 blocked trace (docs/FORMAT.md,
+ * "Sidecar index"; DESIGN.md §16 argues the soundness).
  *
- * The v2 container already carries per-block summaries, but every
- * consumer still walks all of them: the block planner probes each
- * block's page-summary runs against the monitored set, and a query
- * with a session predicate additionally decodes each block's control
- * columns to advance its live state — cost linear in trace size even
- * when one session touches three pages, re-paid on every run. The
- * sidecar moves that work to index-build time, once per artifact:
+ * The block planner's superblocks come from the trace itself
+ * (MappedTrace::superBlocks(), built from the block headers open
+ * already parses). What the block headers cannot tell is which blocks
+ * hold the install/remove events of a given object: a query with a
+ * session predicate would decode every control-bearing block's
+ * control columns to advance its live state. The sidecar moves that
+ * work to index-build time, once per artifact: per object, the first
+ * and last block, the event count, and the posting list of blocks
+ * carrying its installs and removes. A session's extent is the fold
+ * over its objects — this is what lets the planner skip control
+ * decodes on blocks that provably hold no selected-object control.
  *
- *  - a hierarchical summary tree (superblocks of 64 blocks with
- *    merged page-summary runs, then a root over the superblocks), so
- *    one probe of a superblock's runs answers for all its members;
- *  - per-object control extents (first/last block, event count, and
- *    the posting list of blocks carrying the object's installs and
- *    removes), from which a session's extent is the fold over its
- *    objects — this is what lets the planner skip control decodes on
- *    blocks that provably hold no selected-object control.
- *
- * The index is strictly an accelerator: every structure is a
- * conservative superset of the per-block truth (tree runs ⊇ member
- * block runs) or an exact mirror of it (extents), so the planner
- * reaches identical decisions with or without it, and keeps a
- * mandatory linear fallback. Staleness is detected by an FNV-1a
- * digest of the indexed `.trc`; corruption by a self-digest over the
- * index bytes plus structural cross-checks against the mapped block
- * headers. A sidecar that fails any of it is rejected (TraceError
- * from the explicit loader, silent fallback + `trace.idx.stale` from
- * auto-discovery) — it can never mis-plan.
+ * The index is strictly an accelerator: the extents mirror the
+ * per-block truth exactly, so the planner reaches identical decisions
+ * with or without it and keeps a mandatory fallback (every
+ * control-bearing block is needed). Staleness is detected by an
+ * FNV-1a digest of the indexed `.trc`; corruption by a self-digest
+ * over the index bytes plus structural cross-checks against the
+ * mapped block headers. A sidecar that fails any of it is rejected
+ * (TraceError from the explicit loader, silent fallback +
+ * `trace.idx.stale` from auto-discovery) — it can never mis-plan.
  */
 
 #ifndef EDB_TRACE_INDEX_FORMAT_H
 #define EDB_TRACE_INDEX_FORMAT_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "trace/trace_format.h"
-#include "util/addr.h"
-#include "util/small_vec.h"
 
 namespace edb::trace {
 
@@ -51,19 +42,9 @@ class MappedTrace;
 /** Sidecar file magic, first 4 bytes of every `.edbi`. */
 constexpr char traceIndexMagic[4] = {'E', 'D', 'B', 'I'};
 
-/** Current sidecar wire version. Version 1 also carried a
- *  page-occupancy bitmap and page postings; its files are stale. */
-constexpr std::uint64_t traceIndexVersion = 2;
-
-/** log2 of blocks per superblock: tree nodes cover 64 blocks. */
-constexpr unsigned traceIndexSuperShift = 6;
-constexpr std::size_t traceIndexSuperSpan =
-    (std::size_t)1 << traceIndexSuperShift;
-
-/** Page-summary run cap of a tree node. Merging 64 block summaries
- *  (8 runs each) must re-coalesce into this many runs; when they do
- *  not fit, the closest runs are fused — coarser, still a superset. */
-constexpr std::size_t maxIndexRuns = 16;
+/** Current sidecar wire version. Version 2 also carried a summary
+ *  tree and version 1 page postings; their files are stale. */
+constexpr std::uint64_t traceIndexVersion = 3;
 
 /** FNV-1a 64-bit, the digest pinning a sidecar to its `.trc` bytes
  *  (and the index's own bytes to themselves). */
@@ -81,22 +62,6 @@ fnv1a64(const unsigned char *data, std::size_t n,
     }
     return h;
 }
-
-/**
- * One tree node: either a superblock (64 consecutive blocks) or the
- * root (all superblocks). `runs` is the coalesced union of the member
- * blocks' page-summary runs — a superset, never exact — so a
- * relevance miss on a node is a proof of a miss on every member.
- */
-struct IndexNode
-{
-    std::uint32_t firstBlock = 0;
-    std::uint32_t blocks = 0;
-    std::uint64_t events = 0;
-    std::uint64_t writes = 0;
-    std::uint64_t controls = 0;
-    util::SmallVec<PageRun, maxIndexRuns> runs;
-};
 
 /**
  * Control extent of one object: which blocks carry its installs and
@@ -135,12 +100,6 @@ class TraceIndex
     std::uint64_t objectCount = 0;
     /// @}
 
-    /** @name Hierarchical summary tree */
-    /// @{
-    std::vector<IndexNode> supers;
-    IndexNode root;
-    /// @}
-
     /** Per-object control extents, ascending by object id; objects
      *  with no control event are absent. */
     std::vector<IndexExtent> extents;
@@ -149,7 +108,6 @@ class TraceIndex
      *  zero on a freshly built, never-serialized index. */
     /// @{
     std::uint64_t bytesHeader = 0;
-    std::uint64_t bytesTree = 0;
     std::uint64_t bytesExtents = 0;
     std::uint64_t fileBytes = 0;
     /// @}
@@ -159,13 +117,12 @@ class TraceIndex
 std::string traceIndexPathFor(const std::string &tracePath);
 
 /** False when the `EDB_TRACE_INDEX` environment pin is `off`/`0`:
- *  MappedTrace then never auto-discovers a sidecar and every consumer
- *  takes the linear planning path. Anything else (or unset) is on. */
+ *  MappedTrace then never auto-discovers a sidecar and every plan
+ *  treats each control-bearing block as needed. Anything else (or unset) is on. */
 bool traceIndexEnabled();
 
-/** Build the full index from an open mapping. Decodes every block's
- *  control columns once (for the extents); everything else comes from
- *  the already-parsed block headers. */
+/** Build the index from an open mapping: decodes every block's
+ *  control columns once. */
 TraceIndex buildTraceIndex(const MappedTrace &trace);
 
 /** Serialize to `path`, recording the encoded per-structure byte
@@ -174,19 +131,20 @@ TraceIndex buildTraceIndex(const MappedTrace &trace);
 void saveTraceIndex(TraceIndex &index, const std::string &path);
 
 /**
- * Parse a sidecar file. Validates the skeleton (magic, version,
- * bounds, ordering) and the trailing self-digest; throws TraceError
- * with the failing byte offset on anything malformed. Does NOT check
- * the index against any trace — pair with validateTraceIndex().
+ * Parse a sidecar file. Validates the skeleton (a regular file,
+ * magic, version, bounds, ordering) and the trailing self-digest;
+ * throws TraceError with the failing byte offset on anything
+ * malformed, before any allocation a forged count could size. Does
+ * NOT check the index against any trace — pair with
+ * validateTraceIndex().
  */
 TraceIndex loadTraceIndex(const std::string &path);
 
 /**
  * Cross-check a loaded index against the trace it claims to
- * describe: digest/size/counts, tree sums and run-superset
- * containment, and extent consistency. Throws TraceError (with the
- * sidecar path in the message) on any mismatch — a stale or
- * inconsistent sidecar must never reach a planner.
+ * describe: digest/size/counts and extent consistency. Throws
+ * TraceError (with the sidecar path in the message) on any mismatch
+ * — a stale or inconsistent sidecar must never reach a planner.
  */
 void validateTraceIndex(const TraceIndex &index,
                         const MappedTrace &trace,

@@ -11,13 +11,13 @@
  * planner may consult it. A sidecar that fails anything raises
  * TraceError with the failing byte offset — recoverable, never a
  * crash, and auto-discovery (MappedTrace::openIndex) downgrades it to
- * a counted fallback onto the linear scan.
+ * a counted fallback: the planner then needs every control-bearing
+ * block.
  */
 
-#include <algorithm>
-#include <bit>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <utility>
 
@@ -85,64 +85,6 @@ traceIndexEnabled()
 
 namespace {
 
-/** Half-open page interval — the unit the merge/coalesce passes
- *  trade in. */
-struct PageIval
-{
-    Addr first;
-    Addr end;
-};
-
-/** Sort + coalesce (overlapping or adjacent intervals fuse). */
-void
-coalesce(std::vector<PageIval> &ivals)
-{
-    std::sort(ivals.begin(), ivals.end(),
-              [](const PageIval &a, const PageIval &b) {
-                  return a.first < b.first ||
-                         (a.first == b.first && a.end < b.end);
-              });
-    std::size_t out = 0;
-    for (const PageIval &iv : ivals) {
-        if (out > 0 && iv.first <= ivals[out - 1].end) {
-            ivals[out - 1].end = std::max(ivals[out - 1].end, iv.end);
-        } else {
-            ivals[out++] = iv;
-        }
-    }
-    ivals.resize(out);
-}
-
-/** Fuse the closest-gap neighbors until at most `cap` intervals
- *  remain. Fusing only widens coverage — the result stays a superset
- *  — which is exactly what a tree node's merged runs may be. */
-void
-capIntervals(std::vector<PageIval> &ivals, std::size_t cap)
-{
-    while (ivals.size() > cap) {
-        std::size_t best = 1;
-        Addr bestGap = ~(Addr)0;
-        for (std::size_t i = 1; i < ivals.size(); ++i) {
-            const Addr gap = ivals[i].first - ivals[i - 1].end;
-            if (gap < bestGap) {
-                bestGap = gap;
-                best = i;
-            }
-        }
-        ivals[best - 1].end = ivals[best].end;
-        ivals.erase(ivals.begin() + (std::ptrdiff_t)best);
-    }
-}
-
-void
-nodeRunsFromIntervals(const std::vector<PageIval> &ivals,
-                      IndexNode &node)
-{
-    node.runs.clear();
-    for (const PageIval &iv : ivals)
-        node.runs.push_back(PageRun{iv.first, iv.end - iv.first});
-}
-
 /** Byte-vector writer with varint/raw primitives; the serialization
  *  twin of v2_detail's SpanIn. */
 struct ByteOut
@@ -159,8 +101,6 @@ struct ByteOut
         bytes.push_back((unsigned char)v);
     }
 
-    void byte(unsigned char b) { bytes.push_back(b); }
-
     void
     u64le(std::uint64_t v)
     {
@@ -168,58 +108,6 @@ struct ByteOut
             bytes.push_back((unsigned char)(v >> (8 * i)));
     }
 };
-
-void
-writeNode(ByteOut &out, const IndexNode &node)
-{
-    out.varint(node.events);
-    out.varint(node.writes);
-    out.varint(node.controls);
-    out.varint(node.runs.size());
-    Addr prevEnd = 0;
-    for (std::size_t i = 0; i < node.runs.size(); ++i) {
-        const PageRun &r = node.runs[i];
-        out.varint(r.firstPage - prevEnd);
-        out.varint(r.pages);
-        prevEnd = r.firstPage + r.pages;
-    }
-}
-
-/** Parse one tree node; `spanBlocks`/`firstBlock` come from the
- *  node's position, not the wire. */
-IndexNode
-readNode(detail::SpanIn &in, std::uint32_t firstBlock,
-         std::uint32_t blocks, std::uint64_t eventCount)
-{
-    IndexNode node;
-    node.firstBlock = firstBlock;
-    node.blocks = blocks;
-    node.events = in.varint();
-    node.writes = in.varint();
-    node.controls = in.varint();
-    if (node.writes > node.events || node.controls > node.events ||
-        node.writes + node.controls != node.events ||
-        node.events > eventCount) {
-        in.fail("sidecar index node counts implausible");
-    }
-    const std::uint64_t nruns = in.varint();
-    if (nruns > maxIndexRuns)
-        in.fail("sidecar index node carries %llu runs (cap %zu)",
-                (unsigned long long)nruns, maxIndexRuns);
-    Addr prevEnd = 0;
-    for (std::uint64_t i = 0; i < nruns; ++i) {
-        const Addr gap = in.varint();
-        const Addr pages = in.varint();
-        const Addr first = prevEnd + gap;
-        if (pages == 0)
-            in.fail("sidecar index node run is empty");
-        if (first + pages < first)
-            in.fail("sidecar index node run overflows");
-        node.runs.push_back(PageRun{first, pages});
-        prevEnd = first + pages;
-    }
-    return node;
-}
 
 } // namespace
 
@@ -233,52 +121,11 @@ buildTraceIndex(const MappedTrace &trace)
     idx.eventCount = trace.eventCount();
     idx.objectCount = trace.registry().objectCount();
 
-    // --- Tree: superblocks of 64 blocks, then the root over them.
-    const std::size_t nblocks = trace.blockCount();
-    const std::size_t nsupers =
-        (nblocks + traceIndexSuperSpan - 1) / traceIndexSuperSpan;
-    std::vector<PageIval> ivals, rootIvals;
-    for (std::size_t s = 0; s < nsupers; ++s) {
-        IndexNode node;
-        node.firstBlock = (std::uint32_t)(s * traceIndexSuperSpan);
-        node.blocks = (std::uint32_t)(std::min(
-            nblocks, (s + 1) * traceIndexSuperSpan) -
-            node.firstBlock);
-        ivals.clear();
-        for (std::size_t b = node.firstBlock;
-             b < node.firstBlock + node.blocks; ++b) {
-            const MappedTrace::Block &blk = trace.block(b);
-            node.events += blk.events;
-            node.writes += blk.writes;
-            node.controls += blk.controls();
-            for (std::size_t k = 0; k < blk.runs.size(); ++k) {
-                ivals.push_back(
-                    PageIval{blk.runs[k].firstPage,
-                             blk.runs[k].firstPage +
-                                 blk.runs[k].pages});
-            }
-        }
-        coalesce(ivals);
-        capIntervals(ivals, maxIndexRuns);
-        nodeRunsFromIntervals(ivals, node);
-        idx.root.events += node.events;
-        idx.root.writes += node.writes;
-        idx.root.controls += node.controls;
-        for (const PageIval &iv : ivals)
-            rootIvals.push_back(iv);
-        idx.supers.push_back(std::move(node));
-    }
-    idx.root.firstBlock = 0;
-    idx.root.blocks = (std::uint32_t)nblocks;
-    coalesce(rootIvals);
-    capIntervals(rootIvals, maxIndexRuns);
-    nodeRunsFromIntervals(rootIvals, idx.root);
-
-    // --- Extents: decode each block's control columns once.
+    // Decode each block's control columns once.
     std::vector<Event> ctlbuf(trace.largestBlockEvents());
     std::vector<IndexExtent> byObject(
         (std::size_t)idx.objectCount);
-    for (std::size_t b = 0; b < nblocks; ++b) {
+    for (std::size_t b = 0; b < trace.blockCount(); ++b) {
         const MappedTrace::Block &blk = trace.block(b);
         const std::size_t ctl = (std::size_t)blk.controls();
         if (ctl == 0)
@@ -319,14 +166,6 @@ saveTraceIndex(TraceIndex &index, const std::string &path)
     out.varint(index.objectCount);
     const std::size_t headerEnd = out.bytes.size();
 
-    // Tree.
-    out.varint(traceIndexSuperShift);
-    out.varint(index.supers.size());
-    for (const IndexNode &node : index.supers)
-        writeNode(out, node);
-    writeNode(out, index.root);
-    const std::size_t treeEnd = out.bytes.size();
-
     // Extents.
     out.varint(index.extents.size());
     std::uint32_t prevObj = 0;
@@ -359,20 +198,25 @@ saveTraceIndex(TraceIndex &index, const std::string &path)
 
     // Mirror the section byte sizes `info` reports after a load.
     index.bytesHeader = headerEnd;
-    index.bytesTree = treeEnd - headerEnd;
-    index.bytesExtents = extentsEnd - treeEnd;
+    index.bytesExtents = extentsEnd - headerEnd;
     index.fileBytes = out.bytes.size();
 }
 
 TraceIndex
 loadTraceIndex(const std::string &path)
 {
+    // A directory opens as a stream too, and reports no size.
+    std::error_code ec;
+    if (!std::filesystem::is_regular_file(path, ec)) {
+        throw TraceError("sidecar index '" + path +
+                         "' is not a regular file");
+    }
     std::ifstream is(path, std::ios::binary | std::ios::ate);
-    if (!is) {
+    const std::streamoff size = is ? (std::streamoff)is.tellg() : -1;
+    if (size < 0) {
         throw TraceError("cannot open sidecar index '" + path +
                          "' for reading");
     }
-    const std::streamoff size = is.tellg();
     is.seekg(0);
     std::vector<unsigned char> bytes((std::size_t)size);
     if (size > 0 &&
@@ -425,37 +269,6 @@ loadTraceIndex(const std::string &path)
                 (unsigned long long)idx.blockCount);
     idx.bytesHeader = in.offset();
 
-    // Tree.
-    const std::uint64_t superShift = in.varint();
-    if (superShift != traceIndexSuperShift) {
-        in.fail("sidecar index superblock shift %llu unsupported",
-                (unsigned long long)superShift);
-    }
-    const std::uint64_t nsupers = in.varint();
-    const std::uint64_t expectSupers =
-        (idx.blockCount + traceIndexSuperSpan - 1) /
-        traceIndexSuperSpan;
-    if (nsupers != expectSupers) {
-        in.fail("sidecar index superblock count %llu disagrees with "
-                "%llu blocks",
-                (unsigned long long)nsupers,
-                (unsigned long long)idx.blockCount);
-    }
-    idx.supers.reserve((std::size_t)nsupers);
-    for (std::uint64_t s = 0; s < nsupers; ++s) {
-        const std::uint32_t firstBlock =
-            (std::uint32_t)(s * traceIndexSuperSpan);
-        const std::uint32_t blocks = (std::uint32_t)(std::min<
-            std::uint64_t>(idx.blockCount,
-                           (s + 1) * traceIndexSuperSpan) -
-            firstBlock);
-        idx.supers.push_back(
-            readNode(in, firstBlock, blocks, idx.eventCount));
-    }
-    idx.root = readNode(in, 0, (std::uint32_t)idx.blockCount,
-                        idx.eventCount);
-    idx.bytesTree = in.offset() - idx.bytesHeader;
-
     // Extents.
     const std::uint64_t nextents = in.varint();
     if (nextents > idx.objectCount) {
@@ -463,6 +276,13 @@ loadTraceIndex(const std::string &path)
                 "objects",
                 (unsigned long long)nextents,
                 (unsigned long long)idx.objectCount);
+    }
+    // Every count below is the file's own claim: bound each reserve
+    // by the bytes left (an extent takes at least 5, a block entry at
+    // least 1) before it can size an allocation.
+    if (nextents > (std::uint64_t)(in.end - in.p) / 5) {
+        in.fail("sidecar index extent count %llu overruns the file",
+                (unsigned long long)nextents);
     }
     idx.extents.reserve((std::size_t)nextents);
     std::uint32_t prevObj = 0;
@@ -486,6 +306,11 @@ loadTraceIndex(const std::string &path)
             nb > e.count || e.count > idx.eventCount) {
             in.fail("sidecar index extent of object %llu "
                     "implausible",
+                    (unsigned long long)obj);
+        }
+        if (nb > (std::uint64_t)(in.end - in.p)) {
+            in.fail("sidecar index extent block list of object %llu "
+                    "overruns the file",
                     (unsigned long long)obj);
         }
         e.blocks.reserve((std::size_t)nb);
@@ -512,28 +337,12 @@ loadTraceIndex(const std::string &path)
     }
     if (!in.empty())
         in.fail("sidecar index has trailing bytes");
-    idx.bytesExtents = in.offset() - idx.bytesHeader - idx.bytesTree;
+    idx.bytesExtents = in.offset() - idx.bytesHeader;
     idx.fileBytes = bytes.size();
     return idx;
 }
 
 namespace {
-
-/** True when [first, first+pages) lies inside one node run. Node
- *  runs are coalesced and disjoint, so containment in the union is
- *  containment in a single run. */
-bool
-runContained(const PageRun &r, const IndexNode &node)
-{
-    for (std::size_t i = 0; i < node.runs.size(); ++i) {
-        const PageRun &n = node.runs[i];
-        if (r.firstPage >= n.firstPage &&
-            r.firstPage + r.pages <= n.firstPage + n.pages) {
-            return true;
-        }
-    }
-    return false;
-}
 
 [[noreturn]] void
 failValidate(const std::string &path, const std::string &what)
@@ -561,48 +370,6 @@ validateTraceIndex(const TraceIndex &index, const MappedTrace &trace,
                            "the trace");
     }
 
-    // Tree: totals match and member runs are contained.
-    std::uint64_t totalControls = 0;
-    for (std::size_t s = 0; s < index.supers.size(); ++s) {
-        const IndexNode &node = index.supers[s];
-        std::uint64_t events = 0, writes = 0, controls = 0;
-        for (std::size_t b = node.firstBlock;
-             b < node.firstBlock + node.blocks; ++b) {
-            const MappedTrace::Block &blk = trace.block(b);
-            events += blk.events;
-            writes += blk.writes;
-            controls += blk.controls();
-            for (std::size_t k = 0; k < blk.runs.size(); ++k) {
-                if (!runContained(blk.runs[k], node)) {
-                    failValidate(
-                        path,
-                        "superblock " + std::to_string(s) +
-                            " runs do not cover block " +
-                            std::to_string(b));
-                }
-            }
-        }
-        if (events != node.events || writes != node.writes ||
-            controls != node.controls) {
-            failValidate(path, "superblock " + std::to_string(s) +
-                                   " totals disagree with its "
-                                   "blocks");
-        }
-        totalControls += controls;
-        for (std::size_t k = 0; k < node.runs.size(); ++k) {
-            if (!runContained(node.runs[k], index.root)) {
-                failValidate(path,
-                             "root runs do not cover superblock " +
-                                 std::to_string(s));
-            }
-        }
-    }
-    if (index.root.events != trace.eventCount() ||
-        index.root.writes != trace.totalWrites() ||
-        index.root.controls != totalControls) {
-        failValidate(path, "root totals disagree with the trace");
-    }
-
     // Extents: every control event accounted for, referenced blocks
     // really carry controls, and the union covers exactly the
     // control-bearing blocks.
@@ -627,7 +394,7 @@ validateTraceIndex(const TraceIndex &index, const MappedTrace &trace,
             referenced[b] = true;
         }
     }
-    if (extentControls != totalControls) {
+    if (extentControls != trace.eventCount() - trace.totalWrites()) {
         failValidate(path, "extent control totals disagree with the "
                            "block index");
     }

@@ -57,6 +57,16 @@ struct PageRun
     bool operator==(const PageRun &o) const = default;
 };
 
+/** log2 of blocks per superblock: a superblock covers 64 consecutive
+ *  blocks (the last one may cover fewer). */
+constexpr unsigned superBlockShift = 6;
+constexpr std::size_t superBlockSpan = std::size_t{1} << superBlockShift;
+
+/** Page-run cap of a superblock. Merging 64 block summaries (8 runs
+ *  each) must re-coalesce into this many runs; when they do not fit,
+ *  the closest runs are fused — coarser, still a superset. */
+constexpr std::size_t maxSuperRuns = 16;
+
 /** Events per block the v2 writer emits by default. Small enough that
  *  a sparse monitor session skips most of a trace block-wise, large
  *  enough that per-block headers are noise (<0.5% of the payload). */

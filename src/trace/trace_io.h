@@ -172,6 +172,20 @@ class MappedTrace
         std::uint64_t controls() const { return events - writes; }
     };
 
+    /**
+     * superBlockSpan consecutive blocks and the coalesced union of
+     * their page-summary runs. The runs are a superset, never exact,
+     * so a relevance miss on a superblock proves a miss on every
+     * member (DESIGN.md §16).
+     */
+    struct SuperBlock
+    {
+        std::uint32_t firstBlock = 0;
+        std::uint32_t blocks = 0;
+        std::uint64_t writes = 0; ///< the members' write events
+        util::SmallVec<PageRun, maxSuperRuns> runs;
+    };
+
     /** Map the file at `path`, then attach its sidecar index when
      *  one is found (see openIndex()). */
     explicit MappedTrace(const std::string &path);
@@ -215,11 +229,15 @@ class MappedTrace
      *  thread-safe. */
     std::uint64_t contentDigest() const;
 
+    /** The superblocks, built from the parsed block headers on first
+     *  use, then cached; thread-safe. O(blocks), no payload byte. */
+    const std::vector<SuperBlock> &superBlocks() const;
+
     /**
      * The attached sidecar index, or nullptr when none was found,
-     * the sidecar was rejected (stale/corrupt), or indexing is
-     * pinned off via EDB_TRACE_INDEX. Consumers treat a null index
-     * as "take the linear planning path" — never an error.
+     * the sidecar was rejected (stale/corrupt/not a file), or
+     * indexing is pinned off via EDB_TRACE_INDEX. Without it the
+     * planner needs every control-bearing block — never an error.
      */
     const TraceIndex *index() const { return index_.get(); }
 
@@ -308,6 +326,8 @@ class MappedTrace
     std::unique_ptr<TraceIndex> index_;
     mutable std::once_flag digest_once_;
     mutable std::uint64_t content_digest_ = 0;
+    mutable std::once_flag supers_once_;
+    mutable std::vector<SuperBlock> supers_;
 
     std::string program_;
     ObjectRegistry registry_;

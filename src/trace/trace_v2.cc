@@ -12,9 +12,11 @@
  * it.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <vector>
 
 #include "trace/index_format.h"
 #include "trace/trace_io.h"
@@ -85,6 +87,92 @@ MappedTrace::contentDigest() const
     return content_digest_;
 }
 
+namespace {
+
+/** Half-open page interval — the unit the merge/coalesce passes
+ *  trade in. */
+struct PageIval
+{
+    Addr first;
+    Addr end;
+};
+
+/** Sort + coalesce (overlapping or adjacent intervals fuse). */
+void
+coalesce(std::vector<PageIval> &ivals)
+{
+    std::sort(ivals.begin(), ivals.end(),
+              [](const PageIval &a, const PageIval &b) {
+                  return a.first < b.first ||
+                         (a.first == b.first && a.end < b.end);
+              });
+    std::size_t out = 0;
+    for (const PageIval &iv : ivals) {
+        if (out > 0 && iv.first <= ivals[out - 1].end) {
+            ivals[out - 1].end = std::max(ivals[out - 1].end, iv.end);
+        } else {
+            ivals[out++] = iv;
+        }
+    }
+    ivals.resize(out);
+}
+
+/** Fuse the closest-gap neighbors until at most `cap` intervals
+ *  remain. Fusing only widens coverage — the result stays a superset
+ *  — which is exactly what a superblock's merged runs may be. */
+void
+capIntervals(std::vector<PageIval> &ivals, std::size_t cap)
+{
+    while (ivals.size() > cap) {
+        std::size_t best = 1;
+        Addr bestGap = ~(Addr)0;
+        for (std::size_t i = 1; i < ivals.size(); ++i) {
+            const Addr gap = ivals[i].first - ivals[i - 1].end;
+            if (gap < bestGap) {
+                bestGap = gap;
+                best = i;
+            }
+        }
+        ivals[best - 1].end = ivals[best].end;
+        ivals.erase(ivals.begin() + (std::ptrdiff_t)best);
+    }
+}
+
+} // namespace
+
+const std::vector<MappedTrace::SuperBlock> &
+MappedTrace::superBlocks() const
+{
+    std::call_once(supers_once_, [this] {
+        const std::size_t nblocks = blocks_.size();
+        supers_.resize((nblocks + superBlockSpan - 1) / superBlockSpan);
+        std::vector<PageIval> ivals;
+        for (std::size_t s = 0; s < supers_.size(); ++s) {
+            SuperBlock &node = supers_[s];
+            node.firstBlock = (std::uint32_t)(s * superBlockSpan);
+            node.blocks = (std::uint32_t)(std::min(
+                nblocks, (s + 1) * superBlockSpan) - node.firstBlock);
+            ivals.clear();
+            for (std::size_t b = node.firstBlock;
+                 b < node.firstBlock + node.blocks; ++b) {
+                const Block &blk = blocks_[b];
+                node.writes += blk.writes;
+                for (std::size_t k = 0; k < blk.runs.size(); ++k) {
+                    ivals.push_back(
+                        PageIval{blk.runs[k].firstPage,
+                                 blk.runs[k].firstPage +
+                                     blk.runs[k].pages});
+                }
+            }
+            coalesce(ivals);
+            capIntervals(ivals, maxSuperRuns);
+            for (const PageIval &iv : ivals)
+                node.runs.push_back(PageRun{iv.first, iv.end - iv.first});
+        }
+    });
+    return supers_;
+}
+
 bool
 MappedTrace::openIndex()
 {
@@ -109,8 +197,8 @@ MappedTrace::openIndex(const std::string &index_path)
         obsNoteIndexOpen(true);
         return true;
     } catch (const TraceError &) {
-        // Stale or corrupt sidecar: plan linearly, never fail the
-        // trace open itself.
+        // Stale or corrupt sidecar: plan without extents, never fail
+        // the trace open itself.
         index_.reset();
         obsNoteIndexOpen(false);
         return false;

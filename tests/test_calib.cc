@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "calib/calibrate.h"
 
 namespace edb::calib {
@@ -47,10 +50,20 @@ TEST(Calib, SoftwareUpdateCostsMoreThanLookup)
 
 TEST(Calib, FaultCostsOrderAsInTable2)
 {
+    // One 300-fault sample can run several times slow when the
+    // process is preempted (the suite runs cases in parallel), which
+    // flips the ordering. Interruptions only ever add time, so order
+    // the primitives by each one's fastest of several interleaved
+    // samples.
     CalibOptions opt = quickOptions();
-    double nh = measureNhFaultUs(opt);
-    double vm = measureVmFaultUs(opt);
-    double tp = measureTpFaultUs(opt);
+    double nh = std::numeric_limits<double>::infinity();
+    double vm = nh;
+    double tp = nh;
+    for (int sample = 0; sample < 7; ++sample) {
+        nh = std::min(nh, measureNhFaultUs(opt));
+        vm = std::min(vm, measureVmFaultUs(opt));
+        tp = std::min(tp, measureTpFaultUs(opt));
+    }
 
     EXPECT_GT(nh, 0.0);
     EXPECT_GT(tp, 0.0);

@@ -11,6 +11,7 @@
 #include <memory>
 #include <sstream>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "cli/cli.h"
@@ -445,6 +446,26 @@ TEST_F(CliTest, InfoReportsAnOlderSidecarVersionAsRejected)
     EXPECT_NE(out.str().find("REJECTED: sidecar index version"),
               std::string::npos)
         << out.str();
+}
+
+TEST_F(CliTest, InfoReportsADirectoryAtTheSidecarPathAsRejected)
+{
+    const std::vector<std::string> query = {"query", *path_, "--kind",
+                                            "write", "--agg", "count"};
+    std::ostringstream plain, perr;
+    ASSERT_EQ(run(query, plain, perr), 0) << perr.str();
+
+    const std::string sidecar = trace::traceIndexPathFor(*path_);
+    ASSERT_EQ(::mkdir(sidecar.c_str(), 0700), 0);
+    std::ostringstream out, err, qout, qerr;
+    const int info = run({"info", *path_}, out, err);
+    const int queried = run(query, qout, qerr);
+    ::rmdir(sidecar.c_str());
+    EXPECT_EQ(info, 0) << err.str();
+    EXPECT_NE(out.str().find("REJECTED: sidecar index"), std::string::npos)
+        << out.str();
+    EXPECT_EQ(queried, 0) << qerr.str();
+    EXPECT_EQ(qout.str(), plain.str());
 }
 
 TEST_F(CliTest, RowCountOfSessionsAndAdviseIsValidated)

@@ -23,8 +23,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <ostream>
 #include <string>
-#include <tuple>
+#include <vector>
 
 #include <unistd.h>
 
@@ -267,8 +268,38 @@ mutationName(Mutation m)
     }
 }
 
-class QueryMalformed
-    : public ::testing::TestWithParam<std::tuple<const char *, Mutation>>
+/** One trace source (a workload or a corpus file) and its mutation. */
+struct MalformedCase
+{
+    const char *source;
+    Mutation mutation;
+};
+
+/**
+ * Prints a case by its label ("bps_drop"). gtest lists the printed
+ * value with each test and ctest names the test by it, so it must
+ * not depend on the build: a raw `const char *` prints its address.
+ */
+void
+PrintTo(const MalformedCase &c, std::ostream *os)
+{
+    const std::string src = c.source;
+    *os << src.substr(0, src.find('.')) << "_" << mutationName(c.mutation);
+}
+
+std::vector<MalformedCase>
+malformedCases()
+{
+    std::vector<MalformedCase> cases;
+    for (const char *source : {"bps", "mini_mixed.v2.trc"}) {
+        for (Mutation m : {Mutation::Duplicate, Mutation::Drop,
+                           Mutation::ZeroSize, Mutation::ZeroSizeAtZero})
+            cases.push_back({source, m});
+    }
+    return cases;
+}
+
+class QueryMalformed : public ::testing::TestWithParam<MalformedCase>
 {
 };
 
@@ -347,18 +378,10 @@ TEST_P(QueryMalformed, AnswersEqualScanAll)
     std::remove(sidecar.c_str());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Mutations, QueryMalformed,
-    ::testing::Combine(::testing::Values("bps", "mini_mixed.v2.trc"),
-                       ::testing::Values(Mutation::Duplicate,
-                                         Mutation::Drop,
-                                         Mutation::ZeroSize,
-                                         Mutation::ZeroSizeAtZero)),
-    [](const auto &info) {
-        std::string src = std::get<0>(info.param);
-        src = src.substr(0, src.find('.'));
-        return src + "_" + mutationName(std::get<1>(info.param));
-    });
+// Numbered, not named: ctest shows a numbered case by its printed
+// value, as Mutations/QueryMalformed.AnswersEqualScanAll/bps_drop.
+INSTANTIATE_TEST_SUITE_P(Mutations, QueryMalformed,
+                         ::testing::ValuesIn(malformedCases()));
 
 } // namespace
 } // namespace edb::query

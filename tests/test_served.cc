@@ -24,6 +24,7 @@
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -36,6 +37,7 @@
 #include "sim/simulator.h"
 #include "testing/live_oracle.h"
 #include "testing/random_trace.h"
+#include "trace/index_format.h"
 #include "trace/trace_io.h"
 
 namespace edb::served {
@@ -618,6 +620,24 @@ TEST_F(ServedServerTest, QueryAgreesWithDirectEngine)
         EXPECT_EQ(e.code(), ErrCode::BadQuery);
     }
     c.bye();
+}
+
+TEST_F(ServedServerTest, DirectoryAtTheSidecarPathOpensUnindexed)
+{
+    // A directory where the .edbi would be is a rejected sidecar: the
+    // trace opens and plans without it.
+    ServedTraceFile file(7003);
+    const std::string sidecar = trace::traceIndexPathFor(file.path());
+    ASSERT_EQ(::mkdir(sidecar.c_str(), 0700), 0);
+    Client c = connected("alice");
+    const OpenResult open = c.openTrace(file.path());
+    EXPECT_FALSE(open.indexed);
+    WireQuery q;
+    q.traceId = open.traceId;
+    q.kindMask = query::kindBit(trace::EventKind::Write);
+    EXPECT_EQ(c.query(q).matches, trace::loadTrace(file.path()).totalWrites);
+    c.bye();
+    ::rmdir(sidecar.c_str());
 }
 
 TEST_F(ServedServerTest, NotificationStreamIsOrderedAndComplete)

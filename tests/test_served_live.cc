@@ -271,8 +271,8 @@ checkSet(const std::string &path, const trace::MappedTrace &mapped,
 }
 
 /** {trace source, engine}: a workload name or "random-<seed>", with
- *  "-indexed" appended to map it with a sidecar (whose superblocks
- *  the plan retires whole). */
+ *  "-indexed" appended to map it with a sidecar (which a live RUN's
+ *  static plan must ignore). */
 using LiveParam = std::tuple<std::string, Engine>;
 
 constexpr std::string_view kIndexed = "-indexed";

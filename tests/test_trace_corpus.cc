@@ -285,4 +285,37 @@ TEST(TraceCorpus, ScatterV2PinnedWithWideSummaries)
     EXPECT_GE(runs, 8 * mapped.blockCount());
 }
 
+TEST(TraceCorpus, SuperBlocksMatchTheirPinnedNodes)
+{
+    // The nodes the version-2 sidecar's tree carried for these
+    // artifacts; the scatter spray's 16 blocks of eight-run
+    // summaries coalesce into two runs.
+    struct Pin
+    {
+        const char *file;
+        std::uint32_t blocks;
+        std::uint64_t writes;
+        std::vector<trace::PageRun> runs;
+    };
+    const Pin pins[] = {
+        {"mini_scatter.v2.trc", 16, 1932, {{0x800, 512}, {0x10000, 1}}},
+        {"mini_mixed.v2.trc",
+         11,
+         1200,
+         {{0x800, 1}, {0x10000, 1}, {0x3f7ff, 1}}},
+    };
+    for (const Pin &pin : pins) {
+        const trace::MappedTrace mapped(corpusPath(pin.file));
+        const auto &supers = mapped.superBlocks();
+        ASSERT_EQ(supers.size(), 1u) << pin.file;
+        EXPECT_EQ(supers[0].firstBlock, 0u) << pin.file;
+        EXPECT_EQ(supers[0].blocks, pin.blocks) << pin.file;
+        EXPECT_EQ(supers[0].writes, pin.writes) << pin.file;
+        EXPECT_EQ(std::vector<trace::PageRun>(supers[0].runs.begin(),
+                                              supers[0].runs.end()),
+                  pin.runs)
+            << pin.file;
+    }
+}
+
 } // namespace

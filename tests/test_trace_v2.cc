@@ -21,6 +21,7 @@
 #include "testing/random_trace.h"
 #include "trace/trace_io.h"
 #include "util/rng.h"
+#include "workload/workload.h"
 
 namespace edb::trace {
 namespace {
@@ -186,6 +187,95 @@ TEST_P(MappedTraceRoundTrip, SummaryCoversEveryWrite)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MappedTraceRoundTrip,
                          ::testing::Values(1, 2, 3));
+
+/**
+ * The superblock invariants the planner's aggregate skip rests on
+ * (DESIGN.md §16.3): the superblocks tile the blocks in order, each
+ * carries its members' write total in at most maxSuperRuns runs, and
+ * every member run lies inside one of them.
+ */
+void
+expectSuperBlocksSound(const MappedTrace &m, const std::string &what)
+{
+    const std::vector<MappedTrace::SuperBlock> &supers = m.superBlocks();
+    EXPECT_EQ(supers.size(),
+              (m.blockCount() + superBlockSpan - 1) / superBlockSpan)
+        << what;
+    std::size_t next = 0;
+    for (std::size_t s = 0; s < supers.size(); ++s) {
+        const MappedTrace::SuperBlock &node = supers[s];
+        ASSERT_EQ(node.firstBlock, next) << what << " superblock " << s;
+        ASSERT_GE(node.blocks, 1u) << what << " superblock " << s;
+        ASSERT_LE(node.blocks, superBlockSpan) << what;
+        ASSERT_LE(node.firstBlock + node.blocks, m.blockCount()) << what;
+        EXPECT_LE(node.runs.size(), maxSuperRuns)
+            << what << " superblock " << s;
+        std::uint64_t writes = 0;
+        for (std::size_t b = node.firstBlock;
+             b < node.firstBlock + node.blocks; ++b) {
+            writes += m.block(b).writes;
+            for (const PageRun &r : m.block(b).runs) {
+                bool inside = false;
+                for (const PageRun &n : node.runs) {
+                    inside = inside ||
+                             (r.firstPage >= n.firstPage &&
+                              r.firstPage + r.pages <=
+                                  n.firstPage + n.pages);
+                }
+                EXPECT_TRUE(inside) << what << " block " << b
+                                    << " run at page " << r.firstPage;
+            }
+        }
+        EXPECT_EQ(node.writes, writes) << what << " superblock " << s;
+        next = node.firstBlock + node.blocks;
+    }
+    EXPECT_EQ(next, m.blockCount()) << what;
+}
+
+TEST(SuperBlocks, CorpusAndRandomTracesKeepTheInvariants)
+{
+    for (const char *file :
+         {"mini_mixed.v2.trc", "mini_writes.v2.trc",
+          "mini_straddle.v2.trc", "mini_ghost.v2.trc",
+          "mini_scatter.v2.trc"}) {
+        const MappedTrace m(std::string(EDB_CORPUS_DIR) + "/" + file);
+        expectSuperBlocksSound(m, file);
+    }
+    // Small blocks give many superblocks, a partial last one, and
+    // wide merged summaries that must be capped.
+    for (std::uint64_t seed : {0x5B01, 0x5B02, 0x5B03}) {
+        for (std::size_t events : {std::size_t{8}, std::size_t{32},
+                                   defaultBlockEvents}) {
+            WriteOptions opts;
+            opts.blockEvents = events;
+            const std::string bytes =
+                encode(randomTrace(seed, 3000), opts);
+            const MappedTrace m(
+                std::vector<unsigned char>(bytes.begin(), bytes.end()));
+            expectSuperBlocksSound(m, "seed " + std::to_string(seed) +
+                                          " block " +
+                                          std::to_string(events));
+        }
+    }
+}
+
+class SuperBlockWorkload
+    : public ::testing::TestWithParam<std::string_view>
+{
+};
+
+TEST_P(SuperBlockWorkload, KeepsTheInvariants)
+{
+    auto w = workload::makeWorkload(GetParam());
+    const std::string bytes = encode(workload::runTraced(*w));
+    const MappedTrace m(
+        std::vector<unsigned char>(bytes.begin(), bytes.end()));
+    expectSuperBlocksSound(m, std::string(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, SuperBlockWorkload,
+    ::testing::ValuesIn(workload::workloadNames()));
 
 /** The summary runs of a one-block trace of `events`. */
 std::vector<PageRun>
