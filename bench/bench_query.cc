@@ -37,6 +37,12 @@
  * 3 of the 5 workloads, and never slower with it on any. The phase is
  * skipped (and the JSON says so) when EDB_TRACE_INDEX pins indexing
  * off.
+ *
+ * The same phase times what a one-shot query pays before it plans:
+ * the median MappedTrace open of each workload's trace without a
+ * sidecar on disk, then with one, which adds loading the sidecar and
+ * digesting the whole `.trc` to check it is fresh. The JSON carries
+ * both; tools/perf_smoke_check.py gates their ratio.
  */
 
 #include <algorithm>
@@ -154,6 +160,8 @@ struct Row
     double planSpeedup = 0;
     std::uint64_t blocksIndexElided = 0;
     bool indexIdentical = false;
+    double openPlainMs = 0;   ///< MappedTrace open, no sidecar on disk
+    double openIndexedMs = 0; ///< MappedTrace open, sidecar attached
 };
 
 } // namespace
@@ -163,6 +171,7 @@ main()
 {
     const int reps = 5;
     const int plan_reps = 9;
+    const int open_reps = 15;
     const bool index_enabled = trace::traceIndexEnabled();
     bool ok = true;
     std::vector<Row> rows;
@@ -229,9 +238,13 @@ main()
             plan_spec.sessions = {plannerStudySession(set)};
             plan_spec.agg = query::Agg::Count;
 
+            row.openPlainMs = medianOf(
+                open_reps, [&] { trace::MappedTrace open(v2_path); });
             trace::TraceIndex idx = trace::buildTraceIndex(mapped);
             trace::saveTraceIndex(idx,
                                   trace::traceIndexPathFor(v2_path));
+            row.openIndexedMs = medianOf(
+                open_reps, [&] { trace::MappedTrace open(v2_path); });
             trace::MappedTrace indexed(v2_path);
             if (indexed.index() == nullptr) {
                 std::fprintf(stderr,
@@ -337,7 +350,8 @@ main()
         report::TextTable idx_table;
         idx_table.header({"Program", "Plan linear (ns)",
                           "Plan indexed (ns)", "Speedup", "Elided",
-                          "Identical"});
+                          "Identical", "Open plain (ms)",
+                          "Open indexed (ms)"});
         for (const auto &r : rows) {
             idx_table.row({r.program,
                            std::to_string(r.planLinearNs),
@@ -345,13 +359,16 @@ main()
                            report::fmt(r.planSpeedup, 2) + "x",
                            std::to_string(r.blocksIndexElided) + "/" +
                                std::to_string(r.blocks),
-                           r.indexIdentical ? "yes" : "NO"});
+                           r.indexIdentical ? "yes" : "NO",
+                           report::fmt(r.openPlainMs, 3),
+                           report::fmt(r.openIndexedMs, 3)});
         }
         std::printf("Planner loop with the .edbi sidecar index, "
-                    "sparsest session, min of %d:\n%s(Elided = "
-                    "control decodes the extents proved unneeded; "
-                    "floor 5x on >= 3 workloads, never slower)\n\n",
-                    plan_reps, idx_table.render().c_str());
+                    "sparsest session, min of %d; trace open, median "
+                    "of %d:\n%s(Elided = control decodes the extents "
+                    "proved unneeded; floor 5x on >= 3 workloads, never "
+                    "slower)\n\n",
+                    plan_reps, open_reps, idx_table.render().c_str());
     } else {
         std::printf("Planner-index phase skipped: EDB_TRACE_INDEX "
                     "pins indexing off\n\n");
@@ -415,13 +432,15 @@ main()
                 "\"plan_indexed_ns\": %llu, "
                 "\"plan_speedup\": %.3f, "
                 "\"blocks_index_elided\": %llu, "
-                "\"identical\": %s}%s\n",
+                "\"identical\": %s, "
+                "\"open_plain_ms\": %.3f, "
+                "\"open_indexed_ms\": %.3f}%s\n",
                 r.program.c_str(),
                 (unsigned long long)r.planLinearNs,
                 (unsigned long long)r.planIndexedNs, r.planSpeedup,
                 (unsigned long long)r.blocksIndexElided,
-                r.indexIdentical ? "true" : "false",
-                i + 1 < rows.size() ? "," : "");
+                r.indexIdentical ? "true" : "false", r.openPlainMs,
+                r.openIndexedMs, i + 1 < rows.size() ? "," : "");
         }
         std::fprintf(json, "      ]\n    }\n  }");
     } else {

@@ -160,38 +160,50 @@ struct PageSessions
      * The live objects overlapping this page — exact while
      * !overflow, so a write inside the page resolves its objects
      * here in a few compares instead of walking the ordered live
-     * map. Pages denser than objCap set the sticky overflow flag
-     * and drop the list: maintaining hundred-entry lists per
-     * install/remove costs more than their lookups save. The flag
-     * resets only when the page entry itself dies.
+     * map. Pages denser than objCap set the overflow flag and drop
+     * the list: maintaining hundred-entry lists per install/remove
+     * costs more than their lookups save. While overflowed the page
+     * only counts its objects; once removes bring that count back to
+     * objCap, removeObj() asks the engine to rebuild the list.
      */
     util::SmallVec<ObjSpan, 1> objs;
     bool overflow = false;
+    /** Objects overlapping the page while overflow is set. */
+    std::uint32_t overflowObjs = 0;
 
     /** Track an object newly overlapping the page. */
     void
     addObj(Addr begin, Addr end, ObjectId obj)
     {
-        if (overflow)
-            return;
-        if (objs.size() == objCap) {
+        if (overflow) {
+            ++overflowObjs;
+        } else if (objs.size() == objCap) {
             overflow = true;
+            overflowObjs = objCap + 1;
             objs.clear();
         } else {
             objs.push_back({begin, end, obj});
         }
     }
 
-    /** Forget an object leaving the page. */
-    void
+    /**
+     * Forget an object leaving the page.
+     * @return True when an overflowed page is back to at most objCap
+     * objects: the caller must refill objs from the live map and
+     * clear overflow.
+     */
+    bool
     removeObj(Addr begin)
     {
-        if (overflow)
-            return;
+        if (overflow) {
+            EDB_ASSERT(overflowObjs > objCap,
+                       "overflowed page lost count of its objects");
+            return --overflowObjs <= objCap;
+        }
         for (std::size_t i = 0; i < objs.size(); ++i) {
             if (objs[i].begin == begin) {
                 objs.swapErase(i);
-                return;
+                return false;
             }
         }
         EDB_PANIC("page object list missing a live object");
@@ -548,8 +560,8 @@ class ReplayEngine
                 PageSessions *ps = pages_[i].find(p);
                 EDB_ASSERT(ps != nullptr,
                            "page table corrupt on remove");
-                if (i == 0)
-                    ps->removeObj(r.begin);
+                if (i == 0 && ps->removeObj(r.begin))
+                    refillObjs(*ps, p);
                 for (SessionId s : sess) {
                     if (ps->removeSession(s))
                         ++result_.counters[s].vm[i].unprotects;
@@ -565,6 +577,30 @@ class ReplayEngine
                 }
             }
         }
+    }
+
+    /**
+     * Rebuild the exact object list of finest page p from one walk of
+     * the live map over the page, and clear its overflow. The list
+     * holds the objects addToPages() entered: those with a session.
+     */
+    void
+    refillObjs(PageSessions &ps, Addr p)
+    {
+        const Addr lo = p * vmPageSizes[0];
+        const Addr last = lo + (vmPageSizes[0] - 1);
+        ps.objs.clear();
+        for (auto it = firstFrom(lo);
+             it != live_.end() && it->first <= last; ++it) {
+            if (it->second.end > lo &&
+                !sessions_.sessionsOf(it->second.obj).empty())
+                ps.objs.push_back({it->first, it->second.end,
+                                   it->second.obj});
+        }
+        EDB_ASSERT(ps.objs.size() == ps.overflowObjs,
+                   "overflowed page count disagrees with the live map");
+        ps.overflow = false;
+        ps.overflowObjs = 0;
     }
 
     /** log2 of the coarsest page size, for window invalidation. */

@@ -20,7 +20,7 @@
  * per-block truth exactly, so the planner reaches identical decisions
  * with or without it and keeps a mandatory fallback (every
  * control-bearing block is needed). Staleness is detected by an
- * FNV-1a digest of the indexed `.trc`; corruption by a self-digest
+ * XXH64 digest of the indexed `.trc`; corruption by a self-digest
  * over the index bytes plus structural cross-checks against the
  * mapped block headers. A sidecar that fails any of it is rejected
  * (TraceError from the explicit loader, silent fallback +
@@ -42,26 +42,21 @@ class MappedTrace;
 /** Sidecar file magic, first 4 bytes of every `.edbi`. */
 constexpr char traceIndexMagic[4] = {'E', 'D', 'B', 'I'};
 
-/** Current sidecar wire version. Version 2 also carried a summary
- *  tree and version 1 page postings; their files are stale. */
-constexpr std::uint64_t traceIndexVersion = 3;
+/** Current sidecar wire version. Version 3 pinned the same bytes
+ *  with FNV-1a, version 2 also carried a summary tree and version 1
+ *  page postings; their files are stale. */
+constexpr std::uint64_t traceIndexVersion = 4;
 
-/** FNV-1a 64-bit, the digest pinning a sidecar to its `.trc` bytes
- *  (and the index's own bytes to themselves). */
-constexpr std::uint64_t fnvOffsetBasis = 0xcbf29ce484222325ull;
-constexpr std::uint64_t fnvPrime = 0x100000001b3ull;
-
-inline std::uint64_t
-fnv1a64(const unsigned char *data, std::size_t n,
-        std::uint64_t seed = fnvOffsetBasis)
-{
-    std::uint64_t h = seed;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= data[i];
-        h *= fnvPrime;
-    }
-    return h;
-}
+/**
+ * XXH64 (Collet's published algorithm, public test vectors) of
+ * `data[0, n)`: the digest pinning a sidecar to its `.trc` bytes and
+ * the index's own bytes to themselves, both with seed 0. Four
+ * independent lanes over 32-byte stripes, so a whole-trace digest
+ * runs near memory speed instead of paying one dependent multiply per
+ * byte. Any alignment of `data` is fine.
+ */
+std::uint64_t xxh64(const unsigned char *data, std::size_t n,
+                    std::uint64_t seed = 0);
 
 /**
  * Control extent of one object: which blocks carry its installs and
@@ -93,7 +88,7 @@ class TraceIndex
     /** @name Identity (header fields) */
     /// @{
     std::uint64_t version = traceIndexVersion;
-    std::uint64_t traceDigest = 0; ///< FNV-1a64 of the whole .trc
+    std::uint64_t traceDigest = 0; ///< xxh64 of the whole .trc
     std::uint64_t traceBytes = 0;  ///< size of the indexed .trc
     std::uint64_t blockCount = 0;
     std::uint64_t eventCount = 0;

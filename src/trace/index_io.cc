@@ -6,7 +6,7 @@
  * The loader is deliberately paranoid: sidecars are untrusted
  * artifacts that steer planners, so every field is bounds- and
  * order-checked as it is read, the whole payload is pinned by a
- * trailing FNV-1a self-digest, and validateTraceIndex() re-derives
+ * trailing XXH64 self-digest, and validateTraceIndex() re-derives
  * every structure's invariant from the mapped block headers before a
  * planner may consult it. A sidecar that fails anything raises
  * TraceError with the failing byte offset — recoverable, never a
@@ -15,6 +15,7 @@
  * block.
  */
 
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -81,6 +82,98 @@ traceIndexEnabled()
     if (env == nullptr)
         return true;
     return std::strcmp(env, "off") != 0 && std::strcmp(env, "0") != 0;
+}
+
+namespace {
+
+constexpr std::uint64_t xxhP1 = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t xxhP2 = 0xC2B2AE3D27D4EB4Full;
+constexpr std::uint64_t xxhP3 = 0x165667B19E3779F9ull;
+constexpr std::uint64_t xxhP4 = 0x85EBCA77C2B2AE63ull;
+constexpr std::uint64_t xxhP5 = 0x27D4EB2F165667C5ull;
+
+/** Little-endian loads through memcpy: no alignment requirement. */
+inline std::uint64_t
+load64le(const unsigned char *p)
+{
+    std::uint64_t v;
+    std::memcpy(&v, p, 8);
+    if constexpr (std::endian::native == std::endian::big)
+        v = __builtin_bswap64(v);
+    return v;
+}
+
+inline std::uint64_t
+load32le(const unsigned char *p)
+{
+    std::uint32_t v;
+    std::memcpy(&v, p, 4);
+    if constexpr (std::endian::native == std::endian::big)
+        v = __builtin_bswap32(v);
+    return v;
+}
+
+inline std::uint64_t
+xxhRound(std::uint64_t acc, std::uint64_t input)
+{
+    return std::rotl(acc + input * xxhP2, 31) * xxhP1;
+}
+
+inline std::uint64_t
+xxhMerge(std::uint64_t h, std::uint64_t lane)
+{
+    return (h ^ xxhRound(0, lane)) * xxhP1 + xxhP4;
+}
+
+} // namespace
+
+std::uint64_t
+xxh64(const unsigned char *data, std::size_t n, std::uint64_t seed)
+{
+    const unsigned char *p = data;
+    const unsigned char *const end = data + n;
+    std::uint64_t h;
+    if (n >= 32) {
+        // Four independent lanes: the multiplies of one stripe do not
+        // wait on each other.
+        std::uint64_t v1 = seed + xxhP1 + xxhP2;
+        std::uint64_t v2 = seed + xxhP2;
+        std::uint64_t v3 = seed;
+        std::uint64_t v4 = seed - xxhP1;
+        const unsigned char *const lastStripe = end - 32;
+        do {
+            v1 = xxhRound(v1, load64le(p));
+            v2 = xxhRound(v2, load64le(p + 8));
+            v3 = xxhRound(v3, load64le(p + 16));
+            v4 = xxhRound(v4, load64le(p + 24));
+            p += 32;
+        } while (p <= lastStripe);
+        h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+            std::rotl(v4, 18);
+        h = xxhMerge(h, v1);
+        h = xxhMerge(h, v2);
+        h = xxhMerge(h, v3);
+        h = xxhMerge(h, v4);
+    } else {
+        h = seed + xxhP5;
+    }
+    h += (std::uint64_t)n;
+
+    for (; end - p >= 8; p += 8)
+        h = std::rotl(h ^ xxhRound(0, load64le(p)), 27) * xxhP1 + xxhP4;
+    if (end - p >= 4) {
+        h = std::rotl(h ^ load32le(p) * xxhP1, 23) * xxhP2 + xxhP3;
+        p += 4;
+    }
+    for (; p < end; ++p)
+        h = std::rotl(h ^ *p * xxhP5, 11) * xxhP1;
+
+    h ^= h >> 33;
+    h *= xxhP2;
+    h ^= h >> 29;
+    h *= xxhP3;
+    h ^= h >> 32;
+    return h;
 }
 
 namespace {
@@ -187,7 +280,7 @@ saveTraceIndex(TraceIndex &index, const std::string &path)
     const std::size_t extentsEnd = out.bytes.size();
 
     // Self-digest over everything after the magic.
-    out.u64le(fnv1a64(out.bytes.data() + 4, extentsEnd - 4));
+    out.u64le(xxh64(out.bytes.data() + 4, extentsEnd - 4));
 
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     if (!os ||
@@ -230,30 +323,31 @@ loadTraceIndex(const std::string &path)
                             "sidecar index magic invalid (not an "
                             ".edbi file)");
     }
-    // Self-digest: the last 8 bytes pin everything after the magic.
     const std::size_t payloadEnd = bytes.size() - 8;
-    std::uint64_t stored = 0;
-    for (int i = 0; i < 8; ++i)
-        stored |= (std::uint64_t)bytes[payloadEnd + (std::size_t)i]
-                  << (8 * i);
-    const std::uint64_t computed =
-        fnv1a64(bytes.data() + 4, payloadEnd - 4);
-    if (stored != computed) {
-        detail::failTraceAt(payloadEnd, -1,
-                            "sidecar index self-digest mismatch "
-                            "(stored %016llx, computed %016llx)",
-                            (unsigned long long)stored,
-                            (unsigned long long)computed);
-    }
-
     detail::SpanIn in(bytes.data() + 4, payloadEnd - 4, 4, -1);
     TraceIndex idx;
+    // The version comes first: an older file's self-digest was
+    // computed by that version's digest function.
     idx.version = in.varint();
     if (idx.version != traceIndexVersion) {
         in.fail("sidecar index version %llu unsupported (reader "
                 "speaks %llu)",
                 (unsigned long long)idx.version,
                 (unsigned long long)traceIndexVersion);
+    }
+    // Self-digest: the last 8 bytes pin everything after the magic.
+    std::uint64_t stored = 0;
+    for (int i = 0; i < 8; ++i)
+        stored |= (std::uint64_t)bytes[payloadEnd + (std::size_t)i]
+                  << (8 * i);
+    const std::uint64_t computed =
+        xxh64(bytes.data() + 4, payloadEnd - 4);
+    if (stored != computed) {
+        detail::failTraceAt(payloadEnd, -1,
+                            "sidecar index self-digest mismatch "
+                            "(stored %016llx, computed %016llx)",
+                            (unsigned long long)stored,
+                            (unsigned long long)computed);
     }
     if (in.end - in.p < 8)
         in.fail("sidecar index truncated inside the trace digest");

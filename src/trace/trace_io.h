@@ -224,9 +224,9 @@ class MappedTrace
      *  in-memory encoding). */
     const std::string &path() const { return path_; }
 
-    /** FNV-1a64 digest of the whole mapped file — what a sidecar
-     *  index pins itself to. Computed on first use, then cached;
-     *  thread-safe. */
+    /** xxh64 (seed 0) of the whole mapped file — what a sidecar
+     *  index pins itself to. Computed on first use under a
+     *  `trace.digest` span, then cached; thread-safe. */
     std::uint64_t contentDigest() const;
 
     /** The superblocks, built from the parsed block headers on first

@@ -18,6 +18,7 @@
 #include <fstream>
 #include <vector>
 
+#include "obs/obs.h"
 #include "trace/index_format.h"
 #include "trace/trace_io.h"
 #include "trace/v2_detail.h"
@@ -33,6 +34,13 @@
 #endif
 
 namespace edb::trace {
+
+#if EDB_OBS_ENABLED
+namespace {
+/** Wall time of contentDigest()'s one whole-file digest per mapping. */
+obs::Histogram obsDigestNs{"trace.digest_ns"};
+} // namespace
+#endif
 
 void
 obsNoteSkippedBlocks(std::uint64_t blocks, std::uint64_t writes)
@@ -82,7 +90,8 @@ std::uint64_t
 MappedTrace::contentDigest() const
 {
     std::call_once(digest_once_, [this] {
-        content_digest_ = fnv1a64(data_, (std::size_t)size_);
+        EDB_OBS_TIMED_SPAN("trace.digest", obsDigestNs);
+        content_digest_ = xxh64(data_, (std::size_t)size_);
     });
     return content_digest_;
 }

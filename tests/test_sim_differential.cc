@@ -524,6 +524,46 @@ TEST(SubsetReplay, WritesIntoAnObjectOutsideTheSubsetMatchFullRun)
 }
 
 /**
+ * Nine heap objects on one finest page overflow its object list; a
+ * free brings the page back to eight. Writes cycling over the eight
+ * (more than the replay cache holds) must resolve from the page's
+ * rebuilt list again, not from walks of the live map.
+ */
+TEST(ReplayPageObjects, OverflowedPageRegainsItsListAfterRemoves)
+{
+    constexpr int kWrites = 64;
+    trace::Tracer tracer("overflow_page");
+    tracer.enterFunction("main");
+    std::vector<trace::Tracer::Placement> objs;
+    for (int i = 0; i < 9; ++i)
+        objs.push_back(tracer.heapAlloc("pool", 64));
+    tracer.heapFree(objs.back());
+    for (int i = 0; i < kWrites; ++i)
+        tracer.write(objs[(std::size_t)i % 8].addr, 4, 0);
+    tracer.exitFunction();
+    const trace::Trace t = tracer.finish();
+    for (const auto &o : objs) {
+        ASSERT_EQ(o.addr / vmPageSizes[0], objs[0].addr / vmPageSizes[0])
+            << "the nine objects must share a finest page";
+    }
+
+    const SessionSet set = SessionSet::enumerate(t);
+#if EDB_OBS_ENABLED
+    const obs::Snapshot before = obs::takeSnapshot();
+#endif
+    const SimResult got = simulate(t, set);
+#if EDB_OBS_ENABLED
+    const obs::Snapshot after = obs::takeSnapshot();
+    EXPECT_EQ(after.counter("sim.replay.map_walks") -
+                  before.counter("sim.replay.map_walks"),
+              0);
+#endif
+    for (session::SessionId s = 0; s < set.size(); ++s)
+        EXPECT_TRUE(got.counters[s] == simulateOneSession(t, set, s))
+            << "session " << s;
+}
+
+/**
  * The shared-page trace with the install of `outside` (an object the
  * subset leaves out) duplicated in place, or dropped.
  */

@@ -13,7 +13,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -116,6 +118,110 @@ class ScopedIndexEnv
     bool had_ = false;
     std::string prev_;
 };
+
+std::uint64_t
+digestOf(const std::string &bytes)
+{
+    return xxh64((const unsigned char *)bytes.data(), bytes.size());
+}
+
+TEST(TraceDigest, MatchesThePublishedVectors)
+{
+    EXPECT_EQ(digestOf(""), 0xEF46DB3751D8E999ull);
+    EXPECT_EQ(digestOf("a"), 0xD24EC4F1A98C6E5Bull);
+    EXPECT_EQ(digestOf("abc"), 0x44BC2CF5AD770999ull);
+    // 39 bytes: one 32-byte stripe, then the 4-byte and 1-byte tails.
+    EXPECT_EQ(digestOf("Nobody inspects the spammish repetition"),
+              0xFBCEA83C8A378BF1ull);
+}
+
+/** 97 bytes: three stripes plus an 8-, a 4- and a 1-byte tail. */
+std::string
+digestProbe()
+{
+    std::string bytes(97, '\0');
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = (char)(i * 37 + 11);
+    return bytes;
+}
+
+TEST(TraceDigest, EveryPrefixLengthHashesDifferently)
+{
+    const std::string bytes = digestProbe();
+    std::set<std::uint64_t> seen;
+    for (std::size_t n = 0; n <= bytes.size(); ++n)
+        seen.insert(digestOf(bytes.substr(0, n)));
+    EXPECT_EQ(seen.size(), bytes.size() + 1);
+}
+
+TEST(TraceDigest, EverySingleBitFlipChangesTheDigest)
+{
+    const std::string bytes = digestProbe();
+    const std::uint64_t base = digestOf(bytes);
+    std::set<std::uint64_t> seen{base};
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+        for (int bit = 0; bit < 8; ++bit) {
+            std::string flipped = bytes;
+            flipped[i] = (char)(flipped[i] ^ (1 << bit));
+            EXPECT_TRUE(seen.insert(digestOf(flipped)).second)
+                << "byte " << i << " bit " << bit;
+        }
+    }
+}
+
+TEST(TraceDigest, StartAlignmentDoesNotChangeTheDigest)
+{
+    const std::string bytes = digestProbe();
+    const std::uint64_t base = digestOf(bytes);
+    alignas(8) unsigned char buf[8 + 97];
+    for (std::size_t off = 0; off < 8; ++off) {
+        std::memcpy(buf + off, bytes.data(), bytes.size());
+        EXPECT_EQ(xxh64(buf + off, bytes.size()), base) << "offset " << off;
+    }
+}
+
+TEST(TraceDigest, CorpusDigestsArePinned)
+{
+    // The low 32 bits of each equal the XXH64 content checksum that
+    // `zstd --check` stores for the same file.
+    const std::pair<const char *, std::uint64_t> pinned[] = {
+        {"mini_ghost.v2.trc", 0xa00c132320be7e74ull},
+        {"mini_mixed.v2.trc", 0x819cba65d51559e2ull},
+        {"mini_scatter.v2.trc", 0x56f50f13b296df6eull},
+        {"mini_straddle.v2.trc", 0xba649fd0dea20f01ull},
+        {"mini_writes.v2.trc", 0x479ad2dd1f768c2cull},
+    };
+    for (const auto &[name, digest] : pinned) {
+        const std::string path = std::string(EDB_CORPUS_DIR) + "/" + name;
+        EXPECT_EQ(digestOf(readFile(path)), digest) << name;
+        EXPECT_EQ(MappedTrace(path).contentDigest(), digest) << name;
+    }
+}
+
+#if EDB_OBS_ENABLED
+TEST(TraceDigest, OnlyAnIndexedOpenDigestsAndOnlyOnce)
+{
+    ScopedIndexEnv on("on");
+    const Trace t = randomTrace(0xD16E57, 2000);
+    SavedTrace plain(t, "digest_plain", false);
+    SavedTrace indexed(t, "digest_indexed", true);
+    const auto spans = [] {
+        const obs::Snapshot snap = obs::takeSnapshot();
+        const obs::HistogramValue *h = snap.histogram("trace.digest_ns");
+        return h != nullptr ? h->count : 0;
+    };
+
+    const std::uint64_t before = spans();
+    const MappedTrace unindexed(plain.path());
+    EXPECT_EQ(spans(), before);
+
+    const MappedTrace mapped(indexed.path());
+    ASSERT_NE(mapped.index(), nullptr);
+    EXPECT_EQ(spans(), before + 1);
+    (void)mapped.contentDigest();
+    EXPECT_EQ(spans(), before + 1);
+}
+#endif
 
 TEST(TraceIndex, RoundTripPreservesEveryStructure)
 {
@@ -341,13 +447,37 @@ TEST(TraceIndexErrors, ForgedCountsAreRejectedBeforeAllocating)
             bytes.substr(at + objects + extents);
     // Re-sign: the self-digest is a checksum, not a MAC.
     const std::size_t payloadEnd = bytes.size() - 8;
-    const std::uint64_t digest = fnv1a64(
+    const std::uint64_t digest = xxh64(
         (const unsigned char *)bytes.data() + 4, payloadEnd - 4);
     for (int i = 0; i < 8; ++i)
         bytes[payloadEnd + (std::size_t)i] = (char)(digest >> (8 * i));
     writeFile(f.sidecar(), bytes);
 
     EXPECT_THROW(loadTraceIndex(f.sidecar()), TraceError);
+    expectRejectedAndAnswering(t, f.path());
+}
+
+TEST(TraceIndexErrors, OlderVersionIsRejectedByVersionNotDigest)
+{
+    // A version-3 file carries a self-digest of the older digest
+    // function, so only the version can say what is wrong with it.
+    ScopedIndexEnv on("on");
+    const Trace t = randomTrace(0x1D6709, 2000);
+    SavedTrace f(t, "v3side", true);
+    std::string bytes = readFile(f.sidecar());
+    ASSERT_EQ(bytes[4], (char)traceIndexVersion);
+    bytes[4] = (char)(traceIndexVersion - 1);
+    writeFile(f.sidecar(), bytes);
+
+    try {
+        loadTraceIndex(f.sidecar());
+        ADD_FAILURE() << "an older sidecar version loaded";
+    } catch (const TraceError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "sidecar index version 3 unsupported"),
+                  std::string::npos)
+            << e.what();
+    }
     expectRejectedAndAnswering(t, f.path());
 }
 

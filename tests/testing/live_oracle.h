@@ -31,7 +31,7 @@ namespace edb::testgen {
 /**
  * An EVT stream in constant memory, so the five workloads' streams
  * (millions of events under dense monitor sets) stay affordable under
- * the sanitizers: the event count, an FNV-1a digest of every field of
+ * the sanitizers: the event count, a chained xxh64 of every field of
  * every event in order, and the first kHead events verbatim for
  * diagnostics.
  */
@@ -40,7 +40,7 @@ struct EventLog
     static constexpr std::size_t kHead = 256;
 
     std::uint64_t count = 0;
-    std::uint64_t digest = trace::fnvOffsetBasis;
+    std::uint64_t digest = 0;
     std::vector<served::EventOut> head;
 
     void
@@ -49,8 +49,8 @@ struct EventLog
         const std::uint64_t fields[] = {e.seq, e.monitorId,
                                         e.written.begin, e.written.end,
                                         e.pc};
-        digest = trace::fnv1a64((const unsigned char *)fields,
-                                sizeof fields, digest);
+        digest = trace::xxh64((const unsigned char *)fields,
+                              sizeof fields, digest);
         if (count++ < kHead)
             head.push_back(e);
     }

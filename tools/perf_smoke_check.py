@@ -187,6 +187,17 @@ def check_trace_v2(path):
     return rc
 
 
+# Ceiling on a trace open with its sidecar over the same open without
+# one (bench_query's open phase, medians of 15 fresh mappings each),
+# and the number of the five workloads that must meet it. The indexed
+# open adds loading the sidecar and the XXH64 digest of the whole
+# .trc. Over 7 Release runs the ratio was 2.2-4.0x on gcc, ctex, spice
+# and qcd and 1.6-2.0x on bps; with the byte-wise FNV-1a digest it was
+# 15-34x on those four (bps 3.4-5.4x), so the gate fails that digest.
+OPEN_RATIO_CEILING = 6.0
+OPEN_RATIO_MIN_WORKLOADS = 4
+
+
 def check_index(path, data):
     """The sidecar-index block inside BENCH_query.json.
 
@@ -200,11 +211,14 @@ def check_index(path, data):
     the 5 workloads, the form of the pushdown floor; gcc's ratio is
     printed.
     A workload planning slower with the sidecar than without it fails
-    outright. Identity and elision are deterministic: an elided-block
-    count of zero across all five workloads means the index stopped
-    attaching or the planner stopped consulting it. A run with
-    EDB_TRACE_INDEX pinned off records enabled=false and is waived
-    (the pin exists exactly so CI can prove the sidecar-free path).
+    outright. The open phase gates what an indexed open adds:
+    open_indexed_ms / open_plain_ms at most OPEN_RATIO_CEILING on at
+    least OPEN_RATIO_MIN_WORKLOADS workloads. Identity and elision are
+    deterministic: an elided-block count of zero across all five
+    workloads means the index stopped attaching or the planner stopped
+    consulting it. A run with EDB_TRACE_INDEX pinned off records
+    enabled=false and is waived (the pin exists exactly so CI can prove
+    the sidecar-free path).
     """
     rc = 0
     idx = data.get("index")
@@ -232,12 +246,26 @@ def check_index(path, data):
     elided = sum(row["blocks_index_elided"] for row in rows)
     if elided == 0:
         rc |= fail(f"{path.name}: index elided zero blocks everywhere")
+    if any("open_indexed_ms" not in row for row in rows):
+        return rc | fail(f"{path.name}: no open phase (stale bench binary?)")
+    ratios = {
+        row["program"]: row["open_indexed_ms"] / max(row["open_plain_ms"], 1e-6)
+        for row in rows
+    }
+    shown = ", ".join(f"{p} {r:.1f}x" for p, r in ratios.items())
+    cheap = sum(1 for r in ratios.values() if r <= OPEN_RATIO_CEILING)
+    if cheap < OPEN_RATIO_MIN_WORKLOADS:
+        rc |= fail(
+            f"{path.name}: indexed open <= {OPEN_RATIO_CEILING}x the plain "
+            f"open on only {cheap}/{len(rows)} workloads (floor "
+            f"{OPEN_RATIO_MIN_WORKLOADS}): {shown}"
+        )
     gcc = idx.get("gcc_plan_speedup", 0.0)
     if rc == 0:
         print(
             f"  {path.name}: index identical, planner >= 5x on "
             f"{fast}/{len(rows)} workloads (gcc {gcc}x), "
-            f"{elided} blocks elided"
+            f"{elided} blocks elided; indexed/plain open {shown}"
         )
     return rc
 
