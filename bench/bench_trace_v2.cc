@@ -11,8 +11,9 @@
  *  - container size: encoded bytes and bytes per event
  *    (tools/perf_smoke_check.py holds each program under a
  *    bytes-per-event ceiling);
- *  - decode bandwidth: full MappedTrace block decode, in raw-event
- *    MB/s;
+ *  - encode and decode bandwidth, in raw-event MB/s: writeTrace of
+ *    the whole trace into memory, and a full MappedTrace block
+ *    decode;
  *  - a sparse-session study: phase 2 of one monitor session, end to
  *    end from the on-disk artifact — the materialized path loads
  *    every event (loadTrace) and replays them all, the skip path maps
@@ -21,13 +22,16 @@
  *
  * All times are medians of `reps` repetitions. Emits
  * BENCH_trace_v2.json into the working directory and exits nonzero
- * only when the skip result diverges; the speedup floor lives in one
- * place, tools/perf_smoke_check.py.
+ * only when the skip result diverges or the in-memory encoding differs
+ * in size from the file; the floors live in one place,
+ * tools/perf_smoke_check.py, which gates the deterministic fields
+ * against the committed bench/BENCH_trace_v2.json.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -82,12 +86,36 @@ sparseStudySession(const session::SessionSet &set)
     return 0;
 }
 
+/** An output buffer appending to one string, reserved up front so an
+ *  encode timing pays no growth of its sink. */
+struct StringSink : std::streambuf
+{
+    std::string bytes;
+
+    std::streamsize
+    xsputn(const char *s, std::streamsize n) override
+    {
+        bytes.append(s, (std::size_t)n);
+        return n;
+    }
+
+    int_type
+    overflow(int_type c) override
+    {
+        if (!traits_type::eq_int_type(c, traits_type::eof()))
+            bytes.push_back(traits_type::to_char_type(c));
+        return c;
+    }
+};
+
 struct Row
 {
     std::string program;
     std::size_t events = 0;
     std::size_t bytes = 0;
     double bytesPerEvent = 0;
+    double encodeMs = 0;   ///< writeTrace of the whole trace to memory
+    double encodeMbps = 0;
     double decodeMbps = 0;
     double replayLoadedMs = 0; ///< loadTrace + full replay, one session
     double replaySkipMs = 0;   ///< map + block-skip replay, same session
@@ -127,10 +155,27 @@ main()
         row.bytesPerEvent = (double)row.bytes / (double)row.events;
         row.blocks = mapped.blockCount();
 
-        // ---- Decode bandwidth in raw-event MB/s (events decoded x
+        // ---- Encode and decode bandwidth in raw-event MB/s (events x
         // sizeof(Event) per second), the unit phase 2 consumes.
         const double raw_mb = (double)(row.events * sizeof(trace::Event)) /
                               (1024.0 * 1024.0);
+        StringSink sink_buf;
+        sink_buf.bytes.reserve(row.bytes);
+        row.encodeMs = medianOf(reps, [&] {
+            sink_buf.bytes.clear();
+            std::ostream os(&sink_buf);
+            trace::writeTrace(trace, os);
+        });
+        row.encodeMbps = raw_mb / (row.encodeMs / 1000.0);
+        if (sink_buf.bytes.size() != row.bytes) {
+            std::fprintf(stderr,
+                         "FAIL: '%s' encodes %zu bytes in memory but "
+                         "%zu on disk\n",
+                         row.program.c_str(), sink_buf.bytes.size(),
+                         row.bytes);
+            ok = false;
+        }
+
         double decode_ms = medianOf(reps, [&] {
             std::vector<trace::Event> buf(mapped.largestBlockEvents());
             for (std::size_t b = 0; b < mapped.blockCount(); ++b) {
@@ -175,12 +220,14 @@ main()
     }
 
     report::TextTable table;
-    table.header({"Program", "Events", "B/event", "Decode MB/s",
+    table.header({"Program", "Events", "B/event", "Encode MB/s",
+                  "Decode MB/s",
                   "Loaded (ms)", "Skip (ms)", "Speedup", "Skipped",
                   "Identical"});
     for (const auto &r : rows) {
         table.row({r.program, std::to_string(r.events),
                    report::fmt(r.bytesPerEvent, 2),
+                   report::fmt(r.encodeMbps, 0),
                    report::fmt(r.decodeMbps, 0),
                    report::fmt(r.replayLoadedMs, 2),
                    report::fmt(r.replaySkipMs, 2),
@@ -212,13 +259,15 @@ main()
             json,
             "      {\"program\": \"%s\", \"events\": %zu, "
             "\"bytes\": %zu, \"bytes_per_event\": %.3f, "
+            "\"encode_ms\": %.3f, \"encode_mbps\": %.1f, "
             "\"decode_mbps\": %.1f, "
             "\"replay_loaded_ms\": %.3f, \"replay_skip_ms\": %.3f, "
             "\"skip_speedup\": %.3f, \"blocks\": %llu, "
             "\"blocks_skipped\": %llu, \"blocks_control_only\": %llu, "
             "\"writes_skipped\": %llu, \"identical\": %s}%s\n",
             r.program.c_str(), r.events, r.bytes, r.bytesPerEvent,
-            r.decodeMbps, r.replayLoadedMs, r.replaySkipMs, r.speedup,
+            r.encodeMs, r.encodeMbps, r.decodeMbps, r.replayLoadedMs,
+            r.replaySkipMs, r.speedup,
             (unsigned long long)r.blocks,
             (unsigned long long)r.blocksSkipped,
             (unsigned long long)r.blocksControlOnly,

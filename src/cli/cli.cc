@@ -194,11 +194,17 @@ cmdRecord(const std::string &workload, const std::string &path,
           std::ostream &out)
 {
     auto w = workload::makeWorkload(workload);
+    // Open before tracing, so a bad path fails at once. Blocks are
+    // encoded as they fill: the process holds the encoded file, not
+    // the events.
+    std::ofstream os = trace::openTraceFile(path);
+    trace::TraceWriter writer;
     std::uint64_t checksum = 0;
-    trace::Trace trace = workload::runTraced(*w, &checksum);
-    trace::saveTrace(trace, path);
+    const trace::Trace trace = workload::runTraced(*w, writer, &checksum);
+    writer.finish(trace, os);
+    trace::closeTraceFile(os, path);
     out << "recorded " << trace.totalWrites << " writes ("
-        << trace.events.size() << " events, "
+        << writer.eventCount() << " events, "
         << trace.registry.objectCount() << " objects) to " << path
         << "\nworkload checksum: " << checksum << "\n";
     return 0;

@@ -13,9 +13,12 @@
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <iterator>
+#include <memory>
 #include <new>
 #include <ostream>
 
@@ -23,6 +26,7 @@
 
 #include "obs/obs.h"
 #include "trace/v2_detail.h"
+#include "util/logging.h"
 
 namespace edb::trace {
 
@@ -58,200 +62,344 @@ parseError(const char *fmt, ...)
     throw TraceError(buf);
 }
 
-/**
- * Output wrapper counting every byte written, so the writer knows
- * the index offset for the footer without relying on tellp() (which
- * pipes and some string streams do not support).
- */
-struct CountedOut
+void
+putVarint(std::string &out, std::uint64_t v)
 {
-    std::ostream &os;
-    std::uint64_t n = 0;
+    unsigned char buf[10];
+    out.append((const char *)buf,
+               (std::size_t)(detail::putVarint(buf, v) - buf));
+}
 
-    void
-    byte(char c)
-    {
-        os.put(c);
-        ++n;
-    }
-
-    void
-    bytes(const char *p, std::size_t len)
-    {
-        os.write(p, (std::streamsize)len);
-        n += len;
-    }
-
-    void
-    varint(std::uint64_t v)
-    {
-        while (v >= 0x80) {
-            byte((char)((v & 0x7f) | 0x80));
-            v >>= 7;
-        }
-        byte((char)v);
-    }
-
-    void
-    str(const std::string &s)
-    {
-        varint(s.size());
-        bytes(s.data(), s.size());
-    }
-};
-
-/** Zig-zag encode a signed delta into an unsigned varint payload. */
-std::uint64_t
-zigzag(std::int64_t v)
+void
+putString(std::string &out, const std::string &s)
 {
-    return ((std::uint64_t)v << 1) ^ (std::uint64_t)(v >> 63);
+    putVarint(out, s.size());
+    out += s;
 }
 
 /** The string/object tables of the file header. */
 void
-writeHeaderTables(CountedOut &out, const Trace &trace)
+writeHeaderTables(std::string &out, const Trace &trace)
 {
-    out.str(trace.program);
+    putString(out, trace.program);
 
     // Function table.
-    out.varint(trace.registry.functionCount());
+    putVarint(out, trace.registry.functionCount());
     for (const auto &name : trace.registry.functions())
-        out.str(name);
+        putString(out, name);
 
     // Write-site table.
-    out.varint(trace.writeSites.size());
+    putVarint(out, trace.writeSites.size());
     for (const auto &site : trace.writeSites)
-        out.str(site);
+        putString(out, site);
 
     // Object table.
-    out.varint(trace.registry.objectCount());
+    putVarint(out, trace.registry.objectCount());
     for (const auto &obj : trace.registry.objects()) {
-        out.varint((std::uint64_t)obj.kind);
-        out.str(obj.name);
-        out.varint(obj.owner == invalidFunction
-                       ? 0
-                       : (std::uint64_t)obj.owner + 1);
-        out.varint(obj.size);
-        out.varint(obj.allocContext.size());
+        putVarint(out, (std::uint64_t)obj.kind);
+        putString(out, obj.name);
+        putVarint(out, obj.owner == invalidFunction
+                           ? 0
+                           : (std::uint64_t)obj.owner + 1);
+        putVarint(out, obj.size);
+        putVarint(out, obj.allocContext.size());
         for (FunctionId f : obj.allocContext)
-            out.varint(f);
+            putVarint(out, f);
     }
+}
+
+/**
+ * A growable byte buffer on malloc/realloc. glibc keeps a large buffer
+ * in its own mapping and grows it with mremap, so the encoded file is
+ * not copied, nor held twice, as it grows.
+ */
+class ByteBuffer
+{
+  public:
+    ByteBuffer() = default;
+    ByteBuffer(const ByteBuffer &) = delete;
+    ByteBuffer &operator=(const ByteBuffer &) = delete;
+    ~ByteBuffer() { std::free(data_); }
+
+    /** Room for `more` bytes past the end; returns the end. */
+    unsigned char *
+    reserveTail(std::size_t more)
+    {
+        if (more > cap_ - size_) {
+            const std::size_t cap =
+                std::max({size_ + more, 2 * cap_, std::size_t{1} << 16});
+            void *p = std::realloc(data_, cap);
+            if (p == nullptr)
+                throw std::bad_alloc();
+            data_ = (unsigned char *)p;
+            cap_ = cap;
+        }
+        return data_ + size_;
+    }
+
+    /** Mark the bytes up to `end` (from reserveTail) as written. */
+    void commit(unsigned char *end) { size_ = (std::size_t)(end - data_); }
+
+    const unsigned char *data() const { return data_; }
+    std::size_t size() const { return size_; }
+
+  private:
+    unsigned char *data_ = nullptr;
+    std::size_t size_ = 0;
+    std::size_t cap_ = 0;
+};
+
+/** Worst-case bytes of a block record's header: three varints, the
+ *  run count, maxSummaryRuns runs and the column sizes. */
+constexpr std::size_t blockHeaderBound =
+    10 * (4 + 2 * maxSummaryRuns + detail::colCount);
+
+} // namespace
+
+/**
+ * The block encoder behind TraceWriter. Every buffer is scratch reused
+ * across blocks and sized for the largest block seen, so steady-state
+ * encoding allocates nothing but the output's growth.
+ */
+struct TraceWriter::Encoder
+{
+    std::size_t blockEvents;
+    std::uint64_t events = 0;
+    bool finished = false;
+
+    /** The encoded block records, back to back. */
+    ByteBuffer blocks;
+    /** (record bytes, events, writes) per block, for the index. */
+    std::vector<std::array<std::uint64_t, 3>> index;
+    /** Appended events not yet filling a block. */
+    std::vector<Event> pending;
+
+    /** Events the scratch below is sized for. */
+    std::size_t scratchEvents = 0;
+    /** colCount columns of scratchEvents values each. */
+    std::unique_ptr<std::uint64_t[]> cols;
+    /** The block's RLE-encoded columns, back to back. */
+    std::unique_ptr<unsigned char[]> payload;
+    /** Page spans of the block's writes, repeats mostly dropped. */
+    std::unique_ptr<detail::PageSpan[]> spans;
+    std::vector<std::pair<Addr, std::size_t>> gaps;
+    util::SmallVec<PageRun, maxSummaryRuns> runs;
+
+    explicit Encoder(std::size_t block_events) : blockEvents(block_events)
+    {
+    }
+
+    void
+    reserveScratch(std::size_t n)
+    {
+        if (n <= scratchEvents)
+            return;
+        cols.reset(new std::uint64_t[detail::colCount * n]);
+        // A write fills 3 column values and a control 5, so the
+        // columns hold at most 5n values in all.
+        payload.reset(new unsigned char[detail::colCount *
+                                            detail::rleColumnBound(0) +
+                                        detail::rleColumnBound(5 * n)]);
+        spans.reset(new detail::PageSpan[n]);
+        scratchEvents = n;
+    }
+
+    void encodeBlock(const Event *ev, std::size_t n);
+};
+
+void
+TraceWriter::Encoder::encodeBlock(const Event *ev, std::size_t n)
+{
+    using detail::zigzagV2;
+    reserveScratch(n);
+    const std::size_t stride = scratchEvents;
+    std::uint64_t *col[detail::colCount];
+    for (int c = 0; c < detail::colCount; ++c)
+        col[c] = cols.get() + (std::size_t)c * stride;
+    std::uint64_t *const ctl_pos = col[detail::colCtlPos];
+    std::uint64_t *const ctl_kind = col[detail::colCtlKind];
+    std::uint64_t *const ctl_begin = col[detail::colCtlBegin];
+    std::uint64_t *const ctl_size = col[detail::colCtlSize];
+    std::uint64_t *const ctl_aux = col[detail::colCtlAux];
+    std::uint64_t *const wr_begin = col[detail::colWrBegin];
+    std::uint64_t *const wr_size = col[detail::colWrSize];
+    std::uint64_t *const wr_aux = col[detail::colWrAux];
+
+    // One pass splits the block into the two column groups
+    // (v2_detail.h) and collects the writes' page spans. Control
+    // events carry their in-block positions so the decoder can
+    // re-interleave, and each group runs its own begin predictor and
+    // aux delta chain. Writes cluster on a few pages at a time, so
+    // most repeat a span kept shortly before; a small direct-mapped
+    // filter of recent spans drops those repeats, which leaves the
+    // summary unchanged (it depends on the set of spans alone).
+    const Addr base = ev[0].begin;
+    detail::AddrPredictor ctl_pred(base);
+    detail::AddrPredictor wr_pred(base);
+    std::uint64_t prev_ctl_aux = 0;
+    std::uint64_t prev_wr_aux = 0;
+    std::uint64_t prev_pos = 0;
+    std::size_t writes = 0;
+    std::size_t controls = 0;
+    detail::PageSpan *const span_begin = spans.get();
+    detail::PageSpan *span_end = span_begin;
+    detail::PageSpan recent[16];
+    // first > last: matches no span.
+    std::fill(std::begin(recent), std::end(recent), detail::PageSpan{1, 0});
+    for (std::size_t i = 0; i < n; ++i) {
+        const Event &e = ev[i];
+        if (e.kind == EventKind::Write) {
+            wr_begin[writes] =
+                zigzagV2((std::int64_t)(e.begin - wr_pred.predict(e.aux)));
+            wr_pred.update(e.aux, e.begin);
+            wr_size[writes] = e.size;
+            wr_aux[writes] = zigzagV2((std::int64_t)(e.aux - prev_wr_aux));
+            prev_wr_aux = e.aux;
+            ++writes;
+            if (e.size != 0) {
+                const detail::PageSpan span{
+                    e.begin / summaryPageBytes,
+                    (e.begin + e.size - 1) / summaryPageBytes};
+                detail::PageSpan &seen =
+                    recent[span.first % std::size(recent)];
+                if (seen != span) {
+                    seen = span;
+                    *span_end++ = span;
+                }
+            }
+        } else {
+            ctl_pos[controls] = controls == 0 ? i : i - prev_pos;
+            prev_pos = i;
+            ctl_kind[controls] = (std::uint64_t)e.kind;
+            ctl_begin[controls] =
+                zigzagV2((std::int64_t)(e.begin - ctl_pred.predict(e.aux)));
+            ctl_pred.update(e.aux, e.begin);
+            ctl_size[controls] = e.size;
+            ctl_aux[controls] = zigzagV2((std::int64_t)(e.aux - prev_ctl_aux));
+            prev_ctl_aux = e.aux;
+            ++controls;
+        }
+    }
+    detail::summarizeSpans(span_begin, (std::size_t)(span_end - span_begin),
+                           gaps, runs);
+
+    std::size_t col_bytes[detail::colCount];
+    unsigned char *p = payload.get();
+    for (int c = 0; c < detail::colCount; ++c) {
+        const std::size_t count =
+            c < detail::colWrBegin ? controls : writes;
+        unsigned char *const start = p;
+        p = detail::rleEncodeColumn(col[c], count, p);
+        col_bytes[c] = (std::size_t)(p - start);
+    }
+    const std::size_t payload_bytes = (std::size_t)(p - payload.get());
+
+    unsigned char *const rec = blocks.reserveTail(blockHeaderBound +
+                                                  payload_bytes);
+    unsigned char *out = rec;
+    out = detail::putVarint(out, n);
+    out = detail::putVarint(out, writes);
+    out = detail::putVarint(out, base);
+    out = detail::putVarint(out, runs.size());
+    Addr prev_end = 0;
+    for (const PageRun &r : runs) {
+        out = detail::putVarint(out, r.firstPage - prev_end);
+        out = detail::putVarint(out, r.pages);
+        prev_end = r.firstPage + r.pages;
+    }
+    for (std::size_t b : col_bytes)
+        out = detail::putVarint(out, b);
+    std::memcpy(out, payload.get(), payload_bytes);
+    out += payload_bytes;
+    blocks.commit(out);
+    index.push_back({(std::uint64_t)(out - rec), n, writes});
+}
+
+TraceWriter::TraceWriter(const WriteOptions &options)
+    : enc_(std::make_unique<Encoder>(std::clamp<std::size_t>(
+          options.blockEvents, 1, maxBlockEvents)))
+{
+}
+
+TraceWriter::~TraceWriter() = default;
+
+std::size_t
+TraceWriter::blockEvents() const
+{
+    return enc_->blockEvents;
+}
+
+std::uint64_t
+TraceWriter::eventCount() const
+{
+    return enc_->events;
 }
 
 void
-writeContainer(const Trace &trace, std::ostream &os,
-               std::size_t block_events)
+TraceWriter::append(const Event *events, std::size_t n)
 {
-    CountedOut out{os};
-    out.bytes(magic, sizeof(magic));
-    writeHeaderTables(out, trace);
-    out.varint(trace.events.size());
-    out.varint(block_events);
+    Encoder &e = *enc_;
+    EDB_ASSERT(!e.finished, "TraceWriter::append after finish");
+    e.events += n;
+    if (!e.pending.empty()) {
+        const std::size_t take =
+            std::min(n, e.blockEvents - e.pending.size());
+        e.pending.insert(e.pending.end(), events, events + take);
+        events += take;
+        n -= take;
+        if (e.pending.size() < e.blockEvents)
+            return;
+        e.encodeBlock(e.pending.data(), e.pending.size());
+        e.pending.clear();
+    }
+    // Whole blocks encode straight from the caller's events.
+    for (; n >= e.blockEvents; events += e.blockEvents, n -= e.blockEvents)
+        e.encodeBlock(events, e.blockEvents);
+    e.pending.insert(e.pending.end(), events, events + n);
+}
 
-    // (record bytes, events, writes) per block, for the index.
-    std::vector<std::array<std::uint64_t, 3>> index;
-    std::vector<std::uint64_t> colv[detail::colCount];
-    std::string cols[detail::colCount];
-    std::string rec;
-    util::SmallVec<PageRun, maxSummaryRuns> runs;
-
-    for (std::size_t pos = 0; pos < trace.events.size();
-         pos += block_events) {
-        const std::size_t n =
-            std::min(block_events, trace.events.size() - pos);
-        const Event *ev = trace.events.data() + pos;
-
-        std::uint64_t writes = 0;
-        for (std::size_t i = 0; i < n; ++i)
-            writes += ev[i].kind == EventKind::Write;
-        const Addr base = ev[0].begin;
-        detail::summarizeWrites(ev, n, runs);
-
-        // Split the block into the two column groups (v2_detail.h):
-        // control events carry their in-block positions so the
-        // decoder can re-interleave, and each group runs its own
-        // begin predictor and aux delta chain.
-        for (auto &c : colv)
-            c.clear();
-        detail::AddrPredictor ctl_pred(base);
-        detail::AddrPredictor wr_pred(base);
-        std::uint64_t prev_ctl_aux = 0;
-        std::uint64_t prev_wr_aux = 0;
-        std::uint64_t prev_pos = 0;
-        bool first_ctl = true;
-        for (std::size_t i = 0; i < n; ++i) {
-            const Event &e = ev[i];
-            if (e.kind == EventKind::Write) {
-                colv[detail::colWrBegin].push_back(zigzag(
-                    (std::int64_t)(e.begin -
-                                   wr_pred.predict(e.aux))));
-                wr_pred.update(e.aux, e.begin);
-                colv[detail::colWrSize].push_back(e.size);
-                colv[detail::colWrAux].push_back(zigzag(
-                    (std::int64_t)(e.aux - prev_wr_aux)));
-                prev_wr_aux = e.aux;
-            } else {
-                colv[detail::colCtlPos].push_back(
-                    first_ctl ? i : i - prev_pos);
-                first_ctl = false;
-                prev_pos = i;
-                colv[detail::colCtlKind].push_back(
-                    (std::uint64_t)e.kind);
-                colv[detail::colCtlBegin].push_back(zigzag(
-                    (std::int64_t)(e.begin -
-                                   ctl_pred.predict(e.aux))));
-                ctl_pred.update(e.aux, e.begin);
-                colv[detail::colCtlSize].push_back(e.size);
-                colv[detail::colCtlAux].push_back(zigzag(
-                    (std::int64_t)(e.aux - prev_ctl_aux)));
-                prev_ctl_aux = e.aux;
-            }
-        }
-        for (int c = 0; c < detail::colCount; ++c) {
-            cols[c].clear();
-            detail::rleEncodeColumn(colv[c].data(), colv[c].size(),
-                                    cols[c]);
-        }
-
-        rec.clear();
-        detail::bufVarint(rec, n);
-        detail::bufVarint(rec, writes);
-        detail::bufVarint(rec, base);
-        detail::bufVarint(rec, runs.size());
-        Addr prev_end = 0;
-        for (const PageRun &r : runs) {
-            detail::bufVarint(rec, r.firstPage - prev_end);
-            detail::bufVarint(rec, r.pages);
-            prev_end = r.firstPage + r.pages;
-        }
-        for (int c = 0; c < detail::colCount; ++c)
-            detail::bufVarint(rec, cols[c].size());
-        for (int c = 0; c < detail::colCount; ++c)
-            rec += cols[c];
-
-        out.bytes(rec.data(), rec.size());
-        index.push_back({rec.size(), n, writes});
+void
+TraceWriter::finish(const Trace &header, std::ostream &os)
+{
+    Encoder &e = *enc_;
+    EDB_ASSERT(!e.finished, "TraceWriter::finish called twice");
+    e.finished = true;
+    if (!e.pending.empty()) {
+        e.encodeBlock(e.pending.data(), e.pending.size());
+        e.pending = {};
     }
 
-    const std::uint64_t index_off = out.n;
-    out.varint(index.size());
-    for (const auto &e : index) {
-        out.varint(e[0]);
-        out.varint(e[1]);
-        out.varint(e[2]);
-    }
-    out.varint(trace.totalWrites);
-    out.varint(trace.estimatedInstructions);
+    std::string head(magic, sizeof(magic));
+    writeHeaderTables(head, header);
+    putVarint(head, e.events);
+    putVarint(head, e.blockEvents);
+    const std::uint64_t index_off = head.size() + e.blocks.size();
 
-    char foot[detail::footerBytes];
+    // The block index, the trailer and the footer follow the blocks
+    // in the same buffer.
+    unsigned char *out = e.blocks.reserveTail(
+        10 * (3 + 3 * e.index.size()) + detail::footerBytes);
+    out = detail::putVarint(out, e.index.size());
+    for (const auto &entry : e.index) {
+        for (std::uint64_t v : entry)
+            out = detail::putVarint(out, v);
+    }
+    out = detail::putVarint(out, header.totalWrites);
+    out = detail::putVarint(out, header.estimatedInstructions);
     for (int i = 0; i < 8; ++i)
-        foot[i] = (char)((index_off >> (8 * i)) & 0xff);
-    std::memcpy(foot + 8, detail::footerMagic,
-                sizeof(detail::footerMagic));
-    out.bytes(foot, sizeof(foot));
+        *out++ = (unsigned char)((index_off >> (8 * i)) & 0xff);
+    std::memcpy(out, detail::footerMagic, sizeof(detail::footerMagic));
+    out += sizeof(detail::footerMagic);
+    e.blocks.commit(out);
+
+    os.write(head.data(), (std::streamsize)head.size());
+    os.write((const char *)e.blocks.data(),
+             (std::streamsize)e.blocks.size());
     if (!os)
         throw TraceError("I/O error while writing trace");
 }
+
+namespace {
 
 std::string
 spanString(detail::SpanIn &in)
@@ -452,9 +600,9 @@ void
 writeTrace(const Trace &trace, std::ostream &os,
            const WriteOptions &options)
 {
-    const std::size_t block_events = std::clamp<std::size_t>(
-        options.blockEvents, 1, maxBlockEvents);
-    writeContainer(trace, os, block_events);
+    TraceWriter writer(options);
+    writer.append(trace.events.data(), trace.events.size());
+    writer.finish(trace, os);
 }
 
 Trace
@@ -463,14 +611,31 @@ readTrace(std::istream &is)
     return materialize(MappedTrace(readAll(is, "trace stream")));
 }
 
+std::ofstream
+openTraceFile(const std::string &path)
+{
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    if (!os)
+        parseError("cannot open '%s' for writing", path.c_str());
+    return os;
+}
+
+void
+closeTraceFile(std::ofstream &os, const std::string &path)
+{
+    os.flush();
+    os.close();
+    if (!os)
+        parseError("I/O error while writing '%s'", path.c_str());
+}
+
 void
 saveTrace(const Trace &trace, const std::string &path,
           const WriteOptions &options)
 {
-    std::ofstream os(path, std::ios::binary);
-    if (!os)
-        parseError("cannot open '%s' for writing", path.c_str());
+    std::ofstream os = openTraceFile(path);
     writeTrace(trace, os, options);
+    closeTraceFile(os, path);
 }
 
 Trace

@@ -103,13 +103,64 @@ struct WriteOptions
     std::size_t blockEvents = defaultBlockEvents;
 };
 
+/**
+ * The one trace encoder (DESIGN.md §17). Events are appended in
+ * stream order, in slices of any size; each time a block fills it is
+ * encoded into one growing byte buffer and its events are dropped, so
+ * the writer holds the encoded blocks (2-3 B per event), never the
+ * events. finish() encodes the last, partial block and writes the
+ * header tables, the blocks, the block index and the footer. The
+ * bytes depend only on the events and the block size, never on how
+ * the events were sliced: writeTrace is one append and one finish.
+ */
+class TraceWriter
+{
+  public:
+    explicit TraceWriter(const WriteOptions &options = {});
+    ~TraceWriter();
+
+    TraceWriter(const TraceWriter &) = delete;
+    TraceWriter &operator=(const TraceWriter &) = delete;
+
+    /** Append events[0 .. n) to the stream. */
+    void append(const Event *events, std::size_t n);
+
+    /** Events per block, after clamping. */
+    std::size_t blockEvents() const;
+
+    /** Events appended so far. */
+    std::uint64_t eventCount() const;
+
+    /**
+     * Write the whole file to `os`. The header tables and trailer
+     * come from `header`'s program, registry, write sites,
+     * totalWrites and estimatedInstructions; its events are not
+     * read — the appended ones are the stream. Call at most once.
+     * Throws TraceError on I/O error.
+     */
+    void finish(const Trace &header, std::ostream &os);
+
+  private:
+    struct Encoder;
+    std::unique_ptr<Encoder> enc_;
+};
+
 /** Serialize a trace to a stream. Throws TraceError on I/O error. */
 void writeTrace(const Trace &trace, std::ostream &os,
                 const WriteOptions &options = {});
 
-/** Serialize a trace to a file. Throws TraceError on I/O error. */
+/** Serialize a trace to a file. Throws TraceError on I/O error,
+ *  including a failure of the final flush or close. */
 void saveTrace(const Trace &trace, const std::string &path,
                const WriteOptions &options = {});
+
+/** Create or truncate `path` for writing a trace. Throws TraceError
+ *  ("cannot open '<path>' for writing") when it cannot. */
+std::ofstream openTraceFile(const std::string &path);
+
+/** Flush and close a stream from openTraceFile. Throws TraceError
+ *  when either fails: a full disk often surfaces only here. */
+void closeTraceFile(std::ofstream &os, const std::string &path);
 
 /**
  * Deserialize a whole trace from a stream, which must hold exactly

@@ -7,8 +7,43 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <new>
+
+#include <sys/mman.h>
+
+#include "trace/trace_io.h"
 
 namespace edb::trace {
+
+namespace {
+
+/** The transparent huge page size of x86-64, and of arm64 with 4 KiB
+ *  base pages. */
+constexpr std::uintptr_t hugePageBytes = std::uintptr_t{2} << 20;
+
+/**
+ * Ask for transparent huge pages over the whole huge pages inside
+ * [p, p + bytes). Both callers write their buffer in full at once, so
+ * a huge page costs no extra memory and one fault instead of 512; the
+ * kernel zeroes the memory either way. A no-op where THP is off.
+ */
+void
+adviseHugePages(void *p, std::size_t bytes)
+{
+#ifdef MADV_HUGEPAGE
+    const auto begin =
+        ((std::uintptr_t)p + hugePageBytes - 1) & ~(hugePageBytes - 1);
+    const auto end = ((std::uintptr_t)p + bytes) & ~(hugePageBytes - 1);
+    if (end > begin)
+        madvise((void *)begin, end - begin, MADV_HUGEPAGE);
+#else
+    (void)p;
+    (void)bytes;
+#endif
+}
+
+} // namespace
 
 Tracer::Tracer(std::string program, bool enabled)
     : program_(std::move(program)), enabled_(enabled)
@@ -17,18 +52,85 @@ Tracer::Tracer(std::string program, bool enabled)
     frames_.reserve(64);
 }
 
+Tracer::Tracer(std::string program, TraceWriter &writer)
+    : Tracer(std::move(program), true)
+{
+    writer_ = &writer;
+    block_.reset(new Event[writer.blockEvents()]);
+    next_ = block_.get();
+    end_ = next_ + writer.blockEvents();
+}
+
+Tracer::~Tracer()
+{
+    // Only an unfinished Tracer still holds chunks.
+    for (Event *chunk : chunks_) {
+        if (chunk != nullptr)
+            munmap(chunk, chunkBytes);
+    }
+}
+
+void
+Tracer::spill()
+{
+    if (writer_ != nullptr) {
+        writer_->append(block_.get(), (std::size_t)(next_ - block_.get()));
+        next_ = block_.get();
+        return;
+    }
+    // Chunks are mapped directly rather than malloc'd: once one freed
+    // chunk raised glibc's mmap threshold, malloc would carve the
+    // rest from its heap, which keeps memory freed below its top.
+    // Recent kernels place a mapping of whole huge pages on a huge
+    // page boundary; elsewhere the advice finds no huge page to use.
+    chunks_.push_back(nullptr);
+    void *p = mmap(nullptr, chunkBytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) {
+        chunks_.pop_back();
+        throw std::bad_alloc();
+    }
+    adviseHugePages(p, chunkBytes);
+    chunks_.back() = (Event *)p;
+    next_ = (Event *)p;
+    end_ = next_ + chunkEvents;
+}
+
+void
+Tracer::drain()
+{
+    if (writer_ != nullptr) {
+        writer_->append(block_.get(), (std::size_t)(next_ - block_.get()));
+        block_.reset();
+    } else if (!chunks_.empty()) {
+        const std::size_t last = (std::size_t)(next_ - chunks_.back());
+        trace_.events.reserve((chunks_.size() - 1) * chunkEvents + last);
+        adviseHugePages(trace_.events.data(),
+                        trace_.events.capacity() * sizeof(Event));
+        for (std::size_t k = 0; k < chunks_.size(); ++k) {
+            Event *chunk = chunks_[k];
+            const std::size_t n = k + 1 < chunks_.size() ? chunkEvents : last;
+            trace_.events.insert(trace_.events.end(), chunk, chunk + n);
+            munmap(chunk, chunkBytes);
+            chunks_[k] = nullptr;
+        }
+        chunks_.clear();
+    }
+    next_ = end_ = nullptr;
+}
+
 void
 Tracer::emitInstall(const Placement &p)
 {
     if (enabled_)
-        trace_.events.push_back(Event::install(p.object, p.range()));
+        record(Event::install(p.object, p.range()));
 }
 
 void
 Tracer::emitRemove(const Placement &p)
 {
     if (enabled_)
-        trace_.events.push_back(Event::remove(p.object, p.range()));
+        record(Event::remove(p.object, p.range()));
 }
 
 FunctionId
@@ -190,6 +292,7 @@ Tracer::finish()
     }
     static_objects_.clear();
 
+    drain();
     trace_.totalWrites = total_writes_;
     trace_.estimatedInstructions = (std::uint64_t)std::llround(
         (double)total_writes_ / writeInstructionFraction);

@@ -18,11 +18,19 @@
  * A Tracer can run disabled, in which case it still lays out objects
  * (so workload logic is identical) but records no events; that mode is
  * used to time the base (untraced) program.
+ *
+ * Events are recorded a block at a time (DESIGN.md §17). With a
+ * TraceWriter attached, each full block goes to the writer, which
+ * encodes it and drops it, so recording holds the encoded file rather
+ * than the events. Without one, events fill fixed-size chunks, each
+ * its own mapping, and finish() copies them into one exact-size
+ * vector, returning each chunk to the OS as soon as it is copied.
  */
 
 #ifndef EDB_TRACE_TRACER_H
 #define EDB_TRACE_TRACER_H
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -32,6 +40,8 @@
 #include "trace/vaspace.h"
 
 namespace edb::trace {
+
+class TraceWriter;
 
 /**
  * Builds a Trace from instrumentation callbacks.
@@ -55,6 +65,19 @@ class Tracer
      *                 measurement mode); layout still happens.
      */
     explicit Tracer(std::string program, bool enabled = true);
+
+    /**
+     * Record into `writer`, which must outlive the Tracer: full blocks
+     * are handed over as they fill. finish() hands over the rest and
+     * returns the trace without events; the caller completes the file
+     * with writer.finish().
+     */
+    Tracer(std::string program, TraceWriter &writer);
+
+    ~Tracer();
+
+    Tracer(const Tracer &) = delete;
+    Tracer &operator=(const Tracer &) = delete;
 
     /** @name Function boundaries */
     /// @{
@@ -88,17 +111,16 @@ class Tracer
     write(Addr addr, Addr size, std::uint32_t site)
     {
         ++total_writes_;
-        if (enabled_) {
-            trace_.events.push_back(
-                Event::write(AddrRange(addr, addr + size), site));
-        }
+        if (enabled_)
+            record(Event::write(AddrRange(addr, addr + size), site));
     }
     /// @}
 
     /**
      * Close all remaining object lifetimes (globals, statics, leaked
-     * heap objects, any open frames) and return the finished trace.
-     * The Tracer must not be used afterwards.
+     * heap objects, any open frames) and return the finished trace,
+     * whose events vector has capacity equal to its size (empty with
+     * a writer attached). The Tracer must not be used afterwards.
      */
     Trace finish();
 
@@ -125,12 +147,39 @@ class Tracer
         std::vector<Placement> locals;
     };
 
+    /** The chunks of a Tracer without a writer: one huge page each. */
+    static constexpr std::size_t chunkBytes = std::size_t{2} << 20;
+    static constexpr std::size_t chunkEvents = chunkBytes / sizeof(Event);
+
     void emitInstall(const Placement &p);
     void emitRemove(const Placement &p);
+
+    void
+    record(const Event &e)
+    {
+        if (next_ == end_)
+            spill();
+        *next_++ = e;
+    }
+
+    /** The current buffer is full (or none exists yet): hand the
+     *  block to the writer, or start a new chunk. */
+    void spill();
+    /** Hand the partial block to the writer, or move the chunks into
+     *  trace_.events. */
+    void drain();
 
     std::string program_;
     bool enabled_;
     Trace trace_;
+    TraceWriter *writer_ = nullptr;
+    /** With a writer: the block being filled. */
+    std::unique_ptr<Event[]> block_;
+    /** Without one: the chunks filled so far, the last one current. */
+    std::vector<Event *> chunks_;
+    /** Free slots of the current buffer. */
+    Event *next_ = nullptr;
+    Event *end_ = nullptr;
     VirtualAddressSpace vaspace_;
     std::vector<Frame> frames_;
     /** Objects installed for the whole run: globals + local statics. */

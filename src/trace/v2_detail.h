@@ -321,6 +321,16 @@ struct BlockHeader
     }
 };
 
+/** Worst-case encoded bytes of a column of n values: a literal costs
+ *  at most 10 bytes plus its share of a group header, a run of 4+
+ *  values at most 20 bytes. The writer sizes its scratch by it and the
+ *  reader caps a block's column sizes with it. */
+inline std::size_t
+rleColumnBound(std::size_t n)
+{
+    return 16 + 11 * n;
+}
+
 /**
  * Parse and validate one block header; remaining_events bounds the
  * declared event count against the file header's total.
@@ -364,9 +374,8 @@ parseBlockHeader(SpanIn &src, std::uint64_t remaining_events)
         prev_end = first + pages;
     }
 
-    // Bound each column before anything is allocated from it: a
-    // varint value can take at most 10 bytes, plus control overhead.
-    const std::uint64_t col_cap = 16 + 11 * h.events;
+    // Bound each column before anything is allocated from it.
+    const std::uint64_t col_cap = rleColumnBound(h.events);
     for (int c = 0; c < colCount; ++c) {
         h.colBytes[c] = src.varint();
         if (h.colBytes[c] > col_cap) {
@@ -617,137 +626,129 @@ void decodeBlockBatchBody(const BlockHeader &h,
  */
 void scatterBatch(const WriteBatch &wb, Event *out);
 
-/** Append v to buf as a LEB128 varint. */
-inline void
-bufVarint(std::string &buf, std::uint64_t v)
+/** Write v at p as a LEB128 varint; returns the byte after it. The
+ *  caller guarantees room for 10 bytes. */
+inline unsigned char *
+putVarint(unsigned char *p, std::uint64_t v)
 {
     while (v >= 0x80) {
-        buf.push_back((char)((v & 0x7f) | 0x80));
+        *p++ = (unsigned char)(v | 0x80);
         v >>= 7;
     }
-    buf.push_back((char)v);
+    *p++ = (unsigned char)v;
+    return p;
 }
 
-/** Encode one column with the run/literal hybrid scheme. */
-inline void
+/** Encode one column with the run/literal hybrid scheme at out, which
+ *  must hold rleColumnBound(n) bytes; returns the end of the column. */
+inline unsigned char *
 rleEncodeColumn(const std::uint64_t *vals, std::size_t n,
-                std::string &out)
+                unsigned char *out)
 {
     // A run group costs 2+ bytes regardless of length; below 4 equal
     // values it is not clearly cheaper than literals and fragments
     // the literal groups around it.
     constexpr std::size_t runThreshold = 4;
+    static_assert(runThreshold == 4, "the run test below compares 4");
     constexpr std::size_t literalGroupCap = std::size_t{1} << 15;
 
-    std::size_t lit_start = 0;
-    auto flushLiterals = [&](std::size_t end_idx) {
-        std::size_t k = lit_start;
+    const auto flushLiterals = [&](std::size_t k, std::size_t end_idx) {
         while (k < end_idx) {
-            const std::size_t cnt =
-                std::min(end_idx - k, literalGroupCap);
-            bufVarint(out, ((std::uint64_t)cnt << 1) | 1);
-            for (std::size_t j = 0; j < cnt; ++j)
-                bufVarint(out, vals[k + j]);
+            const std::size_t cnt = std::min(end_idx - k, literalGroupCap);
+            out = putVarint(out, ((std::uint64_t)cnt << 1) | 1);
+            for (const std::uint64_t *v = vals + k; v != vals + k + cnt; ++v)
+                out = putVarint(out, *v);
             k += cnt;
         }
-        lit_start = end_idx;
     };
 
+    // A run of runThreshold or more can only start where the maximal
+    // run of equal values does, so stepping one value at a time finds
+    // the same runs as stepping run by run, with one well-predicted
+    // compare per literal.
+    std::size_t lit_start = 0;
     std::size_t i = 0;
-    while (i < n) {
-        std::size_t j = i + 1;
-        while (j < n && vals[j] == vals[i])
-            ++j;
-        if (j - i >= runThreshold) {
-            flushLiterals(i);
-            bufVarint(out, (std::uint64_t)(j - i) << 1);
-            bufVarint(out, vals[i]);
-            lit_start = j;
+    while (i + runThreshold <= n) {
+        const std::uint64_t x = vals[i];
+        if (vals[i + 1] != x || vals[i + 2] != x || vals[i + 3] != x) {
+            ++i;
+            continue;
         }
-        i = j;
+        std::size_t j = i + runThreshold;
+        while (j < n && vals[j] == x)
+            ++j;
+        flushLiterals(lit_start, i);
+        out = putVarint(out, (std::uint64_t)(j - i) << 1);
+        out = putVarint(out, x);
+        lit_start = i = j;
     }
-    flushLiterals(n);
+    flushLiterals(lit_start, n);
+    return out;
 }
 
+/** An inclusive [first, last] span of summary pages. */
+using PageSpan = std::pair<Addr, Addr>;
+
 /**
- * Build a block's summary: the runs of summary pages its write events
- * touch, coalesced, and — when more than maxSummaryRuns survive —
- * merged across the smallest gaps until they fit. Merging only ever
- * widens the summary, so the skip test stays sound (DESIGN.md §11).
+ * Turn the page spans of a block's writes into its summary: the runs
+ * of summary pages they touch, coalesced, and — when more than
+ * maxSummaryRuns survive — merged across the smallest gaps until they
+ * fit. Merging only ever widens the summary, so the skip test stays
+ * sound (DESIGN.md §11). The runs depend on the set of spans alone,
+ * so the caller may drop any repeated span. Sorts and overwrites
+ * spans[0 .. n); `gaps` is scratch reused across blocks.
  */
 inline void
-summarizeWrites(const Event *events, std::size_t n,
-                util::SmallVec<PageRun, maxSummaryRuns> &out)
+summarizeSpans(PageSpan *spans, std::size_t n,
+               std::vector<std::pair<Addr, std::size_t>> &gaps,
+               util::SmallVec<PageRun, maxSummaryRuns> &out)
 {
     out.clear();
-    // [first, last] inclusive. Writes cluster on a few pages at a
-    // time, so most repeat a span pushed shortly before; a small
-    // direct-mapped filter of recent spans drops those repeats. The
-    // sort and merge below then see the same set of spans, so the runs
-    // do not change, but they sort a few spans per page touched
-    // instead of one per write.
-    std::vector<std::pair<Addr, Addr>> spans;
-    std::pair<Addr, Addr> recent[16];
-    // first > last: matches no span.
-    std::fill(std::begin(recent), std::end(recent),
-              std::pair<Addr, Addr>{1, 0});
-    for (std::size_t i = 0; i < n; ++i) {
-        if (events[i].kind != EventKind::Write || events[i].size == 0)
-            continue;
-        const auto span = pageSpan(events[i].range(), summaryPageBytes);
-        auto &seen = recent[span.first % std::size(recent)];
-        if (seen != span) {
-            seen = span;
-            spans.push_back(span);
-        }
-    }
-    if (spans.empty())
+    if (n == 0)
         return;
-    std::sort(spans.begin(), spans.end());
+    std::sort(spans, spans + n);
 
-    std::vector<std::pair<Addr, Addr>> merged;
-    for (const auto &s : spans) {
-        if (!merged.empty() && s.first <= merged.back().second + 1) {
-            merged.back().second =
-                std::max(merged.back().second, s.second);
+    // Coalesce in place: spans[0 .. m) become the maximal runs.
+    std::size_t m = 1;
+    for (std::size_t i = 1; i < n; ++i) {
+        if (spans[i].first <= spans[m - 1].second + 1) {
+            spans[m - 1].second =
+                std::max(spans[m - 1].second, spans[i].second);
         } else {
-            merged.push_back(s);
+            spans[m++] = spans[i];
         }
     }
 
-    if (merged.size() > maxSummaryRuns) {
-        // Keep the maxSummaryRuns - 1 widest gaps as separators.
-        std::vector<std::pair<Addr, std::size_t>> gaps;
-        gaps.reserve(merged.size() - 1);
-        for (std::size_t i = 0; i + 1 < merged.size(); ++i) {
-            gaps.emplace_back(
-                merged[i + 1].first - merged[i].second - 1, i);
+    if (m <= maxSummaryRuns) {
+        for (std::size_t i = 0; i < m; ++i) {
+            out.push_back(PageRun{spans[i].first,
+                                  spans[i].second - spans[i].first + 1});
         }
-        std::sort(gaps.begin(), gaps.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.first > b.first ||
-                             (a.first == b.first && a.second < b.second);
-                  });
-        std::vector<char> separator(merged.size(), 0);
-        for (std::size_t k = 0; k < maxSummaryRuns - 1; ++k)
-            separator[gaps[k].second] = 1;
-
-        std::vector<std::pair<Addr, Addr>> fitted;
-        std::pair<Addr, Addr> cur = merged[0];
-        for (std::size_t i = 0; i + 1 < merged.size(); ++i) {
-            if (separator[i]) {
-                fitted.push_back(cur);
-                cur = merged[i + 1];
-            } else {
-                cur.second = merged[i + 1].second;
-            }
-        }
-        fitted.push_back(cur);
-        merged.swap(fitted);
+        return;
     }
 
-    for (const auto &m : merged)
-        out.push_back(PageRun{m.first, m.second - m.first + 1});
+    // Keep the maxSummaryRuns - 1 widest gaps as separators; among
+    // equal gaps the earlier one wins.
+    gaps.clear();
+    for (std::size_t i = 0; i + 1 < m; ++i)
+        gaps.emplace_back(spans[i + 1].first - spans[i].second - 1, i);
+    const auto wider = [](const auto &a, const auto &b) {
+        return a.first > b.first || (a.first == b.first && a.second < b.second);
+    };
+    constexpr std::size_t keep = maxSummaryRuns - 1;
+    std::partial_sort(gaps.begin(), gaps.begin() + keep, gaps.end(),
+                      wider);
+    std::size_t cut[keep];
+    for (std::size_t k = 0; k < keep; ++k)
+        cut[k] = gaps[k].second;
+    std::sort(cut, cut + keep);
+
+    Addr first = spans[0].first;
+    for (std::size_t k = 0; k < keep; ++k) {
+        out.push_back(PageRun{first, spans[cut[k]].second - first + 1});
+        first = spans[cut[k] + 1].first;
+    }
+    out.push_back(PageRun{first, spans[m - 1].second - first + 1});
 }
 
 } // namespace edb::trace::detail

@@ -54,10 +54,11 @@ makeAllWorkloads()
     return all;
 }
 
+namespace {
+
 trace::Trace
-runTraced(const Workload &w, std::uint64_t *checksum)
+runWith(const Workload &w, trace::Tracer &tracer, std::uint64_t *checksum)
 {
-    trace::Tracer tracer(w.name(), /*enabled=*/true);
     std::uint64_t sum = w.run(tracer);
     if (checksum)
         *checksum = sum;
@@ -67,6 +68,23 @@ runTraced(const Workload &w, std::uint64_t *checksum)
     trace.estimatedInstructions = (std::uint64_t)((double)
         trace.totalWrites / w.writeFraction());
     return trace;
+}
+
+} // namespace
+
+trace::Trace
+runTraced(const Workload &w, std::uint64_t *checksum)
+{
+    trace::Tracer tracer(w.name(), /*enabled=*/true);
+    return runWith(w, tracer, checksum);
+}
+
+trace::Trace
+runTraced(const Workload &w, trace::TraceWriter &writer,
+          std::uint64_t *checksum)
+{
+    trace::Tracer tracer(w.name(), writer);
+    return runWith(w, tracer, checksum);
 }
 
 namespace {

@@ -88,6 +88,15 @@ trace::Trace runTraced(const Workload &w,
                        std::uint64_t *checksum = nullptr);
 
 /**
+ * Run a workload with tracing enabled, streaming its events into
+ * `writer` a block at a time. Returns the trace without events: pass
+ * it to writer.finish() to write the file runTraced + saveTrace
+ * would.
+ */
+trace::Trace runTraced(const Workload &w, trace::TraceWriter &writer,
+                       std::uint64_t *checksum = nullptr);
+
+/**
  * Wall-clock time of one untraced run, in microseconds — the "base
  * program execution time" denominator of Table 1/Section 8, measured
  * on the host.

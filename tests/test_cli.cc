@@ -11,7 +11,10 @@
 #include <memory>
 #include <sstream>
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "cli/cli.h"
@@ -19,6 +22,7 @@
 #include "served/server.h"
 #include "trace/index_format.h"
 #include "trace/trace_io.h"
+#include "workload/workload.h"
 
 namespace edb::cli {
 namespace {
@@ -631,6 +635,98 @@ TEST(CliUsage, MentionsEveryCommand)
           "--once", "--agg", "--format", "--help", "EDB_PROFILE"}) {
         EXPECT_NE(text.find(cmd), std::string::npos) << cmd;
     }
+}
+
+/** A temp trace path unique to this test process and `tag`. */
+std::string
+tempTracePath(const char *tag)
+{
+    return ::testing::TempDir() + "/edb_cli_" + tag + "." +
+           std::to_string(::getpid()) + ".trc";
+}
+
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(is)),
+                       std::istreambuf_iterator<char>());
+}
+
+TEST(CliRecord, BadOutputPathFailsWithoutAFile)
+{
+    const std::string path = "/no/such/dir/x.trc";
+    std::ostringstream out, err;
+    EXPECT_EQ(run({"record", "gcc", path}, out, err), 1);
+    EXPECT_NE(err.str().find("cannot open '" + path + "' for writing"),
+              std::string::npos)
+        << err.str();
+    EXPECT_EQ(out.str().find("recorded"), std::string::npos);
+    struct stat st;
+    EXPECT_NE(::stat(path.c_str(), &st), 0);
+}
+
+TEST(CliRecord, WritesWhatRunTracedAndSaveTraceWrite)
+{
+    // record streams blocks through TraceWriter; the file and the
+    // summary line must be those of the materialized path.
+    const std::string rec = tempTracePath("rec");
+    const std::string ref = tempTracePath("ref");
+    for (std::string_view name : workload::workloadNames()) {
+        SCOPED_TRACE(name);
+        std::ostringstream out;
+        ASSERT_EQ(cmdRecord(std::string(name), rec, out), 0);
+        std::uint64_t checksum = 0;
+        const trace::Trace t =
+            workload::runTraced(*workload::makeWorkload(name), &checksum);
+        trace::saveTrace(t, ref);
+        EXPECT_TRUE(fileBytes(rec) == fileBytes(ref));
+        std::ostringstream want;
+        want << "recorded " << t.totalWrites << " writes ("
+             << t.events.size() << " events, "
+             << t.registry.objectCount() << " objects) to " << rec
+             << "\nworkload checksum: " << checksum << "\n";
+        EXPECT_EQ(out.str(), want.str());
+    }
+    std::remove(rec.c_str());
+    std::remove(ref.c_str());
+}
+
+TEST(CliRecord, GccPeaksUnder30MiB)
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "sanitizer shadow memory inflates the peak";
+#endif
+    // A forked child starts with this process's resident pages, and
+    // its ru_maxrss keeps them past exec: measure only from a small
+    // process, as ctest's one-case-per-process runs are.
+    constexpr long limitKiB = 30 * 1024;
+    long pages = 0, resident = 0;
+    std::ifstream("/proc/self/statm") >> pages >> resident;
+    const long residentKiB = resident * (::sysconf(_SC_PAGESIZE) / 1024);
+    if (residentKiB > limitKiB / 2) {
+        GTEST_SKIP() << "this process already holds " << residentKiB
+                     << " KiB; run the case alone";
+    }
+
+    const std::string path = tempTracePath("rss");
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        const int null = ::open("/dev/null", O_WRONLY);
+        ::dup2(null, STDOUT_FILENO);
+        ::execl(EDB_TRACE_BIN, EDB_TRACE_BIN, "record", "gcc", path.c_str(),
+                (char *)nullptr);
+        ::_exit(127);
+    }
+    int status = 0;
+    struct rusage ru = {};
+    ASSERT_EQ(::wait4(pid, &status, 0, &ru), pid);
+    std::remove(path.c_str());
+    ASSERT_TRUE(WIFEXITED(status));
+    ASSERT_EQ(WEXITSTATUS(status), 0);
+    // Without streaming, the events alone are 87 MB.
+    EXPECT_LE(ru.ru_maxrss, limitKiB) << "KiB peak";
 }
 
 } // namespace

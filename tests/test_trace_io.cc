@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -22,6 +23,7 @@
 #include <unistd.h>
 
 #include "testing/random_trace.h"
+#include "trace/index_format.h"
 #include "trace/trace_io.h"
 #include "trace/tracer.h"
 #include "util/rng.h"
@@ -527,6 +529,41 @@ TEST_P(TraceIoWorkload, LoadTraceIsBitIdenticalInBothContainers)
     expectTracesEqual(loaded, original);
 }
 
+/** Length and xxh64 of each workload's encoding. The format is
+ *  frozen: a faster encoder must still write exactly these bytes. */
+struct PinnedEncoding
+{
+    std::string_view program;
+    std::size_t bytes;
+    std::uint64_t digest;
+};
+
+constexpr PinnedEncoding pinnedEncodings[] = {
+    {"gcc", 9463133, 0x22bf012cbb45f6cdull},
+    {"ctex", 2409485, 0x528bcc9b018c972cull},
+    {"spice", 3430416, 0xda32ad7c3c3006e7ull},
+    {"qcd", 6409973, 0x7657456ca190e863ull},
+    {"bps", 1299694, 0x079468981697e9e7ull},
+};
+
+TEST_P(TraceIoWorkload, EncodingIsPinnedAndEventsAreExact)
+{
+    auto w = workload::makeWorkload(GetParam());
+    const Trace t = workload::runTraced(*w);
+    // The Tracer copies its chunks into one exact-size vector.
+    EXPECT_EQ(t.events.capacity(), t.events.size());
+    const std::string bytes = encode(t);
+    for (const PinnedEncoding &pin : pinnedEncodings) {
+        if (pin.program != GetParam())
+            continue;
+        EXPECT_EQ(bytes.size(), pin.bytes);
+        EXPECT_EQ(xxh64((const unsigned char *)bytes.data(), bytes.size()),
+                  pin.digest);
+        return;
+    }
+    FAIL() << "no pinned encoding for " << GetParam();
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Workloads, TraceIoWorkload,
     ::testing::ValuesIn(workload::workloadNames()),
@@ -734,6 +771,78 @@ TEST(TraceIoAgreement, EveryReaderAcceptsAndRejectsTheSameInputs)
         }
     }
     EXPECT_GE(accepted, 5u);
+}
+
+/** `t` through one TraceWriter, its events appended in slices whose
+ *  sizes `next` draws. */
+template <typename Next>
+std::string
+encodeSliced(const Trace &t, const WriteOptions &opts, Next next)
+{
+    TraceWriter writer(opts);
+    for (std::size_t pos = 0; pos < t.events.size();) {
+        const std::size_t n = std::min(next(), t.events.size() - pos);
+        writer.append(t.events.data() + pos, n);
+        pos += n;
+    }
+    EXPECT_EQ(writer.eventCount(), t.events.size());
+    std::stringstream ss;
+    writer.finish(t, ss);
+    return ss.str();
+}
+
+TEST(TraceWriter, SlicedAppendsWriteTheBytesOfOneWholeAppend)
+{
+    std::vector<std::pair<std::string, Trace>> traces;
+    for (std::uint64_t seed : {1, 2, 3})
+        traces.emplace_back("random " + std::to_string(seed),
+                            randomTrace(seed, 400 * (int)seed));
+    traces.emplace_back("random large", randomTrace(77, 9000));
+    traces.emplace_back("empty", Trace{});
+    for (const char *name : {"mini_mixed", "mini_writes", "mini_straddle",
+                             "mini_ghost", "mini_scatter"}) {
+        traces.emplace_back(name, loadTrace(std::string(EDB_CORPUS_DIR) +
+                                            "/" + name + ".v2.trc"));
+    }
+    ASSERT_GT(traces[3].second.events.size(), 4097u);
+
+    for (const auto &[name, t] : traces) {
+        for (std::size_t block : {1, 3, 4096}) {
+            SCOPED_TRACE(name + " at " + std::to_string(block));
+            WriteOptions opts;
+            opts.blockEvents = block;
+            const std::string whole = encode(t, opts);
+            for (std::size_t k : {1, 7, 4095, 4097}) {
+                EXPECT_EQ(encodeSliced(t, opts, [k] { return k; }), whole)
+                    << "slices of " << k;
+            }
+            Rng rng(block);
+            EXPECT_EQ(encodeSliced(t, opts,
+                                   [&rng] {
+                                       // Empty appends included.
+                                       return (std::size_t)rng.below(
+                                           rng.below(4) == 0 ? 9000 : 9);
+                                   }),
+                      whole)
+                << "random slices";
+        }
+    }
+}
+
+TEST(TraceIoErrors, SaveReportsAFailedFinalFlush)
+{
+    // An empty trace fits the stream's buffer, so its bytes reach the
+    // device only on the final flush, which /dev/full fails (ENOSPC).
+    if (::access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "/dev/full is not available";
+    try {
+        saveTrace(Trace{}, "/dev/full");
+        FAIL() << "saveTrace to /dev/full returned normally";
+    } catch (const TraceError &e) {
+        EXPECT_NE(std::string(e.what()).find("/dev/full"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 } // namespace
