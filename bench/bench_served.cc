@@ -16,12 +16,6 @@
  *    a monitor spanning every write, subscribes, RUNs, drains the EVT
  *    stream and RESUMEs — the full streaming path under concurrency.
  *
- * The notify phase then repeats against a second daemon whose
- * telemetry sampler ticks every 100 ms (the primary runs sampler-off)
- * and reports the on/off ratio — the acceptance number for ISSUE 9's
- * "sampler adds <= 5% to the hot path"; the CI gate in
- * tools/perf_smoke_check.py holds the ratio under the 1.5x cliff.
- *
  * Correctness is checked in-binary, not just timed: every tenant's
  * streamed notification count must equal its hit count, the RESUME
  * batch must account for every hit, a per-session RUN must be
@@ -123,11 +117,8 @@ main(int argc, char **argv)
     // default per-monitor byte quota; the bench measures streaming,
     // not admission control.
     options.quotas.maxMonitorBytes = 1ull << 40;
-    // The primary measurement runs sampler-off; the sampler-overhead
-    // phase below re-runs notify with a 100 ms tick and reports the
-    // ratio. The bench's span-all RUNs legitimately take seconds, so
-    // the slow-request log would only add stderr noise to the timing.
-    options.metricsIntervalMs = 0;
+    // The bench's span-all RUNs legitimately take seconds, so the
+    // slow-request log would only add stderr noise to the timing.
     options.slowRequestMs = 0;
     served::Server server(options);
     server.start();
@@ -149,9 +140,7 @@ main(int argc, char **argv)
     // -- phase 2: install/notify round-trip over N tenants --------
     std::uint64_t notifications = 0;
     std::uint64_t shared_mappings = 0;
-    // One full notify round against `srv`; reused for the primary
-    // (sampler-off) measurement and the sampler-on overhead phase.
-    const auto notifyRound = [&](served::Server &srv) {
+    const double notify_ms = medianOf(reps, [&] {
         std::vector<std::thread> threads;
         std::atomic<std::uint64_t> streamed{0};
         std::atomic<std::uint64_t> mappings{~0ull};
@@ -161,7 +150,7 @@ main(int argc, char **argv)
             threads.emplace_back([&, i] {
                 try {
                     served::Client c;
-                    c.connect(srv.socketPath());
+                    c.connect(options.socketPath);
                     c.hello("tenant-" + std::to_string(i));
                     const served::OpenResult open =
                         c.openTrace(trace_path);
@@ -169,7 +158,7 @@ main(int argc, char **argv)
                     c.subscribe(true);
                     if (i == 0) {
                         mappings.store(
-                            srv.registry().traces().size());
+                            server.registry().traces().size());
                     }
                     const served::RunReply run = c.run(open.traceId);
                     if (run.hits != run.writes)
@@ -199,9 +188,7 @@ main(int argc, char **argv)
             ok = false;
         notifications = streamed.load();
         shared_mappings = mappings.load();
-    };
-    const double notify_ms =
-        medianOf(reps, [&] { notifyRound(server); });
+    });
     const double notify_per_sec = notifications / (notify_ms / 1000.0);
     if (shared_mappings != 1) {
         std::fprintf(stderr,
@@ -233,33 +220,14 @@ main(int argc, char **argv)
         c.bye();
     }
 
-    // -- phase 3: sampler overhead --------------------------------
-    // The identical notify round against a second daemon whose
-    // telemetry sampler ticks every 100 ms (10x the default rate).
-    // Under EDB_OBS=OFF the sampler is compiled away and the ratio
-    // just measures run-to-run noise.
-    const std::uint64_t off_notifications = notifications;
-    served::ServerOptions on_options = options;
-    on_options.socketPath = "/tmp/edb_bench_served." +
-                            std::to_string(::getpid()) + ".on.sock";
-    on_options.metricsIntervalMs = 100;
-    served::Server on_server(on_options);
-    on_server.start();
-    const double notify_on_ms =
-        medianOf(reps, [&] { notifyRound(on_server); });
-    on_server.stop();
-    const double sampler_ratio =
-        notify_ms > 0.0 ? notify_on_ms / notify_ms : 0.0;
-    notifications = off_notifications;
-
     server.stop();
     std::remove(trace_path.c_str());
 
     std::printf("bench_served: churn %.1f conns/s, notify %.0f "
                 "notifications/s over %d tenants (%llu streamed), "
-                "sampler@100ms ratio %.3fx, oracle %s\n",
+                "oracle %s\n",
                 conns_per_sec, notify_per_sec, kTenants,
-                (unsigned long long)notifications, sampler_ratio,
+                (unsigned long long)notifications,
                 ok ? "identical" : "DIVERGED");
 
     benchhygiene::BenchJsonWriter json("BENCH_served.json", "served",
@@ -275,17 +243,12 @@ main(int argc, char **argv)
                  "    \"tenants\": %d,\n"
                  "    \"notifications\": %llu,\n"
                  "    \"notify_ms_median\": %.3f,\n"
-                 "    \"notifications_per_sec\": %.1f,\n"
-                 "    \"sampler\": {\n"
-                 "      \"interval_ms\": 100,\n"
-                 "      \"notify_ms_median\": %.3f,\n"
-                 "      \"notify_ratio\": %.3f\n"
-                 "    }\n"
+                 "    \"notifications_per_sec\": %.1f\n"
                  "  }",
                  ok ? "true" : "false", kChurnCycles, churn_ms,
                  conns_per_sec, kTenants,
                  (unsigned long long)notifications, notify_ms,
-                 notify_per_sec, notify_on_ms, sampler_ratio);
+                 notify_per_sec);
     json.close();
     return ok ? 0 : 1;
 }

@@ -26,6 +26,7 @@
 #include "served/client.h"
 #include "session/session.h"
 #include "sim/parallel_sim.h"
+#include "telemetry/report.h"
 #include "trace/index_format.h"
 #include "trace/trace_io.h"
 #include "util/json.h"
@@ -45,6 +46,25 @@ selectedProfile()
         return calib::measureHostProfile();
     return model::sparcStation2();
 }
+
+#if EDB_OBS_ENABLED
+/** The root span name of `cmd`, "edb-trace.<cmd>" ("edb-trace" for
+ *  an unknown command). Spans keep the pointer, so it is a literal. */
+const char *
+rootSpanName(const std::string &cmd)
+{
+    static constexpr const char *names[] = {
+        "edb-trace.record",  "edb-trace.info",    "edb-trace.index",
+        "edb-trace.sessions", "edb-trace.analyze", "edb-trace.session",
+        "edb-trace.advise",  "edb-trace.query",   "edb-trace.connect",
+        "edb-trace.top"};
+    for (const char *name : names) {
+        if (cmd == name + std::strlen("edb-trace."))
+            return name;
+    }
+    return "edb-trace";
+}
+#endif
 
 /** Run the phase-2 simulator with the selected degree of parallelism. */
 sim::SimResult
@@ -123,12 +143,15 @@ usage()
            "  --interval MS      polling period (default 2000)\n"
            "  --count N          stop after N refreshes (default: "
            "until interrupted)\n"
-           "  --once             one sample, no screen clearing "
+           "  --once             one frame, no screen clearing "
            "(same as --count 1)\n"
            "  --format F         table|json (default table; json "
            "prints the daemon's\n"
-           "                     edb-metrics-v1 document verbatim, "
+           "                     edb-metrics-v2 document verbatim, "
            "one per poll)\n"
+           "                     table rates are the change between "
+           "two scrapes one\n"
+           "                     interval apart\n"
            "\n"
            "query options:\n"
            "  --kind K           install|remove|write (repeatable; "
@@ -337,6 +360,7 @@ cmdSessions(const std::string &path, std::size_t top,
     trace::Trace trace = trace::loadTrace(path);
     auto sessions = session::SessionSet::enumerate(trace);
     auto sim = simulateWithJobs(trace, sessions, jobs);
+    EDB_OBS_SPAN("report.print");
 
     std::vector<session::SessionId> ranked;
     for (session::SessionId id = 0; id < sessions.size(); ++id) {
@@ -370,6 +394,7 @@ cmdAnalyze(const std::string &path, std::ostream &out, unsigned jobs)
     auto profile = selectedProfile();
     report::ProgramStudy study =
         report::studyTrace(trace, profile, 0, jobs);
+    EDB_OBS_SPAN("report.print");
 
     out << "program " << study.program << ": "
         << study.activeSessions.size()
@@ -406,6 +431,7 @@ cmdSession(const std::string &path, const std::string &needle,
     auto profile = selectedProfile();
     report::ProgramStudy study =
         report::studyTrace(trace, profile, 0, jobs);
+    EDB_OBS_SPAN("report.print");
 
     session::SessionId chosen = 0xffffffff;
     for (session::SessionId id : study.activeSessions) {
@@ -454,6 +480,7 @@ cmdAdvise(const std::string &path, std::size_t top, std::ostream &out,
     auto profile = selectedProfile();
     report::ProgramStudy study =
         report::studyTrace(trace, profile, 0, jobs);
+    EDB_OBS_SPAN("report.print");
 
     out << "program " << study.program << ": "
         << study.activeSessions.size() << " active sessions, "
@@ -1138,22 +1165,27 @@ labelValue(const std::vector<obs::Label> &labels,
 
 /**
  * One `top` frame: per-tenant gauges + counter rates, then the
- * per-op request-latency quantiles. Counters show rates only while
- * the daemon's sampler is running (intervalMs > 0 with >= 2
- * samples); otherwise the rate columns read 0.0.
+ * per-op request-latency quantiles. A counter's rate is its change
+ * from `prev` to `cur` over the `dt_ns` between the two scrapes.
  */
 void
-renderTop(const served::MetricsReply &r, std::ostream &out)
+renderTop(const telemetry::Report &prev, const telemetry::Report &cur,
+          std::uint64_t dt_ns, std::ostream &out)
 {
-    out << "edb-served metrics: " << r.series.size() << " series, "
-        << r.hists.size() << " histogram(s)";
-    if (r.intervalMs != 0) {
-        out << ", sampler " << r.intervalMs << " ms ("
-            << r.samples << " sample(s))";
-    } else {
-        out << ", sampler off (rates unavailable)";
-    }
-    out << "\n\n";
+    out << "edb-served metrics: " << cur.series.size() << " series, "
+        << cur.hists.size() << " histogram(s), rates over "
+        << (dt_ns + 500'000) / 1'000'000 << " ms\n\n";
+
+    std::map<std::pair<std::string, std::vector<obs::Label>>,
+             std::int64_t>
+        before;
+    for (const telemetry::ReportSeries &s : prev.series)
+        before[{s.name, s.labels}] = s.value;
+    const auto rate = [&](const telemetry::ReportSeries &s) {
+        const auto it = before.find({s.name, s.labels});
+        const std::int64_t base = it == before.end() ? 0 : it->second;
+        return (double)(s.value - base) * 1e9 / (double)dt_ns;
+    };
 
     struct TenantRow
     {
@@ -1167,10 +1199,10 @@ renderTop(const served::MetricsReply &r, std::ostream &out)
     };
     std::map<std::string, TenantRow> tenants;
     std::map<std::string, double> op_rates;
-    for (const served::MetricsSeriesRow &s : r.series) {
+    for (const telemetry::ReportSeries &s : cur.series) {
         if (s.name == "served.requests") {
             if (const std::string *op = labelValue(s.labels, "op"))
-                op_rates[*op] = s.hasRate ? s.rate : 0.0;
+                op_rates[*op] = rate(s);
             continue;
         }
         const std::string *tenant = labelValue(s.labels, "tenant");
@@ -1184,13 +1216,13 @@ renderTop(const served::MetricsReply &r, std::ostream &out)
         else if (s.name == "served.open_traces")
             row.traces = s.value;
         else if (s.name == "served.runs")
-            row.runs = s.hasRate ? s.rate : 0.0;
+            row.runs = rate(s);
         else if (s.name == "served.queries")
-            row.queries = s.hasRate ? s.rate : 0.0;
+            row.queries = rate(s);
         else if (s.name == "served.notifications")
-            row.notifs = s.hasRate ? s.rate : 0.0;
+            row.notifs = rate(s);
         else if (s.name == "served.run_writes")
-            row.writes = s.hasRate ? s.rate : 0.0;
+            row.writes = rate(s);
     }
 
     report::TextTable tt;
@@ -1213,7 +1245,7 @@ renderTop(const served::MetricsReply &r, std::ostream &out)
     ot.header({"Op", "Req/s", "Count", "p50 (us)", "p95 (us)",
                "p99 (us)"});
     bool any_op = false;
-    for (const served::MetricsHistRow &h : r.hists) {
+    for (const telemetry::ReportHist &h : cur.hists) {
         if (h.name != "served.request_ns")
             continue;
         const std::string *op = labelValue(h.labels, "op");
@@ -1290,13 +1322,23 @@ cmdTop(const std::vector<std::string> &args, std::ostream &out,
 
     served::Client client;
     client.connect(socket_path);
+    // A table frame shows each counter's rate against the scrape one
+    // interval before it, so the first frame has a baseline scrape.
+    const bool table = format == "table";
+    using Clock = std::chrono::steady_clock;
+    telemetry::Report prev;
+    Clock::time_point prev_t;
+    if (table) {
+        prev = client.metricsReport();
+        prev_t = Clock::now();
+    }
     for (std::uint64_t iter = 0; count == 0 || iter < count;
          ++iter) {
-        if (iter > 0) {
+        if (iter > 0 || table) {
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(interval_ms));
         }
-        if (format == "json") {
+        if (!table) {
             const std::string doc =
                 client.metricsText(served::MetricsFormat::Json);
             out << doc;
@@ -1305,13 +1347,20 @@ cmdTop(const std::vector<std::string> &args, std::ostream &out,
             out.flush();
             continue;
         }
-        const served::MetricsReply r = client.metricsReport();
+        telemetry::Report cur = client.metricsReport();
+        const Clock::time_point t = Clock::now();
         // Only a refreshing display clears the screen; --once (and
         // --count 1) keeps the output pipeline-friendly.
         if (count != 1)
             out << "\x1b[2J\x1b[H";
-        renderTop(r, out);
+        renderTop(prev, cur,
+                  (std::uint64_t)std::chrono::duration_cast<
+                      std::chrono::nanoseconds>(t - prev_t)
+                      .count(),
+                  out);
         out.flush();
+        prev = std::move(cur);
+        prev_t = t;
     }
     return 0;
 }
@@ -1394,51 +1443,55 @@ run(const std::vector<std::string> &args, std::ostream &out,
 
     int rc = 2;
     bool dispatched = true;
-    try {
-        if (cmd == "record" && rest.size() == 3) {
-            rc = cmdRecord(rest[1], rest[2], out);
-        } else if (cmd == "info" && rest.size() == 2) {
-            rc = cmdInfo(rest[1], out);
-        } else if (cmd == "index" &&
-                   (rest.size() == 2 || rest.size() == 3)) {
-            rc = cmdIndex(rest[1],
-                          rest.size() == 3 ? rest[2] : std::string(),
-                          out);
-        } else if (cmd == "sessions" &&
-                   (rest.size() == 2 || rest.size() == 3)) {
-            std::size_t top = 20;
-            if (rest.size() == 3 && !parseTop(rest[2], &top, err))
-                return 2;
-            rc = cmdSessions(rest[1], top, out, jobs);
-        } else if (cmd == "analyze" && rest.size() == 2) {
-            rc = cmdAnalyze(rest[1], out, jobs);
-        } else if (cmd == "session" && rest.size() == 3) {
-            rc = cmdSession(rest[1], rest[2], out, err, jobs);
-        } else if (cmd == "advise" &&
-                   (rest.size() == 2 || rest.size() == 3)) {
-            std::size_t top = 20;
-            if (rest.size() == 3 && !parseTop(rest[2], &top, err))
-                return 2;
-            rc = cmdAdvise(rest[1], top, out, jobs);
-        } else if (cmd == "query" && rest.size() >= 2) {
-            rc = cmdQuery(rest[1],
-                          std::vector<std::string>(rest.begin() + 2,
-                                                   rest.end()),
-                          out, err, jobs);
-        } else if (cmd == "connect" && rest.size() >= 2) {
-            rc = cmdConnect(std::vector<std::string>(rest.begin() + 1,
+    {
+        // One root span per command encloses every span it opens.
+        EDB_OBS_SPAN(rootSpanName(cmd));
+        try {
+            if (cmd == "record" && rest.size() == 3) {
+                rc = cmdRecord(rest[1], rest[2], out);
+            } else if (cmd == "info" && rest.size() == 2) {
+                rc = cmdInfo(rest[1], out);
+            } else if (cmd == "index" &&
+                       (rest.size() == 2 || rest.size() == 3)) {
+                rc = cmdIndex(
+                    rest[1], rest.size() == 3 ? rest[2] : std::string(),
+                    out);
+            } else if (cmd == "sessions" &&
+                       (rest.size() == 2 || rest.size() == 3)) {
+                std::size_t top = 20;
+                if (rest.size() == 3 && !parseTop(rest[2], &top, err))
+                    return 2;
+                rc = cmdSessions(rest[1], top, out, jobs);
+            } else if (cmd == "analyze" && rest.size() == 2) {
+                rc = cmdAnalyze(rest[1], out, jobs);
+            } else if (cmd == "session" && rest.size() == 3) {
+                rc = cmdSession(rest[1], rest[2], out, err, jobs);
+            } else if (cmd == "advise" &&
+                       (rest.size() == 2 || rest.size() == 3)) {
+                std::size_t top = 20;
+                if (rest.size() == 3 && !parseTop(rest[2], &top, err))
+                    return 2;
+                rc = cmdAdvise(rest[1], top, out, jobs);
+            } else if (cmd == "query" && rest.size() >= 2) {
+                rc = cmdQuery(rest[1],
+                              std::vector<std::string>(rest.begin() + 2,
+                                                       rest.end()),
+                              out, err, jobs);
+            } else if (cmd == "connect" && rest.size() >= 2) {
+                rc = cmdConnect(
+                    std::vector<std::string>(rest.begin() + 1, rest.end()),
+                    out, err);
+            } else if (cmd == "top" && rest.size() >= 2) {
+                rc = cmdTop(std::vector<std::string>(rest.begin() + 1,
                                                      rest.end()),
                             out, err);
-        } else if (cmd == "top" && rest.size() >= 2) {
-            rc = cmdTop(std::vector<std::string>(rest.begin() + 1,
-                                                 rest.end()),
-                        out, err);
-        } else {
-            dispatched = false;
+            } else {
+                dispatched = false;
+            }
+        } catch (const std::exception &e) {
+            err << "error: " << e.what() << "\n";
+            rc = 1;
         }
-    } catch (const std::exception &e) {
-        err << "error: " << e.what() << "\n";
-        rc = 1;
     }
     if (!dispatched) {
         err << usage();

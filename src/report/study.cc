@@ -55,10 +55,14 @@ studyTrace(const trace::Trace &trace, const model::TimingProfile &timing,
     // The shape pass only touches install/remove events, so it is
     // cheap next to the simulation itself.
     model::StrategyAdvisor advisor(timing);
-    std::vector<model::SessionShape> all_shapes =
-        model::computeSessionShapes(trace, study.sessions);
+    std::vector<model::SessionShape> all_shapes;
+    {
+        EDB_OBS_SPAN("study.shapes");
+        all_shapes = model::computeSessionShapes(trace, study.sessions);
+    }
 
     // Table 3 means and Table 4 populations.
+    EDB_OBS_SPAN("study.advise");
     const double n = (double)study.activeSessions.size();
     for (auto &v : study.relativeOverheads)
         v.reserve(study.activeSessions.size());

@@ -522,32 +522,28 @@ readLabels(PayloadReader &rd)
 
 } // namespace
 
-MetricsReply
+telemetry::Report
 Client::metricsReport()
 {
     PayloadWriter w;
     w.putU8((std::uint8_t)MetricsFormat::Binary);
     PayloadReader rd = call(Op::Metrics, w);
     rd.getU8(); // echoed format
-    MetricsReply r;
-    r.intervalMs = rd.getU64();
-    r.samples = rd.getU64();
+    telemetry::Report r;
     const std::uint32_t nseries = rd.getU32();
     r.series.reserve(nseries);
     for (std::uint32_t i = 0; i < nseries; ++i) {
-        MetricsSeriesRow s;
+        telemetry::ReportSeries s;
         s.name = rd.getString();
         s.labels = readLabels(rd);
-        s.kind = rd.getU8();
+        s.kind = (obs::Kind)rd.getU8();
         s.value = (std::int64_t)rd.getU64();
-        s.hasRate = rd.getU8() != 0;
-        s.rate = std::bit_cast<double>(rd.getU64());
         r.series.push_back(std::move(s));
     }
     const std::uint32_t nhists = rd.getU32();
     r.hists.reserve(nhists);
     for (std::uint32_t i = 0; i < nhists; ++i) {
-        MetricsHistRow h;
+        telemetry::ReportHist h;
         h.name = rd.getString();
         h.labels = readLabels(rd);
         h.count = rd.getU64();

@@ -31,6 +31,7 @@
 
 #include "served/protocol.h"
 #include "served/registry.h"
+#include "telemetry/report.h"
 
 namespace edb::served {
 
@@ -106,40 +107,6 @@ struct StatsReply
     std::vector<StatsTraceRow> traces;
 };
 
-/** One scalar row of a binary (format 2) METRICS reply. */
-struct MetricsSeriesRow
-{
-    std::string name;
-    std::vector<obs::Label> labels;
-    std::uint8_t kind = 0; ///< obs::Kind
-    std::int64_t value = 0;
-    bool hasRate = false;
-    double rate = 0.0; ///< per second, over the sampler's ring window
-};
-
-/** One histogram row of a binary METRICS reply. */
-struct MetricsHistRow
-{
-    std::string name;
-    std::vector<obs::Label> labels;
-    std::uint64_t count = 0;
-    std::uint64_t sum = 0;
-    std::uint64_t min = 0;
-    std::uint64_t max = 0;
-    double p50 = 0.0;
-    double p95 = 0.0;
-    double p99 = 0.0;
-};
-
-/** Decoded binary METRICS reply (`edb-trace top`'s data model). */
-struct MetricsReply
-{
-    std::uint64_t intervalMs = 0; ///< 0: no sampler, no rates
-    std::uint64_t samples = 0;
-    std::vector<MetricsSeriesRow> series;
-    std::vector<MetricsHistRow> hists;
-};
-
 /** RUN reply; exactly one of the two shapes is filled in. */
 struct RunReply
 {
@@ -209,14 +176,14 @@ class Client
     /**
      * METRICS as a text blob: MetricsFormat::Prometheus (default)
      * returns the exposition (`text/plain; version=0.0.4`),
-     * MetricsFormat::Json the edb-metrics-v1 JSON document. Allowed
+     * MetricsFormat::Json the edb-metrics-v2 JSON document. Allowed
      * before HELLO, like stats().
      */
     std::string metricsText(
         MetricsFormat format = MetricsFormat::Prometheus);
 
     /** METRICS in binary form, decoded to structured rows. */
-    MetricsReply metricsReport();
+    telemetry::Report metricsReport();
 
     /** Orderly goodbye; the server closes after its OK. */
     void bye();

@@ -40,8 +40,10 @@ namespace edb::served {
 
 /** Protocol revision; HELLO carries it and the server enforces it.
  *  v2: OPEN_TRACE and STATS trace rows gained a trailing `indexed`
- *  byte reporting whether the mapping carries a .edbi sidecar. */
-constexpr std::uint32_t protocolVersion = 2;
+ *  byte reporting whether the mapping carries a .edbi sidecar.
+ *  v3: METRICS JSON and binary reports carry live values only: the
+ *  interval, sample count and per-series rate fields are gone. */
+constexpr std::uint32_t protocolVersion = 3;
 
 /** Bytes before the body: u32 length + u8 opcode. */
 constexpr std::size_t frameHeaderBytes = 5;
@@ -66,7 +68,7 @@ enum class Op : std::uint8_t {
     Subscribe = 0x0a, ///< toggle streaming EVT notifications
     Stats = 0x0b,     ///< obs snapshot JSON + registry counts
     Bye = 0x0c,       ///< orderly goodbye; server closes after OK
-    Metrics = 0x0d,   ///< time-series / Prometheus exposition
+    Metrics = 0x0d,   ///< live metrics report / Prometheus exposition
                       ///< (allowed before HELLO, like STATS)
 
     // Reply opcodes (server -> client).
@@ -79,7 +81,7 @@ enum class Op : std::uint8_t {
  *  echoes the format before the payload). */
 enum class MetricsFormat : std::uint8_t {
     Prometheus = 0, ///< text exposition 0.0.4 as one blob
-    Json = 1,       ///< edb-metrics-v1 JSON as one blob
+    Json = 1,       ///< edb-metrics-v2 JSON as one blob
     Binary = 2,     ///< structured rows (what `edb-trace top` decodes)
 };
 

@@ -23,6 +23,7 @@
 
 #include "obs/obs.h"
 #include "telemetry/prom.h"
+#include "telemetry/report.h"
 #include "util/logging.h"
 
 namespace edb::served {
@@ -110,8 +111,6 @@ statsJson()
 void
 writeReportBinary(PayloadWriter &w, const telemetry::Report &report)
 {
-    w.putU64(report.intervalMs);
-    w.putU64(report.samples);
     w.putU32((std::uint32_t)report.series.size());
     for (const telemetry::ReportSeries &s : report.series) {
         w.putString(s.name);
@@ -122,8 +121,6 @@ writeReportBinary(PayloadWriter &w, const telemetry::Report &report)
         }
         w.putU8((std::uint8_t)s.kind);
         w.putU64((std::uint64_t)s.value);
-        w.putU8(s.hasRate ? 1 : 0);
-        w.putU64(std::bit_cast<std::uint64_t>(s.rate));
     }
     w.putU32((std::uint32_t)report.hists.size());
     for (const telemetry::ReportHist &h : report.hists) {
@@ -238,14 +235,6 @@ Server::start()
             std::string("served: pipe(): ") + std::strerror(errno));
     }
 
-    if (options_.metricsIntervalMs > 0) {
-        telemetry::SamplerOptions sopts;
-        sopts.intervalMs = options_.metricsIntervalMs;
-        sopts.ringCapacity = options_.metricsRingCapacity;
-        sampler_ = std::make_unique<telemetry::Sampler>(sopts);
-        sampler_->start();
-    }
-
     stopping_.store(false, std::memory_order_release);
     running_.store(true, std::memory_order_release);
     accept_thread_ = std::thread([this] { acceptLoop(); });
@@ -281,11 +270,6 @@ Server::stop()
     for (auto &c : conns) {
         if (c->thread.joinable())
             c->thread.join();
-    }
-
-    if (sampler_) {
-        sampler_->stop();
-        sampler_.reset();
     }
 
     ::close(stop_pipe_[0]);
@@ -562,9 +546,7 @@ Server::dispatchRequest(Conn &conn, const Frame &frame)
             if ((MetricsFormat)format == MetricsFormat::Prometheus) {
                 w.putBlob(telemetry::prometheusText());
             } else {
-                const telemetry::Report report =
-                    sampler_ ? sampler_->makeReport()
-                             : telemetry::Sampler::snapshotReport();
+                const telemetry::Report report = telemetry::makeReport();
                 if ((MetricsFormat)format == MetricsFormat::Json)
                     w.putBlob(telemetry::reportToJson(report));
                 else

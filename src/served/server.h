@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "served/registry.h"
-#include "telemetry/timeseries.h"
 
 namespace edb::served {
 
@@ -49,12 +48,6 @@ struct ServerOptions
     /** Live-monitor engine family for new tenants. */
     Engine engine = Engine::Software;
 
-    /** Sampling tick of the telemetry time-series collector;
-     *  0 disables the sampler thread (METRICS then serves a
-     *  point-in-time snapshot with no rates). */
-    std::uint64_t metricsIntervalMs = 1000;
-    /** {t, value} points retained per series by the sampler. */
-    std::size_t metricsRingCapacity = 128;
     /** Optional second Unix socket speaking raw Prometheus text:
      *  each accepted connection receives one exposition
      *  (`text/plain; version=0.0.4` content) and is closed — so a
@@ -104,10 +97,6 @@ class Server
 
     Registry &registry() { return *registry_; }
 
-    /** The time-series collector; null when metricsIntervalMs is 0
-     *  or the server has not started. */
-    telemetry::Sampler *sampler() { return sampler_.get(); }
-
     /** Connections accepted over the server's lifetime. */
     std::uint64_t connectionsAccepted() const
     {
@@ -149,7 +138,6 @@ class Server
 
     ServerOptions options_;
     std::unique_ptr<Registry> registry_;
-    std::unique_ptr<telemetry::Sampler> sampler_;
     int listen_fd_ = -1;
     int metrics_fd_ = -1; ///< Prometheus scrape socket (optional)
     int stop_pipe_[2] = {-1, -1};

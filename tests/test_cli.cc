@@ -6,10 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
+#include <thread>
 
 #include <fcntl.h>
 #include <sys/resource.h>
@@ -19,6 +23,7 @@
 
 #include "cli/cli.h"
 #include "obs/obs.h"
+#include "served/client.h"
 #include "served/server.h"
 #include "trace/index_format.h"
 #include "trace/trace_io.h"
@@ -396,6 +401,90 @@ TEST_F(CliTest, TraceEventsFileWrittenAfterAnalyze)
     EXPECT_NE(body.str().find("study.simulate"), std::string::npos);
     std::remove(tev_path.c_str());
 }
+
+TEST_F(CliTest, AnalyzeHasOneRootSpanHoldingEveryOther)
+{
+    // A fresh edb-trace process, so the file holds this command's
+    // spans only (the trace sink is process-wide).
+    const std::string tev_path = ::testing::TempDir() +
+                                 "/edb_cli_root." +
+                                 std::to_string(::getpid()) + ".json";
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        const int null = ::open("/dev/null", O_WRONLY);
+        ::dup2(null, STDOUT_FILENO);
+        ::execl(EDB_TRACE_BIN, EDB_TRACE_BIN, "--trace-events",
+                tev_path.c_str(), "analyze", path_->c_str(),
+                (char *)nullptr);
+        ::_exit(127);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    ASSERT_EQ(WEXITSTATUS(status), 0);
+    std::ifstream body(tev_path);
+    ASSERT_TRUE(body.is_open());
+
+    // Pair each thread's B/E events into spans.
+    struct Span
+    {
+        std::string name;
+        double begin = 0;
+        double end = 0;
+    };
+    std::vector<Span> spans;
+    std::map<std::string, std::vector<Span>> stacks; // by tid
+    const auto field = [](const std::string &line, const char *key) {
+        const std::string k = std::string("\"") + key + "\": ";
+        const std::size_t at = line.find(k);
+        EXPECT_NE(at, std::string::npos) << line;
+        std::string v = line.substr(at + k.size());
+        v = v.substr(0, v.find_first_of(",}"));
+        if (!v.empty() && v.front() == '"')
+            v = v.substr(1, v.size() - 2);
+        return v;
+    };
+    for (std::string line; std::getline(body, line);) {
+        if (line.find("\"ph\": ") == std::string::npos)
+            continue;
+        const double ts = std::stod(field(line, "ts"));
+        std::vector<Span> &stack = stacks[field(line, "tid")];
+        if (field(line, "ph") == "B") {
+            stack.push_back({field(line, "name"), ts, ts});
+        } else {
+            ASSERT_FALSE(stack.empty()) << line;
+            stack.back().end = ts;
+            spans.push_back(stack.back());
+            stack.pop_back();
+        }
+    }
+    std::remove(tev_path.c_str());
+
+    // Exactly one span lies inside no other, and it holds them all.
+    std::vector<const Span *> roots;
+    for (const Span &a : spans) {
+        bool inside = false;
+        for (const Span &b : spans) {
+            inside |= &a != &b && b.begin <= a.begin && a.end <= b.end &&
+                      (b.end - b.begin) > (a.end - a.begin);
+        }
+        if (!inside)
+            roots.push_back(&a);
+    }
+    ASSERT_EQ(roots.size(), 1u);
+    EXPECT_EQ(roots[0]->name, "edb-trace.analyze");
+    for (const char *name : {"trace.load", "study.enumerate",
+                             "study.simulate", "study.shapes",
+                             "study.advise", "report.print"}) {
+        EXPECT_EQ(std::count_if(spans.begin(), spans.end(),
+                                [&](const Span &sp) {
+                                    return sp.name == name;
+                                }),
+                  1)
+            << name;
+    }
+}
 #else
 TEST(CliRun, ObsFlagsWarnWhenCompiledOut)
 {
@@ -507,7 +596,6 @@ class CliServedTest : public ::testing::Test
         served::ServerOptions options;
         options.socketPath = ::testing::TempDir() + "/edb_cli_top." +
                              std::to_string(::getpid()) + ".sock";
-        options.metricsIntervalMs = 50; // fast ticks for rate tests
         server_ = std::make_unique<served::Server>(options);
         server_->start();
     }
@@ -530,25 +618,33 @@ TEST_F(CliServedTest, TopOnceJsonIsMachineReadable)
                   out, err),
               0)
         << err.str();
-    // The raw edb-metrics-v1 document, one per poll, for CI scripts.
-    EXPECT_NE(out.str().find("\"schema\": \"edb-metrics-v1\""),
+    // The raw edb-metrics-v2 document, one per poll, for CI scripts.
+    EXPECT_NE(out.str().find("\"schema\": \"edb-metrics-v2\""),
               std::string::npos);
     EXPECT_EQ(out.str().back(), '\n');
     // --once means exactly one document.
-    EXPECT_EQ(out.str().find("edb-metrics-v1"),
-              out.str().rfind("edb-metrics-v1"));
+    EXPECT_EQ(out.str().find("edb-metrics-v2"),
+              out.str().rfind("edb-metrics-v2"));
 }
 
 TEST_F(CliServedTest, TopTableRendersWithoutAnsiWhenOnce)
 {
     std::ostringstream out, err;
-    ASSERT_EQ(run({"top", server_->socketPath(), "--once"}, out, err),
+    ASSERT_EQ(run({"top", server_->socketPath(), "--once", "--interval",
+                   "50"},
+                  out, err),
               0)
         << err.str();
     EXPECT_NE(out.str().find("edb-served metrics:"),
               std::string::npos);
     // --once never clears the screen (pipeline-friendly).
     EXPECT_EQ(out.str().find('\x1b'), std::string::npos);
+#if EDB_OBS_ENABLED
+    // Even the only frame has rates: a baseline scrape one interval
+    // earlier timed a METRICS request for the op table.
+    EXPECT_NE(out.str().find("rates over"), std::string::npos);
+    EXPECT_NE(out.str().find("Req/s"), std::string::npos);
+#endif
 }
 
 TEST_F(CliServedTest, TopCountTwoRefreshesClearTheScreen)
@@ -573,6 +669,42 @@ TEST_F(CliServedTest, TopCountTwoRefreshesClearTheScreen)
     EXPECT_NE(out.str().find("METRICS"), std::string::npos);
 #endif
 }
+
+#if EDB_OBS_ENABLED
+TEST_F(CliServedTest, TopRatesComeFromItsOwnScrapes)
+{
+    // A client issues STATS requests all through the run, so the
+    // second frame's STATS row counts some between its two scrapes.
+    std::atomic<bool> done{false};
+    std::thread load([&] {
+        served::Client c;
+        c.connect(server_->socketPath());
+        while (!done.load()) {
+            c.stats();
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        }
+    });
+    std::ostringstream out, err;
+    const int rc = run({"top", server_->socketPath(), "--count", "2",
+                        "--interval", "50"},
+                       out, err);
+    done = true;
+    load.join();
+    ASSERT_EQ(rc, 0) << err.str();
+
+    const std::string text = out.str();
+    const std::size_t frame = text.rfind("\x1b[2J");
+    ASSERT_NE(frame, std::string::npos);
+    const std::size_t row = text.find("\nSTATS ", frame);
+    ASSERT_NE(row, std::string::npos) << text.substr(frame);
+    std::istringstream cells(text.substr(row + 1));
+    std::string op;
+    double req_per_s = 0;
+    cells >> op >> req_per_s;
+    EXPECT_EQ(op, "STATS");
+    EXPECT_GT(req_per_s, 0.0) << text.substr(frame);
+}
+#endif
 
 TEST_F(CliServedTest, TopValidatesItsOptions)
 {

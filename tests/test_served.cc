@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -936,22 +937,15 @@ TEST_F(ServedServerTest, MetricsAllowedBeforeHelloInEveryFormat)
 
     const std::string prom = c.metricsText();
     const std::string json = c.metricsText(MetricsFormat::Json);
-    EXPECT_NE(json.find("\"schema\": \"edb-metrics-v1\""),
+    EXPECT_NE(json.find("\"schema\": \"edb-metrics-v2\""),
               std::string::npos);
 
-    MetricsReply r = c.metricsReport();
+    const telemetry::Report r = c.metricsReport();
 #if EDB_OBS_ENABLED
     EXPECT_NE(prom.find("# HELP "), std::string::npos);
     EXPECT_NE(prom.find("# TYPE "), std::string::npos);
     EXPECT_NE(prom.find("edb_"), std::string::npos);
-    // The fixture server runs the default 1s sampler; its first tick
-    // races with this request, so wait it out before asserting.
-    EXPECT_EQ(r.intervalMs, 1000u);
-    for (int i = 0; i < 500 && r.samples == 0; ++i) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        r = c.metricsReport();
-    }
-    EXPECT_GE(r.samples, 1u);
+    // The report reads the live registry: no tick to wait for.
     EXPECT_FALSE(r.series.empty());
 #else
     // Empty-but-valid: a comment-only exposition, an empty report.
@@ -982,11 +976,11 @@ TEST_F(ServedServerTest, MetricsReportCarriesOpLatencyQuantiles)
 {
     Client c = connected("alice");
     c.stats(); // at least one timed STATS request
-    const MetricsReply r = c.metricsReport();
+    const telemetry::Report r = c.metricsReport();
 
     bool hello_timed = false;
     bool stats_timed = false;
-    for (const MetricsHistRow &h : r.hists) {
+    for (const telemetry::ReportHist &h : r.hists) {
         if (h.name != "served.request_ns")
             continue;
         for (const obs::Label &l : h.labels) {
@@ -1010,7 +1004,7 @@ TEST_F(ServedServerTest, MetricsReportCarriesOpLatencyQuantiles)
 
     // The matching request counter exists for HELLO.
     bool hello_counted = false;
-    for (const MetricsSeriesRow &s : r.series) {
+    for (const telemetry::ReportSeries &s : r.series) {
         if (s.name != "served.requests")
             continue;
         for (const obs::Label &l : s.labels) {
@@ -1151,7 +1145,72 @@ TEST_F(ServedServerTest, PerTenantTelemetrySumsMatchObsGlobals)
     }
 }
 
+TEST_F(ServedServerTest, MetricsEveryFormatReadsTheLiveRegistry)
+{
+    // Binary, JSON and Prometheus METRICS all read the registry as it
+    // is when the request arrives, so after N more STATS requests each
+    // format shows the STATS counter exactly N higher. Every request
+    // rides one connection, whose requests run in order, so each
+    // STATS is counted before the next METRICS is read.
+    Client c;
+    c.connect(server_->socketPath());
+    const std::string label = "op=\"STATS\"";
+    c.stats(); // the series exists from here on
+    const std::int64_t base =
+        promValue(c.metricsText(), "served.requests", label);
+    ASSERT_GE(base, 1);
+
+    constexpr int n = 41;
+    for (int i = 0; i < n; ++i)
+        c.stats();
+    const std::int64_t want = base + n;
+
+    std::int64_t binary = -1;
+    for (const telemetry::ReportSeries &s : c.metricsReport().series) {
+        if (s.name == "served.requests" && s.labels.size() == 1 &&
+            s.labels[0].key == "op" && s.labels[0].value == "STATS")
+            binary = s.value;
+    }
+    EXPECT_EQ(binary, want);
+
+    const std::string json = c.metricsText(MetricsFormat::Json);
+    const std::string key = "{\"name\": \"served.requests\", \"labels\": "
+                            "{\"op\": \"STATS\"}, \"kind\": \"counter\", "
+                            "\"value\": ";
+    const std::size_t at = json.find(key);
+    ASSERT_NE(at, std::string::npos) << json;
+    EXPECT_EQ(std::stoll(json.substr(at + key.size(), 24)), want);
+
+    EXPECT_EQ(promValue(c.metricsText(), "served.requests", label), want);
+    c.bye();
+}
+
 #endif // EDB_OBS_ENABLED
+
+/** Threads of this process, from /proc/self/task. */
+std::size_t
+threadCount()
+{
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto &task :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ++n;
+    return n;
+}
+
+TEST_F(ServedServerTest, StartRunsOnlyTheWorkersAndTheAcceptLoop)
+{
+    // Observability does no background work: a started server runs
+    // its worker pool and its accept loop, and no other thread.
+    ServerOptions options;
+    options.socketPath = server_->socketPath() + ".threads";
+    options.workers = 3;
+    const std::size_t before = threadCount();
+    Server server(options);
+    server.start();
+    EXPECT_EQ(threadCount(), before + options.workers + 1);
+    server.stop();
+}
 
 TEST_F(ServedServerTest, AdmissionControlOverSocket)
 {

@@ -1,18 +1,18 @@
 /**
  * @file
  * Tests for labeled obs series and the edb::telemetry exporters —
- * label domains, the cardinality cap's overflow series, the
- * time-series sampler's rate derivation, the Prometheus exposition,
- * and a TSan-facing concurrency stress. The obs registry is
- * process-global and accumulates across suites, so every assertion
- * here is delta-based or uses test-unique names.
+ * label domains, the cardinality cap's overflow series, the METRICS
+ * report, the Prometheus exposition, and a TSan-facing concurrency
+ * stress. The obs registry is process-global and accumulates across
+ * suites, so every assertion here is delta-based or uses test-unique
+ * names.
  */
 
 #include <gtest/gtest.h>
 
 #include "obs/obs.h"
 #include "telemetry/prom.h"
-#include "telemetry/timeseries.h"
+#include "telemetry/report.h"
 
 #if EDB_OBS_ENABLED
 
@@ -251,94 +251,40 @@ TEST(TelemetrySeries, CardinalityCapRoutesToOverflowCell)
               nullptr);
 }
 
-TEST(TelemetrySampler, CounterRateFromInjectedTimestamps)
-{
-    Domain d{{"tenant", "tt-rate"}};
-    Series c = d.counter("test.telemetry.rate");
-    c.add(0); // intern before the first tick
-
-    Sampler sampler({.intervalMs = 1000, .ringCapacity = 8});
-    sampler.sampleOnce(1'000'000'000ull);
-    c.add(100);
-    sampler.sampleOnce(2'000'000'000ull);
-
-    const Report report = sampler.makeReport();
-    EXPECT_EQ(report.intervalMs, 1000u);
-    EXPECT_EQ(report.samples, 2u);
-
-    const ReportSeries *rs = nullptr;
-    for (const ReportSeries &s : report.series) {
-        if (s.name == "test.telemetry.rate" && !s.labels.empty() &&
-            s.labels[0].value == "tt-rate") {
-            rs = &s;
-        }
-    }
-    ASSERT_NE(rs, nullptr);
-    EXPECT_EQ(rs->value, 100);
-    ASSERT_TRUE(rs->hasRate);
-    // 100 increments over exactly one injected second.
-    EXPECT_NEAR(rs->rate, 100.0, 1e-9);
-}
-
-TEST(TelemetrySampler, RingWrapNarrowsTheRateWindow)
-{
-    Domain d{{"tenant", "tt-wrap"}};
-    Series c = d.counter("test.telemetry.wrap");
-    c.add(0);
-
-    Sampler sampler({.intervalMs = 1000, .ringCapacity = 4});
-    // Six ticks, +10/s: the 4-slot ring retains t=3..6 only, so the
-    // window rate stays 10/s and the oldest points fall away.
-    for (std::uint64_t t = 1; t <= 6; ++t) {
-        sampler.sampleOnce(t * 1'000'000'000ull);
-        c.add(10);
-    }
-
-    const Report report = sampler.makeReport();
-    EXPECT_EQ(report.samples, 6u);
-    const ReportSeries *rs = nullptr;
-    for (const ReportSeries &s : report.series) {
-        if (s.name == "test.telemetry.wrap" && !s.labels.empty() &&
-            s.labels[0].value == "tt-wrap") {
-            rs = &s;
-        }
-    }
-    ASSERT_NE(rs, nullptr);
-    EXPECT_EQ(rs->value, 50); // value as of the t=6 tick
-    ASSERT_TRUE(rs->hasRate);
-    EXPECT_NEAR(rs->rate, 10.0, 1e-9);
-}
-
-TEST(TelemetrySampler, GaugesNeverCarryRates)
-{
-    Domain d{{"tenant", "tt-gaugerate"}};
-    Series g = d.gauge("test.telemetry.gauge_rate");
-    g.add(5);
-
-    Sampler sampler({.intervalMs = 1000, .ringCapacity = 8});
-    sampler.sampleOnce(1'000'000'000ull);
-    sampler.sampleOnce(2'000'000'000ull);
-    for (const ReportSeries &s : sampler.makeReport().series) {
-        if (s.kind == Kind::Gauge)
-            EXPECT_FALSE(s.hasRate) << s.name;
-    }
-}
-
-TEST(TelemetrySampler, SnapshotReportHasValuesButNoRates)
+TEST(TelemetryReport, CarriesLiveValuesAtEveryCall)
 {
     Domain d{{"tenant", "tt-snap"}};
     Series c = d.counter("test.telemetry.snap");
+    HistSeries h = d.histogram("test.telemetry.snap_h");
     c.add(9);
+    h.observe(100);
 
-    const Report report = Sampler::snapshotReport();
-    EXPECT_EQ(report.intervalMs, 0u);
+    const auto value = [](const Report &report) -> std::int64_t {
+        for (const ReportSeries &s : report.series) {
+            if (s.name == "test.telemetry.snap" && !s.labels.empty() &&
+                s.labels[0].value == "tt-snap") {
+                EXPECT_EQ(s.kind, Kind::Counter);
+                return s.value;
+            }
+        }
+        ADD_FAILURE() << "test.telemetry.snap missing";
+        return -1;
+    };
+    const Report first = makeReport();
+    EXPECT_EQ(value(first), 9);
+    // No cached copy: the next report reads the registry again.
+    c.add(33);
+    EXPECT_EQ(value(makeReport()), 42);
+
     bool found = false;
-    for (const ReportSeries &s : report.series) {
-        EXPECT_FALSE(s.hasRate) << s.name;
-        if (s.name == "test.telemetry.snap" && !s.labels.empty() &&
-            s.labels[0].value == "tt-snap") {
+    for (const ReportHist &rh : first.hists) {
+        if (rh.name == "test.telemetry.snap_h" && !rh.labels.empty() &&
+            rh.labels[0].value == "tt-snap") {
             found = true;
-            EXPECT_EQ(s.value, 9);
+            EXPECT_EQ(rh.count, 1u);
+            EXPECT_EQ(rh.sum, 100u);
+            EXPECT_DOUBLE_EQ(rh.p50, 100.0);
+            EXPECT_DOUBLE_EQ(rh.p99, 100.0);
         }
     }
     EXPECT_TRUE(found);
@@ -347,10 +293,8 @@ TEST(TelemetrySampler, SnapshotReportHasValuesButNoRates)
 TEST(TelemetryJson, ReportSchemaAndShape)
 {
     Report report;
-    report.intervalMs = 250;
-    report.samples = 4;
     report.series.push_back(
-        {"a.b", {{"tenant", "t\"1"}}, Kind::Counter, 7, 3.5, true});
+        {"a.b", {{"tenant", "t\"1"}}, Kind::Counter, 7});
     ReportHist h;
     h.name = "lat";
     h.count = 2;
@@ -359,11 +303,13 @@ TEST(TelemetryJson, ReportSchemaAndShape)
     report.hists.push_back(h);
 
     const std::string json = reportToJson(report);
-    EXPECT_NE(json.find("\"schema\": \"edb-metrics-v1\""),
+    EXPECT_NE(json.find("\"schema\": \"edb-metrics-v2\""),
               std::string::npos);
-    EXPECT_NE(json.find("\"interval_ms\": 250"), std::string::npos);
-    EXPECT_NE(json.find("\"samples\": 4"), std::string::npos);
-    EXPECT_NE(json.find("\"rate\": 3.5"), std::string::npos);
+    EXPECT_NE(json.find("\"value\": 7}"), std::string::npos);
+    // Live values only: no interval, sample count or rate.
+    EXPECT_EQ(json.find("interval_ms"), std::string::npos);
+    EXPECT_EQ(json.find("\"samples\""), std::string::npos);
+    EXPECT_EQ(json.find("\"rate\""), std::string::npos);
     EXPECT_NE(json.find("\\\"1"), std::string::npos); // escaped quote
     EXPECT_NE(json.find("\"p50\": 5"), std::string::npos);
     EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
@@ -434,17 +380,15 @@ TEST(TelemetryProm, ExpositionIsWellFormed)
 TEST(TelemetryStress, ConcurrentDomainsCollectAndSample)
 {
     // TSan-facing: racing interns of the same identities, hot-path
-    // increments, and concurrent collect()/sampleOnce() readers.
+    // increments, and concurrent collect()/makeReport() readers.
     constexpr int kThreads = 8;
     constexpr int kIters = 5000;
 
     std::atomic<bool> done{false};
     std::thread reader([&] {
-        Sampler sampler({.intervalMs = 1, .ringCapacity = 4});
         while (!done.load(std::memory_order_relaxed)) {
             (void)collect();
-            sampler.sampleOnce();
-            (void)sampler.makeReport();
+            (void)makeReport();
         }
     });
 

@@ -52,9 +52,6 @@ usage(std::ostream &os, int rc)
           "software|adaptive (default software)\n"
           "  --obs-json PATH     write an edb::obs snapshot (JSON) "
           "after shutdown\n"
-          "  --metrics-interval MS\n"
-          "                      telemetry sampling tick "
-          "(default 1000; 0 disables the sampler)\n"
           "  --metrics-socket PATH\n"
           "                      serve raw Prometheus text "
           "(one exposition per connection) here\n"
@@ -66,7 +63,11 @@ usage(std::ostream &os, int rc)
           "\n"
           "The daemon runs until SIGINT/SIGTERM, then drains "
           "connected clients,\n"
-          "flushes the snapshot, and exits 0.\n";
+          "flushes the snapshot, and exits 0. METRICS requests and "
+          "scrapes read the\n"
+          "live registry; nothing samples in the background "
+          "(`edb-trace top` derives\n"
+          "rates from its own scrapes).\n";
     return rc;
 }
 
@@ -131,13 +132,6 @@ main(int argc, char **argv)
             }
         } else if (arg == "--obs-json") {
             obs_json = value;
-        } else if (arg == "--metrics-interval") {
-            if (!parseUnsigned(value.c_str(), &n)) {
-                std::cerr << "error: invalid metrics interval '"
-                          << value << "'\n";
-                return 2;
-            }
-            options.metricsIntervalMs = (std::uint64_t)n;
         } else if (arg == "--metrics-socket") {
             options.metricsSocketPath = value;
         } else if (arg == "--slow-ms") {

@@ -15,7 +15,7 @@ relies on:
     `_count`, and `_sum`/`_count` are present;
   * with two files, every counter series present in both scrapes is
     monotone (scrape 2 >= scrape 1) — a counter that went backwards
-    means the sampler or the exposition writer lost state.
+    means the registry or the exposition writer lost state.
 
 An exposition that only announces the disabled marker (EDB_OBS=OFF
 builds emit a single comment line) passes vacuously — the wire
